@@ -69,7 +69,6 @@ from .sim import (
     TraceRecorder,
     simulate,
 )
-from ._compat import build_workload, make_policy, run_policies, run_policy, run_simulation
 
 __version__ = "1.6.0"
 
@@ -103,17 +102,12 @@ __all__ = [
     "build_model",
     "profile_training_graph",
     "POLICY_NAMES",
-    "make_policy",
     "ExecutionSimulator",
     "PerfCounters",
     "SimObserver",
     "TraceRecorder",
     "SimulationResult",
     "simulate",
-    "build_workload",
-    "run_policy",
-    "run_policies",
-    "run_simulation",
     "ConfigPatch",
     "ResultCache",
     "SweepCell",

@@ -220,8 +220,8 @@ def import_aliases(tree: ast.Module) -> dict[str, str]:
     ``import time as _time`` maps ``_time`` to ``time``; ``from time import
     perf_counter as pc`` maps ``pc`` to ``time.perf_counter``; a bare
     ``import numpy.random`` maps ``numpy`` to ``numpy``. Relative imports are
-    kept with their leading dots (``from ._compat import x`` maps ``x`` to
-    ``._compat.x``). The walk covers function-level imports too — the map is
+    kept with their leading dots (``from .harness import x`` maps ``x`` to
+    ``.harness.x``). The walk covers function-level imports too — the map is
     module-wide, a deliberate (conservative) flattening.
     """
     aliases: dict[str, str] = {}

@@ -11,10 +11,8 @@ depends on informally:
 * **QUE001** protects the work queue's crash-safety proof: task/lease state
   may only become visible through the atomic rename/exclusive-link idioms the
   SIGKILL fault suite assumes.
-* **API001** keeps the deprecation story honest: internal code must use the
-  modern API, never the ``_compat`` shims kept for external callers.
-* **PERF001** protects the vectorized planning hot path: ``core/`` and
-  ``sim/`` must not fall back to per-element Python loops over numpy arrays.
+* **PERF001** keeps numpy code numpy: ``core/`` and ``sim/`` must not walk a
+  numpy array element by element in a Python loop.
 
 Rules self-register into :data:`~repro.analysis.lint.framework.LINT_REGISTRY`
 when this module is imported (it is the registry's bootstrap module).
@@ -521,71 +519,19 @@ class AtomicQueuePublishRule(LintRule):
 
 
 @register_rule(
-    "API001",
-    title="no internal imports of the _compat deprecation shims",
-    rationale="shims exist for external callers; internal use hides the modern API and defeats the deprecation",
-)
-class NoCompatImportRule(LintRule):
-    """Bans ``repro._compat`` imports inside the package.
-
-    The shims re-exported from ``repro/__init__.py`` keep external callers
-    working through a deprecation cycle; internal code importing them would
-    never see the warnings fire and would silently freeze the legacy
-    surface. Only the package root (which must re-export them) and
-    ``_compat.py`` itself are exempt.
-    """
-
-    code = "API001"
-    title = "no internal imports of the _compat deprecation shims"
-    rationale = (
-        "shims exist for external callers; internal use hides the modern API "
-        "and defeats the deprecation"
-    )
-
-    EXEMPT = ("__init__.py", "_compat.py")
-
-    def applies_to(self, module: ModuleSource) -> bool:
-        return module.package_path not in self.EXEMPT
-
-    MESSAGE = (
-        "internal import of the _compat deprecation shims; call the modern "
-        "Scenario/registry API directly"
-    )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = node.module or ""
-        if module == "_compat" or module.endswith("._compat") or module.endswith(".repro._compat"):
-            self.report(node, self.MESSAGE)
-        elif node.level > 0 and module == "" and any(
-            name.name == "_compat" for name in node.names
-        ):
-            self.report(node, self.MESSAGE)
-        self.generic_visit(node)
-
-    def visit_Import(self, node: ast.Import) -> None:
-        if any(
-            name.name == "_compat" or name.name.endswith("._compat")
-            for name in node.names
-        ):
-            self.report(node, self.MESSAGE)
-        self.generic_visit(node)
-
-
-@register_rule(
     "PERF001",
     title="no per-element Python loops over numpy arrays in core/sim",
-    rationale="the planning hot path is vectorized; an element-wise Python loop over an array silently reverts it",
+    rationale="an element-wise Python loop over a numpy array pays boxing and dispatch per element",
 )
 class NoScalarArrayLoopRule(LintRule):
     """Flags ``for`` loops (and ordered comprehensions) iterating a value
     statically known to be a numpy array in ``core/`` and ``sim/``.
 
     Iterating a numpy array element-by-element pays boxing plus dispatch per
-    element — the exact cost the vectorized channel-schedule/pressure paths
-    were rewritten to avoid. The compliant idioms are whole-array numpy
-    operations, or — where a sequential early-exit walk is genuinely needed
-    (the chunked probe scans in ``core/bandwidth.py``) — iterating a small
-    ``.tolist()`` block, which converts once and then walks plain floats.
+    element. The compliant idioms are whole-array numpy operations (the
+    pressure excess curve in ``core/pressure.py``), or — where a sequential
+    early-exit walk is genuinely needed — plain Python lists, converted once
+    with ``.tolist()`` (the channel walks in ``core/bandwidth.py``).
 
     Detection mirrors DET003's intraprocedural inference, tracking
     array-ness instead of set-ness: ``np.*`` array constructors/elementwise
@@ -597,8 +543,8 @@ class NoScalarArrayLoopRule(LintRule):
     code = "PERF001"
     title = "no per-element Python loops over numpy arrays in core/sim"
     rationale = (
-        "the planning hot path is vectorized; an element-wise Python loop "
-        "over an array silently reverts it"
+        "an element-wise Python loop over a numpy array pays boxing and "
+        "dispatch per element"
     )
 
     LAYERS = ("core/", "sim/")

@@ -33,9 +33,9 @@ cache, and the registered policy metadata).
 Sessions are the unit of dispatch everywhere: the sweep runner's
 :func:`~repro.experiments.sweep.execute_cell` executes each grid cell through
 a session, so ``Scenario(...).run()`` is bit-identical to the same cell run
-through ``SweepRunner``, the CLI, or the legacy
-``build_workload``/``run_policy`` free functions (which remain as deprecated
-shims). The distributed work queue
+through ``SweepRunner``, the CLI, or the
+:mod:`repro.experiments.harness` ``build_workload``/``run_policy`` engine
+functions. The distributed work queue
 (:class:`~repro.experiments.queue.WorkQueue`) inherits the same property: a
 queue task is exactly :meth:`Scenario.cell` plus :meth:`Scenario.cache_key`,
 and its workers execute through sessions too.

@@ -13,7 +13,7 @@ Subcommands:
   ``BENCH_core.json`` (the repo's recorded perf trajectory); ``--check``
   gates CI against >2x regressions of the committed baseline;
 * ``lint``   — run the project's AST-based static analyzer (determinism and
-  queue-atomicity rules, DET001.. QUE001/API001) over source trees;
+  queue-atomicity rules, DET001.. QUE001/PERF001) over source trees;
   ``--project`` adds the interprocedural rules (DET005 entropy taint over the
   call graph, ASY001 await-atomicity, EXC001 exception contracts); findings
   not in the committed baseline fail the run (``--update-baseline`` refreshes

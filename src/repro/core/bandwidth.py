@@ -14,23 +14,16 @@ Channels:
 A GPU->SSD eviction consumes ``ssd_write`` **and** ``pcie_out``; a host-bound
 eviction consumes only ``pcie_out``; prefetches mirror this on the read side.
 
-Implementation note — this is the planner's innermost loop (hundreds of
-thousands of per-slot probes for a paper-scale cell), so the per-slot state is
-kept in numpy float64 arrays. Each (channel-combination, direction) maintains a
-*combined availability* array — the element-wise minimum of its channel
-arrays, updated in place on every reservation — so a probe is a chunked walk
-over small ``.tolist()`` blocks of that one array (an exhausted slot holds
-IEEE-754 zero and contributes exactly ``0.0`` bytes, so the walk needs no
-openness filtering to stay bit-identical to the reference's skip-index scan).
-The walk itself stays
-scalar because the probe semantics subtract availabilities *sequentially*
-(``remaining -= available`` in slot order) and IEEE-754 addition does not
-reassociate: any cumulative-sum shortcut would round differently. All scalar
-arithmetic happens on float64 values, which is bit-identical to the plain
-Python floats of the retained scalar reference
-(:class:`repro.core.reference.ScalarChannelSchedule`); the Hypothesis
-equivalence suite proves the two implementations byte-equal on randomized
-schedules.
+Implementation note — this is the planner's innermost loop (thousands of
+probes and reservations per paper-scale cell), and most walks end within a
+slot or two, too soon for numpy's per-call overhead to pay off (measured on
+the cold ``planner_cells`` benchmark). The per-slot state is therefore plain
+Python float lists, and each (channel-combination, direction) keeps a
+path-compressed *skip index* over exhausted slots so repeated walks jump
+straight to the next open slot. The walks subtract availabilities
+*sequentially* (``remaining -= available`` in slot order): IEEE-754 addition
+does not reassociate, so any cumulative-sum shortcut would round differently
+and move the goldens.
 """
 
 from __future__ import annotations
@@ -42,18 +35,12 @@ import numpy as np
 from ..config import SystemConfig
 from ..errors import SchedulingError
 
-#: Remaining capacity of a slot whose budget is fully consumed. The open-slot
-#: scan relies on this being *exact*: `reserve` subtracts the precise
+#: Remaining capacity of a slot whose budget is fully consumed. The skip
+#: indices rely on this being *exact*: `reserve` subtracts the precise
 #: remaining availability, so an exhausted slot holds IEEE-754 zero (not
 #: merely a small number), stays exhausted forever (capacity only ever
-#: decreases), and contributes exactly 0.0 bytes to any probe that skips it.
+#: decreases), and contributes exactly 0.0 bytes to any walk that skips it.
 EXHAUSTED_SLOT = 0.0  # repro-lint: exact-float
-
-#: Block size for the chunked probe/reserve walks. Probes usually terminate
-#: within a couple of slots (per-slot channel capacity is large relative to
-#: tensor sizes), so small blocks avoid materializing whole windows while
-#: still amortizing the numpy->Python boundary crossing.
-_SCAN_BLOCK = 32
 
 
 class Direction(Enum):
@@ -61,6 +48,9 @@ class Direction(Enum):
 
     OUT = "out"  # eviction: GPU -> SSD/host
     IN = "in"  # prefetch: SSD/host -> GPU
+
+
+_Combo = tuple[bool, Direction]
 
 
 class ChannelSchedule:
@@ -80,47 +70,29 @@ class ChannelSchedule:
             "pcie_out": durations * config.interconnect.bandwidth,
             "pcie_in": durations * config.interconnect.bandwidth,
         }
-        #: Remaining capacity per slot, as float64 arrays (hot-path state).
-        self._available: dict[str, np.ndarray] = {
-            name: capacity.copy() for name, capacity in self._capacities.items()
+        #: Remaining capacity per slot (hot-path state).
+        self._available: dict[str, list[float]] = {
+            name: capacity.tolist() for name, capacity in self._capacities.items()
         }
-        #: (to_ssd, direction) -> the availability arrays a transfer consumes.
-        self._combo_arrays: dict[tuple[bool, Direction], tuple[np.ndarray, ...]] = {
+        #: (to_ssd, direction) -> the availability lists a transfer consumes.
+        #: The PCIe list is shared by the to-host and to-SSD combos of a
+        #: direction, so a reservation through one is seen by the other.
+        self._combos: dict[_Combo, tuple[list[float], ...]] = {
             (False, Direction.OUT): (self._available["pcie_out"],),
             (True, Direction.OUT): (self._available["pcie_out"], self._available["ssd_write"]),
             (False, Direction.IN): (self._available["pcie_in"],),
             (True, Direction.IN): (self._available["pcie_in"], self._available["ssd_read"]),
         }
-        #: (to_ssd, direction) -> element-wise minimum of the combo's arrays,
-        #: maintained in place by :meth:`reserve`. ``np.minimum`` picks one of
-        #: its operands without rounding, so each entry is the exact scalar
-        #: minimum a per-slot walk would compute. The PCIe array is shared by
-        #: the to-host and to-SSD combos of a direction, so a reservation
-        #: refreshes *both* combined arrays of its direction.
-        self._combined: dict[tuple[bool, Direction], np.ndarray] = {
-            key: arrays[0].copy() if len(arrays) == 1 else np.minimum(arrays[0], arrays[1])
-            for key, arrays in self._combo_arrays.items()
-        }
-        #: direction -> (pcie array, ssd array, to-host combined, to-ssd
-        #: combined): everything a reservation must refresh per touched slot.
-        self._direction_state: dict[Direction, tuple[np.ndarray, ...]] = {
-            Direction.OUT: (
-                self._available["pcie_out"],
-                self._available["ssd_write"],
-                self._combined[(False, Direction.OUT)],
-                self._combined[(True, Direction.OUT)],
-            ),
-            Direction.IN: (
-                self._available["pcie_in"],
-                self._available["ssd_read"],
-                self._combined[(False, Direction.IN)],
-                self._combined[(True, Direction.IN)],
-            ),
-        }
+        #: Per-combo skip indices: ``skip[j] == j`` means slot ``j`` has not
+        #: been seen exhausted; otherwise it points towards the next candidate
+        #: in the walk direction (path-compressed on every walk).
+        n = len(durations)
+        self._skip_fwd = {key: list(range(n)) for key in self._combos}
+        self._skip_bwd = {key: list(range(n)) for key in self._combos}
         #: (to_ssd, direction) -> (fixed latency, bandwidth) of one transfer,
         #: precomputed so the scheduler's cost term is two flops per call.
         interconnect = config.interconnect
-        self._unloaded: dict[tuple[bool, Direction], tuple[float, float]] = {
+        self._unloaded: dict[_Combo, tuple[float, float]] = {
             (True, Direction.OUT): (
                 config.ssd.write_latency + interconnect.latency,
                 min(interconnect.bandwidth, config.ssd.write_bandwidth),
@@ -156,12 +128,6 @@ class ChannelSchedule:
     def slot_duration(self, slot: int) -> float:
         return float(self._durations[slot])
 
-    def _channel_names(self, to_ssd: bool, direction: Direction) -> list[str]:
-        names = ["pcie_out" if direction is Direction.OUT else "pcie_in"]
-        if to_ssd:
-            names.append("ssd_write" if direction is Direction.OUT else "ssd_read")
-        return names
-
     def utilization(self, channel: str) -> np.ndarray:
         """Per-slot utilization in [0, 1] of one channel."""
         return self._utilization_values(channel, 0, self.num_slots)
@@ -179,14 +145,69 @@ class ChannelSchedule:
         if channel not in self._available:
             raise SchedulingError(f"unknown channel {channel!r}")
         capacity = self._capacities[channel][start:stop]
-        available = self._available[channel][start:stop]
+        available = np.asarray(self._available[channel][start:stop], dtype=np.float64)
         with np.errstate(divide="ignore", invalid="ignore"):
             used = 1.0 - np.where(capacity > 0, available / capacity, 1.0)
         return np.clip(used, 0.0, 1.0)
 
     def available_bytes(self, to_ssd: bool, direction: Direction, slots: np.ndarray) -> np.ndarray:
         """Per-slot bytes still schedulable for a transfer of the given kind."""
-        return self._combined[(to_ssd, direction)][slots]
+        lists = self._combos[(to_ssd, direction)]
+        available = np.asarray(lists[0], dtype=np.float64)[slots]
+        for other in lists[1:]:
+            available = np.minimum(available, np.asarray(other, dtype=np.float64)[slots])
+        return available
+
+    def _next_open_fwd(self, key: _Combo, slot: int) -> int:
+        """First slot ``>= slot`` where every channel of ``key`` has capacity."""
+        skip = self._skip_fwd[key]
+        lists = self._combos[key]
+        n = len(skip)
+        j = slot
+        path = []
+        while j < n:
+            k = skip[j]
+            if k != j:
+                path.append(j)
+                j = k
+                continue
+            exhausted = False
+            for values in lists:
+                if values[j] == EXHAUSTED_SLOT:
+                    exhausted = True
+                    break
+            if not exhausted:
+                break
+            skip[j] = j + 1
+            j += 1
+        for visited in path:
+            skip[visited] = j
+        return j
+
+    def _next_open_bwd(self, key: _Combo, slot: int) -> int:
+        """Last slot ``<= slot`` where every channel of ``key`` has capacity."""
+        skip = self._skip_bwd[key]
+        lists = self._combos[key]
+        j = slot
+        path = []
+        while j >= 0:
+            k = skip[j]
+            if k != j:
+                path.append(j)
+                j = k
+                continue
+            exhausted = False
+            for values in lists:
+                if values[j] == EXHAUSTED_SLOT:
+                    exhausted = True
+                    break
+            if not exhausted:
+                break
+            skip[j] = j - 1
+            j -= 1
+        for visited in path:
+            skip[visited] = j
+        return j
 
     # -- planning -----------------------------------------------------------
 
@@ -206,20 +227,22 @@ class ChannelSchedule:
             return None
         if remaining <= 0:
             return start_slot
-        combined = self._combined[(to_ssd, direction)]
+        key = (to_ssd, direction)
+        lists = self._combos[key]
         slot = start_slot
-        # Chunked scan: probes usually complete within a couple of slots (slot
-        # capacity is large relative to tensor sizes), so materialize small
-        # blocks instead of the whole window. An exhausted slot holds exactly
-        # 0.0 and `remaining - 0.0 == remaining`, so no openness filtering is
-        # needed: the walk is bit-identical to the reference's skip-index walk.
         while slot < limit:
-            block_end = min(slot + _SCAN_BLOCK, limit)
-            for available in combined[slot:block_end].tolist():
-                remaining -= available
-                if remaining <= 0:
-                    return slot
-                slot += 1
+            slot = self._next_open_fwd(key, slot)
+            if slot >= limit:
+                return None
+            available = lists[0][slot]
+            for other in lists[1:]:
+                value = other[slot]
+                if value < available:
+                    available = value
+            remaining -= available
+            if remaining <= 0:
+                return slot
+            slot += 1
         return None
 
     def probe_backward(
@@ -234,22 +257,26 @@ class ChannelSchedule:
         """
         remaining = float(size_bytes)
         floor = max(start_slot, 0)
-        top = min(end_slot, self.num_slots) - 1
-        if top < floor:
+        slot = min(end_slot, self.num_slots) - 1
+        if slot < floor:
             return None
         if remaining <= 0:
-            return top
-        combined = self._combined[(to_ssd, direction)]
-        slot = top
-        # Chunked backwards scan; see probe_forward for why exhausted slots
-        # need no filtering.
+            return slot
+        key = (to_ssd, direction)
+        lists = self._combos[key]
         while slot >= floor:
-            block_start = max(slot - _SCAN_BLOCK + 1, floor)
-            for available in reversed(combined[block_start : slot + 1].tolist()):
-                remaining -= available
-                if remaining <= 0:
-                    return slot
-                slot -= 1
+            slot = self._next_open_bwd(key, slot)
+            if slot < floor:
+                return None
+            available = lists[0][slot]
+            for other in lists[1:]:
+                value = other[slot]
+                if value < available:
+                    available = value
+            remaining -= available
+            if remaining <= 0:
+                return slot
+            slot -= 1
         return None
 
     def reserve(
@@ -262,46 +289,33 @@ class ChannelSchedule:
     ) -> int:
         """Consume channel capacity for a transfer beginning at ``start_slot``.
 
-        Returns the completion slot. If ``end_slot`` is given and the transfer
-        cannot complete before it, a :class:`SchedulingError` is raised (the
-        caller should have probed first).
+        Returns the completion slot. A zero-size transfer completes in the
+        first open slot without consuming anything. If ``end_slot`` is given
+        and the transfer cannot complete before it, a :class:`SchedulingError`
+        is raised (the caller should have probed first).
         """
         remaining = float(size_bytes)
         limit = self.num_slots if end_slot is None else min(end_slot, self.num_slots)
-        combined = self._combined[(to_ssd, direction)]
-        if remaining <= 0 and start_slot < limit:
-            # Nothing to consume: the reference walks to the first open slot
-            # and returns it without reserving. (A tiny *positive* remaining
-            # must take the general walk below — the reference does subtract
-            # it from the first open slot.)
-            open_rel = np.flatnonzero(combined[start_slot:limit])
-            if open_rel.size:
-                return start_slot + int(open_rel[0])
-        elif start_slot < limit:
-            pcie, ssd, host_combined, ssd_combined = self._direction_state[direction]
-            slot = start_slot
-            # Chunked walk over a snapshot block: reservations only mutate the
-            # slot being visited and the walk never revisits, so the snapshot
-            # stays valid. Exhausted slots contribute a take of exactly 0 and
-            # mutate nothing, matching the reference's skip-index semantics.
-            while slot < limit:
-                block_end = min(slot + _SCAN_BLOCK, limit)
-                for available in combined[slot:block_end].tolist():
-                    take = available if available < remaining else remaining
-                    if take > 0:
-                        pcie_left = float(pcie[slot]) - take
-                        pcie[slot] = pcie_left
-                        if to_ssd:
-                            ssd_left = float(ssd[slot]) - take
-                            ssd[slot] = ssd_left
-                        else:
-                            ssd_left = float(ssd[slot])
-                        host_combined[slot] = pcie_left
-                        ssd_combined[slot] = pcie_left if pcie_left < ssd_left else ssd_left
-                        remaining -= take
-                        if remaining <= 1e-9:
-                            return slot
-                    slot += 1
+        key = (to_ssd, direction)
+        lists = self._combos[key]
+        slot = start_slot
+        while slot < limit:
+            slot = self._next_open_fwd(key, slot)
+            if slot >= limit:
+                break
+            available = lists[0][slot]
+            for other in lists[1:]:
+                value = other[slot]
+                if value < available:
+                    available = value
+            take = available if available < remaining else remaining
+            if take > 0:
+                for values in lists:
+                    values[slot] -= take
+                remaining -= take
+            if remaining <= 1e-9:
+                return slot
+            slot += 1
         if end_slot is None and remaining > 1e-9:
             # Spill into the final slot: the transfer finishes late, after the
             # iteration's last kernel. Record it against the last slot.

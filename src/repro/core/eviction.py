@@ -74,23 +74,20 @@ class _ScheduledMigration:
 
 
 def saturation_end_slot(
-    durations: np.ndarray, start_slot: int, ideal_seconds: float, num_slots: int
+    durations: list[float], start_slot: int, ideal_seconds: float, num_slots: int
 ) -> int:
     """Last slot of the window an ideal-bandwidth transfer would occupy.
 
-    Vectorized window sizing for the §4.3 SSD-saturation test: the scalar walk
-    accumulates slot durations until they cover the ideal transfer time, which
-    is exactly the first cumulative sum ``>= ideal`` (``np.cumsum`` accumulates
-    sequentially, so its partial sums are bit-identical to the running scalar
-    sum — pinned by the Hypothesis suite against
-    :func:`repro.core.reference.scalar_saturation_end_slot`).
+    Window sizing for the §4.3 SSD-saturation test: accumulate slot durations
+    from ``start_slot`` until they cover the ideal transfer time, stopping at
+    the iteration's last slot.
     """
-    span = num_slots - 1 - start_slot
-    if span <= 0 or ideal_seconds <= 0:
-        return start_slot
-    cumulative = np.cumsum(durations[start_slot : num_slots - 1])
-    crossing = int(np.searchsorted(cumulative, ideal_seconds, side="left")) + 1
-    return start_slot + min(crossing, span)
+    end_slot = start_slot
+    elapsed = 0.0
+    while end_slot < num_slots - 1 and elapsed < ideal_seconds:
+        elapsed += durations[end_slot]
+        end_slot += 1
+    return end_slot
 
 
 class SmartEvictionScheduler:
@@ -111,7 +108,7 @@ class SmartEvictionScheduler:
             report.baseline_pressure, config.gpu.memory_bytes
         )
         self._channels = ChannelSchedule(durations, config)
-        self._durations = durations
+        self._durations: list[float] = durations.tolist()
         self._host_used = np.zeros(self._num_slots, dtype=np.float64)
         self._host_capacity = float(config.host_memory_bytes)
         # The cost term depends only on the tensor size (channel latencies and

@@ -60,25 +60,22 @@ class SmartPrefetcher:
     ) -> int:
         """Search backwards from the current issue slot for spare GPU capacity.
 
-        Vectorized: the scalar walk stops at the first blocked slot below the
-        issue slot, so the answer is one past the *last* blocked slot in the
-        window (or the window floor when none is blocked). Pure comparisons —
-        no accumulation — so the slot-order rewrite is trivially bit-safe; the
-        retained scalar walk lives in
-        ``repro.core.reference.scalar_earliest_issue``.
+        Walks down from ``issue_slot - 1`` and stops at the first slot (folded
+        onto the iteration) where the tensor would push pressure over the GPU
+        capacity; the answer is the lowest slot reached, never below
+        ``earliest_allowed``.
         """
-        issue = prefetch.issue_slot
-        if issue <= earliest_allowed:
-            return issue
         pressure = self._pressure.pressure_view()
-        slots = np.arange(earliest_allowed, issue, dtype=np.int64)
-        blocked = (
-            pressure[slots % num_slots] + prefetch.size_bytes > self._pressure.capacity
-        )
-        barrier = np.flatnonzero(blocked)
-        if barrier.size == 0:
-            return earliest_allowed
-        return earliest_allowed + int(barrier[-1]) + 1
+        capacity = self._pressure.capacity
+        size_bytes = prefetch.size_bytes
+        candidate = prefetch.issue_slot
+        slot = candidate - 1
+        while slot >= earliest_allowed:
+            if pressure[slot % num_slots] + size_bytes > capacity:
+                break
+            candidate = slot
+            slot -= 1
+        return candidate
 
     @staticmethod
     def _added_slots(new_issue: int, old_issue: int, num_slots: int) -> np.ndarray:

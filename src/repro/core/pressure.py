@@ -118,9 +118,9 @@ class MemoryPressureTimeline:
         # A period's slots are contiguous (wrap-around ones are two contiguous
         # pieces), so slicing replaces fancy indexing — same values, same
         # summation order, no index array. The pre-clamped excess curve makes
-        # each evaluation one slice + min + sum; the scalar reference
-        # (``repro.core.reference.scalar_eviction_benefit``) recomputes the
-        # clamp per call and the Hypothesis suite pins the two byte-equal.
+        # each evaluation one slice + min + sum; a Hypothesis test in
+        # tests/test_scheduler.py pins it byte-equal to recomputing the clamp
+        # from the raw pressure curve on every call.
         if period.wraps_around:
             excess = np.concatenate(
                 [

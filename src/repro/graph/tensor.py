@@ -137,6 +137,10 @@ class TensorSet:
         self._next_id = max(self._next_id, tensor.tensor_id + 1)
         return tensor
 
+    def copy(self) -> "TensorSet":
+        """An independent registry holding the same (immutable) tensors."""
+        return TensorSet(dict(self._tensors), self._next_id)
+
     def __getitem__(self, tensor_id: int) -> TensorInfo:
         return self._tensors[tensor_id]
 

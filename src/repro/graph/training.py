@@ -99,7 +99,9 @@ def expand_training(
     """
     graph.validate()
 
-    tensors = graph.tensors
+    # Gradients, workspaces and optimizer state are added to a copy: the
+    # forward graph stays reusable and every expansion is independent.
+    tensors = graph.tensors.copy()
     kernels: list[Kernel] = []
     gradient_of: dict[int, int] = {}
     weight_ids = [t.tensor_id for t in graph.weight_tensors()]

@@ -1,13 +1,13 @@
 """The simulation engine: the event queue and the single simulation entry point.
 
 Every way of running a simulation — ``Scenario.run()``, the sweep runner's
-worker processes, the legacy ``run_policy`` harness function and its
-deprecated ``repro.run_simulation`` shim — funnels into :func:`simulate`,
-which owns the one place an :class:`~repro.sim.executor.ExecutionSimulator`
-is constructed. The executor itself replays the kernel trace by draining a
-single :class:`EventQueue` of timestamped events (kernel boundaries, transfer
-completions), with a :class:`~repro.sim.results.PerfCounters` instrumentation
-layer recording what the loop did.
+worker processes and the ``run_policy`` harness function — funnels into
+:func:`simulate`, which owns the one place an
+:class:`~repro.sim.executor.ExecutionSimulator` is constructed. The executor
+itself replays the kernel trace by draining a single :class:`EventQueue` of
+timestamped events (kernel boundaries, transfer completions), with a
+:class:`~repro.sim.results.PerfCounters` instrumentation layer recording what
+the loop did.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ def simulate(
     """Run one training iteration under a policy — the single simulation path.
 
     This is the only place an :class:`~repro.sim.executor.ExecutionSimulator`
-    is constructed: the Scenario/Session API, the sweep/queue workers, the
-    legacy harness functions and the ``repro.run_simulation`` shim all route
-    here, so simulator setup logic cannot drift between entry points.
+    is constructed: the Scenario/Session API, the sweep/queue workers and the
+    harness functions all route here, so simulator setup logic cannot drift
+    between entry points.
     """
     from .executor import ExecutionSimulator
 

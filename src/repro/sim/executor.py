@@ -121,20 +121,14 @@ class ExecutionSimulator:
             if not usage.is_global:
                 self._deaths_by_slot.setdefault(usage.death_slot, []).append(usage.tensor_id)
 
-        # Batched fault path: the per-tensor fault cost depends only on the
-        # tensor size, so one vectorized pass over the graph replaces a scalar
-        # fault_batches/fault_overhead call pair per demand fault.
-        tensors = list(graph.tensors)
-        sizes = [tensor.size_bytes for tensor in tensors]
-        fault_batches = self._fault_model.batch_fault_batches(sizes)
-        fault_overheads = fault_batches * config.uvm.fault_latency
+        # The per-tensor fault cost depends only on the tensor size, so the
+        # tables are built once per graph instead of per demand fault.
+        fault_model = self._fault_model
         self._fault_batches: dict[int, int] = {
-            tensor.tensor_id: batches
-            for tensor, batches in zip(tensors, fault_batches.tolist())
+            t.tensor_id: fault_model.fault_batches(t.size_bytes) for t in graph.tensors
         }
         self._fault_overheads: dict[int, float] = {
-            tensor.tensor_id: overhead
-            for tensor, overhead in zip(tensors, fault_overheads.tolist())
+            t.tensor_id: fault_model.fault_overhead(t.size_bytes) for t in graph.tensors
         }
         #: GPU placements deferred within one kernel's residency loop and
         #: flushed as a single grouped page-table update (before observers and
@@ -309,10 +303,10 @@ class ExecutionSimulator:
             return space_ready
 
         # Demand fault: the kernel needs data that lives in host or flash
-        # memory. Fault costs come from the precomputed per-tensor tables (one
-        # vectorized pass at construction); the GPU placement is deferred into
-        # the kernel's grouped flush while the remote-copy release stays
-        # immediate (host/SSD capacity interleaves with victim evictions).
+        # memory. Fault costs come from the per-tensor tables built at
+        # construction; the GPU placement is deferred into the kernel's
+        # grouped flush while the remote-copy release stays immediate
+        # (host/SSD capacity interleaves with victim evictions).
         request = MigrationRequest(
             tensor_id=tensor_id,
             size_bytes=size,

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import UVMConfig
 from ..errors import ConfigurationError
 
@@ -37,25 +35,6 @@ class PageFaultModel:
     def fault_overhead(self, size_bytes: int) -> float:
         """Total fault-handling latency (excluding the data transfer itself)."""
         return self.fault_batches(size_bytes) * self.config.fault_latency
-
-    def batch_fault_batches(self, sizes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`fault_batches` over an array of tensor sizes.
-
-        One ``ceil``/``maximum`` pass instead of a scalar call per tensor; the
-        executor precomputes the per-tensor fault tables for a whole graph with
-        it. ``np.ceil`` on float64 matches ``math.ceil`` for any realistic
-        tensor size (< 2**53 bytes), so each element is bit-identical to the
-        scalar method (pinned against
-        :func:`repro.core.reference.scalar_fault_costs` by the Hypothesis
-        suite).
-        """
-        sizes = np.asarray(sizes, dtype=np.float64)
-        batches = np.maximum(1, np.ceil(sizes / self.config.fault_batch_bytes))
-        return np.where(sizes <= 0, 0, batches).astype(np.int64)
-
-    def batch_fault_overheads(self, sizes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`fault_overhead` over an array of tensor sizes."""
-        return self.batch_fault_batches(sizes) * self.config.fault_latency
 
     def translation_overhead(self, num_pages: int, tlb_misses: int) -> float:
         """Address-translation cost for touching ``num_pages`` with given misses."""

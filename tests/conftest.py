@@ -49,8 +49,9 @@ def branchy_graph() -> DataflowGraph:
 
 @pytest.fixture(scope="session")
 def small_config() -> SystemConfig:
-    """A deliberately tiny system so the tiny MLP still overflows GPU memory."""
-    return paper_config().with_gpu_memory(192 * 1024).with_host_memory(256 * 1024)
+    """A deliberately tiny system so the tiny MLP still overflows GPU memory:
+    its training iteration peaks at ~154 KiB of live tensors."""
+    return paper_config().with_gpu_memory(128 * 1024).with_host_memory(256 * 1024)
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,9 @@ fingerprint, sweep cache key, policy metadata) and observer hooks.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
-import repro
 from repro import GB, Scenario, TraceRecorder
-from repro._compat import _reset_deprecation_warnings
 from repro.config import paper_config
 from repro.errors import ConfigurationError, ModelError
 from repro.experiments import ResultCache, SweepCell, SweepRunner
@@ -228,43 +224,6 @@ class TestObservers:
             tiny_training, paper_cfg, IdealPolicy(), observers=(SimObserver(),)
         )
         assert not sim.run().failed
-
-
-class TestDeprecationShims:
-    def test_shims_warn_once_and_delegate(self, bert_ci_workload):
-        _reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            workload = repro.build_workload("bert", scale="ci")
-            repro.build_workload("bert", scale="ci")
-        messages = [str(w.message) for w in caught if w.category is DeprecationWarning]
-        assert len(messages) == 1
-        assert "repro.build_workload is deprecated" in messages[0]
-        assert "Scenario" in messages[0]
-        assert workload is bert_ci_workload  # same memoized object: zero drift
-
-    def test_each_shim_warns_independently(self, bert_ci_workload):
-        _reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.make_policy("g10")
-            result = repro.run_policy(bert_ci_workload, "g10")
-            repro.run_policies(bert_ci_workload, ["ideal"])
-        categories = {str(w.message).split()[0] for w in caught
-                      if w.category is DeprecationWarning}
-        assert categories == {
-            "repro.make_policy", "repro.run_policy", "repro.run_policies"
-        }
-        # and the result is still bit-identical to the Scenario path
-        assert Scenario("bert", scale="ci").run().result.to_dict() == result.to_dict()
-
-    def test_engine_functions_do_not_warn(self, bert_ci_workload):
-        _reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            build_workload("bert", scale="ci")
-            run_policy(bert_ci_workload, "ideal")
-        assert not [w for w in caught if w.category is DeprecationWarning]
 
 
 class TestNumpySeeds:

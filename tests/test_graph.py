@@ -261,6 +261,15 @@ class TestTrainingExpansion:
         training = expand_training(build_tiny_mlp())
         assert training.num_kernels > 0
 
+    def test_expansion_leaves_source_graph_unchanged(self):
+        graph = build_tiny_mlp()
+        forward_tensors = len(graph.tensors)
+        first = expand_training(graph)
+        second = expand_training(graph)
+        assert len(graph.tensors) == forward_tensors
+        assert len(first.tensors) == len(second.tensors) > forward_tensors
+        assert first.tensors is not second.tensors
+
     def test_compute_class_propagates_to_kernels(self):
         graph = build_tiny_mlp()
         training = expand_training(graph)

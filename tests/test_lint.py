@@ -371,21 +371,6 @@ class TestQUE001AtomicPublish:
         assert lint_snippet(write_source, "experiments/cache.py") == []
 
 
-class TestAPI001CompatImports:
-    def test_fires_on_relative_and_absolute_imports(self):
-        relative = "from ._compat import run_policy\n"
-        assert codes(lint_snippet(relative, "experiments/harness.py")) == ["API001"]
-        absolute = "from repro._compat import run_policy\n"
-        assert codes(lint_snippet(absolute, "experiments/harness.py")) == ["API001"]
-        module = "import repro._compat\n"
-        assert codes(lint_snippet(module, "experiments/harness.py")) == ["API001"]
-
-    def test_package_root_and_shim_module_exempt(self):
-        source = "from ._compat import run_policy\n"
-        assert lint_snippet(source, "__init__.py") == []
-        assert lint_snippet("import warnings\n", "_compat.py") == []
-
-
 class TestPERF001ScalarArrayLoops:
     def test_fires_on_for_over_numpy_call(self):
         source = """
@@ -534,7 +519,7 @@ class TestFrameworkAndCLI:
 
     def test_registry_hosts_rules(self):
         available = LINT_REGISTRY.available()
-        assert {"det001", "det002", "det003", "det004", "que001", "api001"} <= set(available)
+        assert {"det001", "det002", "det003", "det004", "que001", "perf001"} <= set(available)
         assert issubclass(LINT_REGISTRY.get("DET001"), LintRule)
 
     def test_plugin_rules_register_and_unregister(self):
@@ -606,7 +591,7 @@ class TestFrameworkAndCLI:
     def test_cli_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET001", "DET002", "DET003", "DET004", "QUE001", "API001"):
+        for code in ("DET001", "DET002", "DET003", "DET004", "QUE001", "PERF001"):
             assert code in out
 
     def test_cli_unknown_rule_is_usage_error(self, tmp_path, capsys):

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-
-import pytest
-
-import repro
-from repro._compat import _reset_deprecation_warnings
-from repro.baselines import BaseUVMPolicy, IdealPolicy
+from repro.baselines import BaseUVMPolicy
 from repro.sim import ExecutionSimulator, PerfCounters, SimulationResult, simulate
 from repro.sim.engine import Event, EventQueue
 
@@ -102,22 +96,6 @@ class TestSinglePath:
             tiny_training, small_config, BaseUVMPolicy(), tiny_report
         ).run()
         assert via_engine.to_dict() == direct.to_dict()
-
-    def test_run_simulation_shim_warns_once_and_matches(
-        self, tiny_training, tiny_report, paper_cfg
-    ):
-        _reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = repro.run_simulation(tiny_training, paper_cfg, IdealPolicy(), tiny_report)
-            repro.run_simulation(tiny_training, paper_cfg, IdealPolicy(), tiny_report)
-        messages = [
-            str(w.message) for w in caught if w.category is DeprecationWarning
-        ]
-        assert len(messages) == 1
-        assert "repro.sim.engine.simulate" in messages[0]
-        direct = simulate(tiny_training, paper_cfg, IdealPolicy(), tiny_report)
-        assert shimmed.to_dict() == direct.to_dict()
 
     def test_harness_routes_through_engine(self, bert_ci_workload, monkeypatch):
         """run_policy must call the single entry point, not build its own sim."""

@@ -17,14 +17,42 @@ from repro.core import (
     SmartPrefetcher,
     instrument_program,
 )
+from repro.core.eviction import saturation_end_slot
 from repro.core.plan import MigrationPlan, PlannedEviction, PlannedPrefetch
 from repro.core.pressure import period_slot_indices
 from repro.core.vitality import InactivePeriod, TensorVitalityAnalyzer
 from repro.errors import SchedulingError
+from repro.uvm.fault import PageFaultModel
 
 
 def _small_system(gpu_bytes: int, host_bytes: int = 64 * MB) -> SystemConfig:
     return paper_config().with_gpu_memory(gpu_bytes).with_host_memory(host_bytes)
+
+
+def _scalar_eviction_benefit(
+    pressure: np.ndarray, capacity: float, period: InactivePeriod, num_slots: int
+) -> float:
+    """Benefit recomputed from the raw pressure curve on every call (fresh
+    slice, subtract, clamp, clamp, sum): the oracle for the timeline's
+    incrementally maintained excess curve."""
+    if period.wraps_around:
+        values = np.concatenate(
+            [
+                pressure[period.start_slot + 1 :],
+                pressure[: max(period.end_slot - num_slots, 0)],
+            ]
+        )
+    else:
+        values = pressure[period.start_slot + 1 : max(period.end_slot, 0)]
+    if values.size == 0:
+        return 0.0
+    excess = np.maximum(values - capacity, 0.0)
+    return float(np.minimum(excess, period.size_bytes).sum())
+
+
+pressure_curves = st.lists(
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=2, max_size=24
+).map(lambda values: np.asarray(values, dtype=np.float64))
 
 
 class TestMemoryPressureTimeline:
@@ -60,6 +88,29 @@ class TestMemoryPressureTimeline:
     def test_period_slot_indices_wraparound(self):
         period = InactivePeriod(tensor_id=0, size_bytes=8, start_slot=7, end_slot=12, wraps_around=True)
         assert list(period_slot_indices(period, 10)) == [8, 9, 0, 1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pressure_curves,
+        st.floats(min_value=1.0, max_value=1e9),
+        st.integers(min_value=1, max_value=10**9),
+        st.data(),
+    )
+    def test_benefit_matches_recomputed_excess_bit_for_bit(self, curve, capacity, size, data):
+        n = len(curve)
+        wraps = data.draw(st.booleans())
+        start = data.draw(st.integers(min_value=0, max_value=n - 1))
+        if wraps:
+            end = data.draw(st.integers(min_value=n, max_value=2 * n - 1))
+        else:
+            end = data.draw(st.integers(min_value=start + 1, max_value=n))
+        period = InactivePeriod(
+            tensor_id=1, size_bytes=size, start_slot=start, end_slot=end, wraps_around=wraps
+        )
+        timeline = MemoryPressureTimeline(curve, capacity)
+        assert timeline.eviction_benefit(period) == _scalar_eviction_benefit(
+            curve, capacity, period, n
+        )
 
 
 class TestChannelSchedule:
@@ -113,6 +164,66 @@ class TestChannelSchedule:
             ChannelSchedule(np.array([0.0, 0.1]), paper_config())
         with pytest.raises(SchedulingError):
             ChannelSchedule(np.array([]), paper_config())
+
+    def test_tiny_positive_reserve_consumes_from_first_open_slot(self):
+        schedule = ChannelSchedule(np.full(4, 0.01), paper_config())
+        slots = np.arange(4)
+        before = schedule.available_bytes(True, Direction.OUT, slots).tolist()
+        assert schedule.reserve(5e-10, 0, True, Direction.OUT) == 0
+        after = schedule.available_bytes(True, Direction.OUT, slots).tolist()
+        assert after == [before[0] - 5e-10, *before[1:]]
+
+    def test_zero_size_reserve_returns_first_open_slot_without_consuming(self):
+        schedule = ChannelSchedule(np.full(3, 0.01), paper_config())
+        before = schedule.available_bytes(True, Direction.OUT, np.arange(3)).tolist()
+        # Exhaust slot 0 so the first open slot is 1.
+        schedule.reserve(before[0], 0, True, Direction.OUT, end_slot=1)
+        assert schedule.reserve(0.0, 0, True, Direction.OUT) == 1
+        after = schedule.available_bytes(True, Direction.OUT, np.arange(3)).tolist()
+        assert after == [0.0, before[1], before[2]]
+
+    def test_zero_size_reserve_raises_when_window_exhausted(self):
+        schedule = ChannelSchedule(np.full(2, 0.01), paper_config())
+        capacity = float(schedule.available_bytes(True, Direction.OUT, np.arange(2)).sum())
+        schedule.reserve(capacity, 0, True, Direction.OUT)
+        with pytest.raises(SchedulingError):
+            schedule.reserve(0.0, 0, True, Direction.OUT, end_slot=2)
+
+    def test_utilization_window_matches_full_curve_slice(self):
+        schedule = ChannelSchedule(np.full(8, 0.01), paper_config())
+        schedule.reserve(float(2**20), 1, True, Direction.OUT)
+        full = schedule.utilization("ssd_write")
+        window = schedule.utilization_window("ssd_write", 2, 6)
+        assert window.tolist() == full[2:6].tolist()
+
+
+class TestSaturationWindow:
+    def test_window_covers_ideal_transfer_time(self):
+        durations = [0.1] * 6
+        # 0.1 + 0.1 + 0.1 is the first running sum to reach 0.25.
+        assert saturation_end_slot(durations, 0, 0.25, 6) == 3
+        assert saturation_end_slot(durations, 2, 0.1, 6) == 3
+
+    def test_window_stops_at_last_slot(self):
+        assert saturation_end_slot([0.1] * 4, 1, 10.0, 4) == 3
+
+    def test_non_positive_ideal_time_is_an_empty_window(self):
+        durations = [0.1] * 4
+        assert saturation_end_slot(durations, 1, 0.0, 4) == 1
+        assert saturation_end_slot(durations, 1, -1.0, 4) == 1
+
+    def test_start_at_last_slot(self):
+        assert saturation_end_slot([0.1] * 4, 3, 1.0, 4) == 3
+
+
+class TestFaultBatches:
+    def test_batch_count_edge_cases(self):
+        model = PageFaultModel(paper_config().uvm)
+        batch = model.config.fault_batch_bytes
+        cases = {-4096: 0, 0: 0, 1: 1, 3 * batch: 3, 3 * batch + 1: 4}
+        for size, batches in cases.items():
+            assert model.fault_batches(size) == batches
+            assert model.fault_overhead(size) == batches * model.config.fault_latency
 
 
 class TestPlanStructures:
