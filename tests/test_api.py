@@ -8,8 +8,11 @@ fingerprint, sweep cache key, policy metadata) and observer hooks.
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
+import repro
 from repro import GB, Scenario, TraceRecorder
 from repro.config import paper_config
 from repro.errors import ConfigurationError, ModelError
@@ -224,6 +227,15 @@ class TestObservers:
             tiny_training, paper_cfg, IdealPolicy(), observers=(SimObserver(),)
         )
         assert not sim.run().failed
+
+
+class TestPackageRoot:
+    def test_removed_free_function_shims_stay_removed(self):
+        for name in ("build_workload", "run_policy", "run_policies", "make_policy",
+                     "run_simulation"):
+            assert not hasattr(repro, name)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro._compat")
 
 
 class TestNumpySeeds:

@@ -1,5 +1,8 @@
 """Tests for the smart eviction scheduler, prefetcher and migration plan (§4.3-4.4)."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +56,48 @@ def _scalar_eviction_benefit(
 pressure_curves = st.lists(
     st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=2, max_size=24
 ).map(lambda values: np.asarray(values, dtype=np.float64))
+
+# Slot durations spanning several orders of magnitude, so per-slot capacities
+# do too, and transfer sizes from sub-nanobyte remainders to many slots' worth.
+slot_durations = st.lists(
+    st.floats(min_value=1e-5, max_value=0.5, allow_nan=False), min_size=1, max_size=24
+)
+positive_sizes = st.one_of(
+    st.floats(min_value=1e-12, max_value=1e-9),
+    st.floats(min_value=1.0, max_value=5e9, allow_nan=False),
+)
+transfer_sizes = st.one_of(st.just(0.0), positive_sizes)
+combos = st.tuples(st.booleans(), st.sampled_from([Direction.OUT, Direction.IN]))
+probe_lists = st.lists(st.tuples(transfer_sizes, combos), min_size=1, max_size=8)
+
+
+@st.composite
+def reserved_schedules(draw):
+    """A schedule after random reservations, which exhaust slots and so leave
+    the skip indices with work to do."""
+    durations = draw(slot_durations)
+    schedule = ChannelSchedule(np.asarray(durations, dtype=np.float64), paper_config())
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        to_ssd, direction = draw(combos)
+        start = draw(st.integers(min_value=0, max_value=len(durations) - 1))
+        try:
+            schedule.reserve(draw(transfer_sizes), start, to_ssd, direction)
+        except SchedulingError:
+            pass  # a zero-size reserve past the last open slot
+    return schedule
+
+
+def _linear_walk(schedule, size, slots, to_ssd, direction):
+    """A probe without skip indices: subtract every slot's availability in
+    walk order. Exhausted slots hold exactly 0.0, so skipping them cannot
+    change the result."""
+    available = schedule.available_bytes(to_ssd, direction, np.arange(schedule.num_slots))
+    remaining = float(size)
+    for slot in slots:
+        remaining -= float(available[slot])
+        if remaining <= 0:
+            return slot
+    return None
 
 
 class TestMemoryPressureTimeline:
@@ -196,6 +241,65 @@ class TestChannelSchedule:
         window = schedule.utilization_window("ssd_write", 2, 6)
         assert window.tolist() == full[2:6].tolist()
 
+    def test_transfer_time_is_latency_plus_size_over_slower_link(self):
+        config = paper_config()
+        link = config.interconnect
+        schedule = self._schedule()
+        ssd = config.ssd.read_latency + link.latency + 1e9 / min(
+            link.bandwidth, config.ssd.read_bandwidth
+        )
+        host = link.latency + 1e9 / min(link.bandwidth, config.host_bandwidth)
+        assert schedule.transfer_time(1e9, True, Direction.IN) == ssd
+        assert schedule.transfer_time(1e9, False, Direction.IN) == host
+
+    @settings(max_examples=200, deadline=None)
+    @given(reserved_schedules(), probe_lists, st.data())
+    def test_probe_forward_matches_linear_walk(self, schedule, probes, data):
+        n = schedule.num_slots
+        for size, (to_ssd, direction) in probes:
+            start = data.draw(st.integers(min_value=0, max_value=n))
+            end = data.draw(st.integers(min_value=0, max_value=n + 2))
+            limit = min(end, n)
+            if start >= limit:
+                expected = None
+            elif size <= 0:
+                expected = start
+            else:
+                expected = _linear_walk(schedule, size, range(start, limit), to_ssd, direction)
+            assert schedule.probe_forward(size, start, end, to_ssd, direction) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(reserved_schedules(), probe_lists, st.data())
+    def test_probe_backward_matches_linear_walk(self, schedule, probes, data):
+        n = schedule.num_slots
+        for size, (to_ssd, direction) in probes:
+            start = data.draw(st.integers(min_value=0, max_value=n))
+            end = data.draw(st.integers(min_value=0, max_value=n + 2))
+            top = min(end, n) - 1
+            if top < start:
+                expected = None
+            elif size <= 0:
+                expected = top
+            else:
+                slots = range(top, start - 1, -1)
+                expected = _linear_walk(schedule, size, slots, to_ssd, direction)
+            assert schedule.probe_backward(size, end, start, to_ssd, direction) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(reserved_schedules(), positive_sizes, combos, st.data())
+    def test_reserve_completes_by_the_probed_slot(self, schedule, size, combo, data):
+        n = schedule.num_slots
+        to_ssd, direction = combo
+        start = data.draw(st.integers(min_value=0, max_value=n - 1))
+        end = data.draw(st.integers(min_value=start + 1, max_value=n))
+        probed = schedule.probe_forward(size, start, end, to_ssd, direction)
+        if probed is None:
+            return
+        assert start <= schedule.reserve(size, start, to_ssd, direction, end_slot=end) <= probed
+        for flags in ((False, Direction.OUT), (True, Direction.OUT),
+                      (False, Direction.IN), (True, Direction.IN)):
+            assert schedule.available_bytes(*flags, np.arange(n)).min() >= 0.0
+
 
 class TestSaturationWindow:
     def test_window_covers_ideal_transfer_time(self):
@@ -215,6 +319,44 @@ class TestSaturationWindow:
     def test_start_at_last_slot(self):
         assert saturation_end_slot([0.1] * 4, 3, 1.0, 4) == 3
 
+    @settings(max_examples=200, deadline=None)
+    @given(slot_durations, st.floats(min_value=0.0, max_value=2.0, allow_nan=False), st.data())
+    def test_window_is_shortest_prefix_covering_ideal_time(self, durations, ideal, data):
+        n = len(durations)
+        start = data.draw(st.integers(min_value=0, max_value=n - 1))
+        end = saturation_end_slot(durations, start, ideal, n)
+        assert start <= end <= n - 1
+        covered = list(itertools.accumulate(durations[start:end], initial=0.0))
+        # Every shorter window falls short of the ideal time, and the window
+        # itself covers it unless it stopped at the iteration's last slot.
+        assert all(total < ideal for total in covered[:-1])
+        assert covered[-1] >= ideal or end == n - 1
+
+
+class TestEagerPrefetchSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pressure_curves,
+        st.floats(min_value=1.0, max_value=1e9),
+        st.integers(min_value=1, max_value=10**9),
+        st.data(),
+    )
+    def test_earliest_issue_is_lowest_slot_with_headroom(self, curve, capacity, size, data):
+        n = len(curve)
+        issue = data.draw(st.integers(min_value=0, max_value=2 * n - 1))
+        earliest = data.draw(st.integers(min_value=0, max_value=issue))
+        timeline = MemoryPressureTimeline(curve, capacity)
+        prefetch = SimpleNamespace(issue_slot=issue, size_bytes=size)
+        result = SmartPrefetcher(timeline)._earliest_issue(prefetch, earliest, n)
+        pressure = timeline.pressure_view()
+
+        def fits(slot: int) -> bool:
+            return pressure[slot % n] + size <= capacity
+
+        assert earliest <= result <= issue
+        assert all(fits(slot) for slot in range(result, issue))
+        assert result == earliest or not fits(result - 1)
+
 
 class TestFaultBatches:
     def test_batch_count_edge_cases(self):
@@ -224,6 +366,18 @@ class TestFaultBatches:
         for size, batches in cases.items():
             assert model.fault_batches(size) == batches
             assert model.fault_overhead(size) == batches * model.config.fault_latency
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=-(2**20), max_value=2**40))
+    def test_fewest_batches_that_cover_the_size(self, size):
+        model = PageFaultModel(paper_config().uvm)
+        batch = model.config.fault_batch_bytes
+        batches = model.fault_batches(size)
+        if size <= 0:
+            assert batches == 0
+        else:
+            assert (batches - 1) * batch < size <= batches * batch
+        assert model.fault_overhead(size) == batches * model.config.fault_latency
 
 
 class TestPlanStructures:
