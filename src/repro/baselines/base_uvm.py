@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..graph.kernel import Kernel
 from ..registry import register_policy
 from ..sim.policy import MigrationDecision, MigrationPolicy
@@ -33,7 +35,7 @@ class BaseUVMPolicy(MigrationPolicy):
         return []
 
     def select_victims(
-        self, needed_bytes: int, protected: set[int], resident: list[int], now: float
+        self, needed_bytes: int, protected: set[int], resident: Iterable[int], now: float
     ) -> list[MigrationDecision]:
         decisions: list[MigrationDecision] = []
         freed = 0

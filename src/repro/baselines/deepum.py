@@ -11,6 +11,8 @@ is full, which the executor's host-capacity fallback provides.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..graph.kernel import Kernel
 from ..registry import register_policy
 from ..sim.policy import MigrationDecision, MigrationPolicy, PolicyContext
@@ -84,7 +86,7 @@ class DeepUMPolicy(MigrationPolicy):
         return []
 
     def select_victims(
-        self, needed_bytes: int, protected: set[int], resident: list[int], now: float
+        self, needed_bytes: int, protected: set[int], resident: Iterable[int], now: float
     ) -> list[MigrationDecision]:
         decisions: list[MigrationDecision] = []
         freed = 0

@@ -14,6 +14,8 @@ failed :class:`~repro.sim.results.SimulationResult`.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..core.pressure import MemoryPressureTimeline, period_slot_indices
 from ..graph.kernel import Kernel
 from ..registry import register_policy
@@ -91,7 +93,7 @@ class FlashNeuronPolicy(MigrationPolicy):
         ]
 
     def select_victims(
-        self, needed_bytes: int, protected: set[int], resident: list[int], now: float
+        self, needed_bytes: int, protected: set[int], resident: Iterable[int], now: float
     ) -> list[MigrationDecision]:
         # FlashNeuron has no demand-paging fallback: it only offloads the
         # intermediate tensors chosen at compile time. If the working set does
@@ -102,8 +104,7 @@ class FlashNeuronPolicy(MigrationPolicy):
         for tensor_id in resident:
             if freed >= needed_bytes:
                 break
-            if self.context.graph.tensor(tensor_id).is_global:
-                continue
+            # Only intermediates are ever offloaded, so this also skips globals.
             if tensor_id not in self._offloaded:
                 continue
             decisions.append(MigrationDecision(tensor_id, MemoryLocation.SSD))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from enum import Enum
 
 from ..core.eviction import EvictionPolicyConfig
@@ -100,7 +102,7 @@ class G10Policy(MigrationPolicy):
         return decisions
 
     def select_victims(
-        self, needed_bytes: int, protected: set[int], resident: list[int], now: float
+        self, needed_bytes: int, protected: set[int], resident: Iterable[int], now: float
     ) -> list[MigrationDecision]:
         """LRU fallback for anything the compile-time plan did not cover."""
         allow_host = self._variant is not G10Variant.GDS

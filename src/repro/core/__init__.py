@@ -15,7 +15,7 @@ The pipeline mirrors §4 of the paper:
    program (Figure 9).
 """
 
-from .extents import Extent, ExtentAllocator, coalesce
+from .extents import Extent
 from .vitality import InactivePeriod, TensorUsage, TensorVitalityAnalyzer, VitalityReport
 from .pressure import MemoryPressureTimeline
 from .bandwidth import ChannelSchedule, Direction
@@ -32,8 +32,6 @@ from .instrumentation import InstrumentedProgram, instrument_program
 
 __all__ = [
     "Extent",
-    "ExtentAllocator",
-    "coalesce",
     "InactivePeriod",
     "TensorUsage",
     "TensorVitalityAnalyzer",

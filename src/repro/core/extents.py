@@ -1,30 +1,20 @@
-"""Extent (contiguous page-run) bookkeeping shared by the memory substrates.
+"""Extent (contiguous page-run) records shared by the memory substrates.
 
 Tensor allocations in the unified memory system are contiguous — the address
-space hands out one page-aligned virtual range per tensor, whole tensors
-migrate together, and the FTL streams tensor-sized writes into consecutive
-logical units. The simulation core therefore tracks *extents* (``(start_page,
-num_pages)`` runs) instead of one record per page: residency checks,
-migrations and eviction accounting are O(extents), and per-page loops only
-exist where the model genuinely needs page granularity (fault batching,
-PTE-update charging — both computed arithmetically from the run length).
+space hands out one page-aligned virtual range per tensor, and whole tensors
+migrate together. The address space and the unified page table therefore
+describe a tensor's pages as one *extent* (a ``(start_page, num_pages)`` run)
+instead of one record per page; the run lengths are what the page table
+charges as PTE updates. Per-page loops only exist where the model genuinely
+needs page granularity (fault batching, PTE-update charging — both computed
+arithmetically from the run length).
 
-This module provides the two shared pieces:
-
-* :class:`Extent` — an immutable page run with interval algebra;
-* :class:`ExtentAllocator` — a first-fit page-run allocator with free-list
-  coalescing and an unbounded bump frontier, used by
-  :class:`~repro.uvm.memory.MemoryPool` to assign physical page runs.
-
-The allocator never rejects a request (admission control is the caller's
-byte-accounting job); when fragmentation leaves no single run large enough it
-returns multiple extents, exactly like a real buddy/slab allocator spilling a
-large allocation across free runs.
+The memory pools are byte-accounted and keep no extents: no result reads
+where a pool places a tensor's pages.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import NamedTuple
 
 from ..errors import AllocationError
@@ -33,10 +23,10 @@ from ..errors import AllocationError
 class Extent(NamedTuple):
     """A contiguous run of pages: ``[start_page, start_page + num_pages)``.
 
-    A named tuple rather than a dataclass: the memory pools create and destroy
-    extents on every tensor allocation, so construction cost matters. Use
-    :meth:`checked` where inputs are untrusted; internal call sites construct
-    directly from already-validated arithmetic.
+    A named tuple rather than a dataclass: cheap to build, immutable, and
+    ordered by start page. Use :meth:`checked` where inputs are untrusted;
+    internal call sites construct directly from already-validated
+    arithmetic.
     """
 
     start_page: int
@@ -63,142 +53,9 @@ class Extent(NamedTuple):
         return self.start_page < other.end_page and other.start_page < self.end_page
 
     def adjacent_to(self, other: "Extent") -> bool:
-        """True when the two runs touch without overlapping (coalescable)."""
+        """True when the two runs touch without overlapping."""
         return self.end_page == other.start_page or other.end_page == self.start_page
 
     def pages(self) -> range:
         """The page numbers covered by the run (for reference-model tests)."""
         return range(self.start_page, self.end_page)
-
-
-def coalesce(extents: list[Extent]) -> list[Extent]:
-    """Merge touching/overlapping runs into a minimal sorted extent list."""
-    if not extents:
-        return []
-    ordered = sorted(extents)
-    merged = [ordered[0]]
-    for extent in ordered[1:]:
-        last = merged[-1]
-        if extent.start_page <= last.end_page:
-            end = max(last.end_page, extent.end_page)
-            merged[-1] = Extent(last.start_page, end - last.start_page)
-        else:
-            merged.append(extent)
-    return merged
-
-
-def total_pages(extents: list[Extent]) -> int:
-    return sum(extent.num_pages for extent in extents)
-
-
-class ExtentAllocator:
-    """First-fit page-run allocator with free-extent coalescing.
-
-    Freed runs enter a sorted free list and merge with their neighbours;
-    allocation prefers the lowest-addressed free run that fits whole, spills
-    across multiple free runs when fragmented, and finally bumps an unbounded
-    frontier (so an "infinite" pool — the Ideal policy's GPU — never needs a
-    materialized free list covering its capacity).
-    """
-
-    def __init__(self) -> None:
-        #: Sorted, coalesced free runs below the frontier (parallel start-page
-        #: list keeps neighbour lookup on int comparisons — the pool churns
-        #: extents on every tensor alloc/free).
-        self._free: list[Extent] = []
-        self._free_starts: list[int] = []
-        self._frontier = 0
-
-    @property
-    def frontier(self) -> int:
-        """First never-allocated page (high-water mark of the run space)."""
-        return self._frontier
-
-    @property
-    def free_extents(self) -> tuple[Extent, ...]:
-        """The coalesced free list below the frontier (sorted by address)."""
-        return tuple(self._free)
-
-    @property
-    def free_pages_below_frontier(self) -> int:
-        return sum(extent.num_pages for extent in self._free)
-
-    def largest_free_run(self) -> int:
-        """Pages in the largest reusable run below the frontier."""
-        return max((extent.num_pages for extent in self._free), default=0)
-
-    def allocate(self, num_pages: int) -> tuple[Extent, ...]:
-        """Assign ``num_pages`` as one or more extents (first-fit, then spill).
-
-        Returns a tuple of disjoint extents in ascending address order whose
-        lengths sum to ``num_pages``. A single extent is returned whenever any
-        free run (or the frontier) can hold the request whole.
-        """
-        if num_pages <= 0:
-            raise AllocationError("allocations must span at least one page")
-        # First fit: the lowest-addressed free run large enough.
-        for index, extent in enumerate(self._free):
-            if extent.num_pages >= num_pages:
-                taken = Extent(extent.start_page, num_pages)
-                if extent.num_pages == num_pages:
-                    del self._free[index]
-                    del self._free_starts[index]
-                else:
-                    shrunk = Extent(
-                        extent.start_page + num_pages, extent.num_pages - num_pages
-                    )
-                    self._free[index] = shrunk
-                    self._free_starts[index] = shrunk.start_page
-                return (taken,)
-        # Spill: consume free runs low-to-high, then bump the frontier.
-        pieces: list[Extent] = []
-        remaining = num_pages
-        while self._free and remaining > 0:
-            extent = self._free[0]
-            if extent.num_pages > remaining:
-                pieces.append(Extent(extent.start_page, remaining))
-                shrunk = Extent(
-                    extent.start_page + remaining, extent.num_pages - remaining
-                )
-                self._free[0] = shrunk
-                self._free_starts[0] = shrunk.start_page
-                remaining = 0
-            else:
-                pieces.append(extent)
-                del self._free[0]
-                del self._free_starts[0]
-                remaining -= extent.num_pages
-        if remaining > 0:
-            pieces.append(Extent(self._frontier, remaining))
-            self._frontier += remaining
-        return tuple(coalesce(pieces))
-
-    def free(self, extents: tuple[Extent, ...] | list[Extent]) -> None:
-        """Return extents to the free list, coalescing with neighbours."""
-        for extent in extents:
-            self._insert(extent)
-
-    def _insert(self, extent: Extent) -> None:
-        if extent.end_page > self._frontier:
-            raise AllocationError(
-                f"cannot free {extent}: beyond the allocation frontier {self._frontier}"
-            )
-        index = bisect_left(self._free_starts, extent.start_page)
-        before = self._free[index - 1] if index > 0 else None
-        after = self._free[index] if index < len(self._free) else None
-        if (before and before.end_page > extent.start_page) or (
-            after and extent.end_page > after.start_page
-        ):
-            raise AllocationError(f"double free of pages in {extent}")
-        start, end = extent.start_page, extent.end_page
-        if before is not None and before.end_page == start:
-            start = before.start_page
-            del self._free[index - 1]
-            del self._free_starts[index - 1]
-            index -= 1
-        if after is not None and end == after.start_page:
-            end = after.end_page
-            del self._free[index]
-            del self._free_starts[index]
-        self._free.insert(index, Extent(start, end - start))
-        self._free_starts.insert(index, start)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from ..errors import GraphError
 
@@ -59,15 +60,14 @@ class Kernel:
         if self.flops < 0 or self.bytes_accessed < 0 or self.duration < 0:
             raise GraphError(f"kernel {self.name!r} has negative cost attributes")
 
-    @property
+    # Computed once per kernel: the executor and the policies read it several
+    # times per kernel. ``cached_property`` stores the value in the instance
+    # ``__dict__``, which a frozen dataclass allows and equality ignores.
+    @cached_property
     def tensor_ids(self) -> tuple[int, ...]:
         """All tensors that must be resident in GPU memory while the kernel runs."""
-        seen: list[int] = []
         extra = (self.workspace_id,) if self.workspace_id is not None else ()
-        for tid in (*self.input_ids, *self.output_ids, *extra):
-            if tid not in seen:
-                seen.append(tid)
-        return tuple(seen)
+        return tuple(dict.fromkeys((*self.input_ids, *self.output_ids, *extra)))
 
     def with_duration(self, duration: float) -> "Kernel":
         """Return a copy with the profiled duration filled in."""

@@ -59,10 +59,16 @@ class Event:
 
 
 class EventQueue:
-    """Priority queue of timestamped events with stable FIFO tie-breaking."""
+    """Priority queue of timestamped events with stable FIFO tie-breaking.
+
+    Heap entries are ``(time, priority, sequence, event)`` tuples: the same
+    order as :class:`Event`'s, compared natively instead of through the
+    dataclass ``__lt__``. The unique sequence number means the event itself is
+    never compared.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, Priority, int, Event]] = []
         self._counter = itertools.count()
         self._now = 0.0
 
@@ -79,29 +85,29 @@ class EventQueue:
         """Add an event at an absolute timestamp."""
         if time < 0:
             raise SimulationError("cannot schedule an event at negative time")
+        sequence = next(self._counter)
         event = Event(
-            time=time, priority=priority, sequence=next(self._counter),
-            kind=kind, payload=payload,
+            time=time, priority=priority, sequence=sequence, kind=kind, payload=payload,
         )
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, priority, sequence, event))
         return event
 
     def pop(self) -> Event:
         """Remove and return the earliest event, advancing the clock."""
         if not self._heap:
             raise SimulationError("event queue is empty")
-        event = heapq.heappop(self._heap)
+        event = heapq.heappop(self._heap)[3]
         self._now = max(self._now, event.time)
         return event
 
     def peek_time(self) -> float | None:
         """Timestamp of the next event, or None when empty."""
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop_until(self, time: float) -> list[Event]:
         """Pop every event with timestamp <= ``time`` in order."""
         due: list[Event] = []
-        while self._heap and self._heap[0].time <= time:
+        while self._heap and self._heap[0][0] <= time:
             due.append(self.pop())
         return due
 

@@ -15,7 +15,7 @@ import math
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from ..config import SystemConfig
 from ..core.plan_cache import snapshot_counters as plan_cache_snapshot
@@ -35,6 +35,26 @@ from .results import KernelTiming, PerfCounters, SimulationResult
 
 #: Effectively unlimited capacity used by the Ideal policy's GPU pool.
 _UNLIMITED = 1 << 62
+
+
+def lru_victims(
+    gpu: MemoryPool, last_used: Mapping[int, float], unavailable: set[int]
+) -> Iterator[int]:
+    """Evictable GPU residents, least recently used first, one at a time.
+
+    Residents no kernel has used yet (initially placed globals, prefetches
+    still waiting for their kernel) come first, in allocation order, then used
+    residents from oldest to newest use; ``unavailable`` tensors are skipped.
+    Lazy, because victim selection stops as soon as enough bytes are chosen:
+    the policy consumes the stream before the executor changes any residency.
+    """
+    for tid in gpu.resident_tensors():
+        if tid not in unavailable and tid not in last_used:
+            yield tid
+    contains = gpu.contains
+    for tid in last_used:
+        if contains(tid) and tid not in unavailable:
+            yield tid
 
 
 class _WorkloadFailure(Exception):
@@ -121,14 +141,16 @@ class ExecutionSimulator:
             if not usage.is_global:
                 self._deaths_by_slot.setdefault(usage.death_slot, []).append(usage.tensor_id)
 
-        # The per-tensor fault cost depends only on the tensor size, so the
-        # tables are built once per graph instead of per demand fault.
+        # Tensor sizes and the per-tensor fault costs (which depend only on
+        # the size) are tabled once per run instead of per residency check
+        # and per demand fault.
+        self._sizes: dict[int, int] = {t.tensor_id: t.size_bytes for t in graph.tensors}
         fault_model = self._fault_model
         self._fault_batches: dict[int, int] = {
-            t.tensor_id: fault_model.fault_batches(t.size_bytes) for t in graph.tensors
+            tid: fault_model.fault_batches(size) for tid, size in self._sizes.items()
         }
         self._fault_overheads: dict[int, float] = {
-            t.tensor_id: fault_model.fault_overhead(t.size_bytes) for t in graph.tensors
+            tid: fault_model.fault_overhead(size) for tid, size in self._sizes.items()
         }
         #: GPU placements deferred within one kernel's residency loop and
         #: flushed as a single grouped page-table update (before observers and
@@ -144,6 +166,10 @@ class ExecutionSimulator:
     @property
     def page_table(self) -> UnifiedPageTable:
         return self._page_table
+
+    @property
+    def host_pool(self) -> MemoryPool:
+        return self._host
 
     def add_observer(self, observer: SimObserver) -> None:
         """Attach one more observer before (or during) the run."""
@@ -200,9 +226,10 @@ class ExecutionSimulator:
                 if not self._issue_prefetch(decision.tensor_id, now):
                     self._deferred_prefetches[decision.tensor_id] = None
 
-            protected = set(kernel.tensor_ids)
+            tensor_ids = kernel.tensor_ids
+            protected = set(tensor_ids)
             ready = now
-            for tensor_id in kernel.tensor_ids:
+            for tensor_id in tensor_ids:
                 ready = max(ready, self._ensure_resident(tensor_id, protected, now))
             self._flush_gpu_places()
 
@@ -223,7 +250,7 @@ class ExecutionSimulator:
             for observer in self._observers:
                 observer.on_kernel_finish(kernel, timing, now)
 
-            for tensor_id in kernel.tensor_ids:
+            for tensor_id in tensor_ids:
                 self._last_used[tensor_id] = now
                 self._last_used.move_to_end(tensor_id)
             self._policy.on_kernel_finished(kernel, now)
@@ -276,7 +303,7 @@ class ExecutionSimulator:
 
     def _ensure_resident(self, tensor_id: int, protected: set[int], now: float) -> float:
         """Make one tensor resident in GPU memory; return when it is usable."""
-        size = self._graph.tensor(tensor_id).size_bytes
+        size = self._sizes[tensor_id]
 
         if self._gpu.contains(tensor_id):
             pending = self._evicting.pop(tensor_id, None)
@@ -344,7 +371,7 @@ class ExecutionSimulator:
         location = self._page_table.location_of(tensor_id)
         if location in (MemoryLocation.UNMAPPED, MemoryLocation.GPU):
             return True
-        size = self._graph.tensor(tensor_id).size_bytes
+        size = self._sizes[tensor_id]
         self._drain_evictions(now)
         if not self._gpu.can_fit(size):
             # No headroom yet: keep the request queued and retry later.
@@ -377,7 +404,7 @@ class ExecutionSimulator:
             or tensor_id in protected
         ):
             return None
-        size = self._graph.tensor(tensor_id).size_bytes
+        size = self._sizes[tensor_id]
         if destination is MemoryLocation.HOST and not self._host.can_fit(size):
             destination = MemoryLocation.SSD
         target = (
@@ -435,18 +462,10 @@ class ExecutionSimulator:
         # First ask the policy for victims to push out, offering the evictable
         # resident tensors in least-recently-used order.
         unavailable = protected | set(self._evicting)
-        resident = [
-            tid
-            for tid in self._gpu.resident_tensors()
-            if tid not in unavailable and tid not in self._last_used
-        ]
-        resident += [
-            tid
-            for tid in self._last_used
-            if self._gpu.contains(tid) and tid not in unavailable
-        ]
         needed = size_bytes - self._gpu.free_bytes
-        victims = self._policy.select_victims(needed, unavailable, resident, current)
+        victims = self._policy.select_victims(
+            needed, unavailable, lru_victims(self._gpu, self._last_used, unavailable), current
+        )
         for decision in victims:
             self._issue_eviction(decision.tensor_id, decision.destination, current, protected)
 

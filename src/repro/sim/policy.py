@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..config import SystemConfig
 from ..core.vitality import VitalityReport
@@ -88,15 +89,17 @@ class MigrationPolicy(ABC):
         self,
         needed_bytes: int,
         protected: set[int],
-        resident: list[int],
+        resident: Iterable[int],
         now: float,
     ) -> list[MigrationDecision]:
         """Pick tensors to evict so that ``needed_bytes`` can be allocated.
 
-        ``resident`` lists evictable tensors currently in GPU memory in
-        least-recently-used order (oldest first); ``protected`` tensors must
-        not be selected (they are needed by the executing kernel or already in
-        flight).
+        ``resident`` yields the evictable tensors currently in GPU memory in
+        least-recently-used order (oldest first). It supports one pass only
+        and must be consumed before this method returns; stop iterating once
+        enough bytes are chosen, since later entries cost time to produce.
+        ``protected`` tensors never appear in it (they are needed by the
+        executing kernel or already in flight).
         """
 
     # -- optional notifications -----------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..config import PAGE_SIZE
 from ..core.extents import Extent
@@ -19,27 +18,21 @@ class VirtualRange:
     start: int
     size_bytes: int
     page_size: int = PAGE_SIZE
+    # Derived page arithmetic is read on every residency check and migration,
+    # so it is computed once at construction (not compared, not in the repr).
+    num_pages: int = field(init=False, repr=False, compare=False)
+    end: int = field(init=False, repr=False, compare=False)
+    first_page: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.start % self.page_size:
             raise AllocationError("virtual ranges must be page aligned")
         if self.size_bytes <= 0:
             raise AllocationError("virtual ranges must have positive size")
-
-    # Derived page arithmetic is queried on every residency check/migration;
-    # cache it (works on a frozen dataclass: cached_property writes straight
-    # to __dict__, and dataclass equality only considers declared fields).
-    @cached_property
-    def num_pages(self) -> int:
-        return math.ceil(self.size_bytes / self.page_size)
-
-    @cached_property
-    def end(self) -> int:
-        return self.start + self.num_pages * self.page_size
-
-    @cached_property
-    def first_page(self) -> int:
-        return self.start // self.page_size
+        num_pages = math.ceil(self.size_bytes / self.page_size)
+        object.__setattr__(self, "num_pages", num_pages)
+        object.__setattr__(self, "end", self.start + num_pages * self.page_size)
+        object.__setattr__(self, "first_page", self.start // self.page_size)
 
     def pages(self) -> range:
         """Virtual page numbers covered by the range."""

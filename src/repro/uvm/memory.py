@@ -1,8 +1,9 @@
-"""Byte/page accounted memory pools for GPU and host memory.
+"""Byte-accounted memory pools for GPU and host memory.
 
-The pool tracks residency at *extent* granularity: each resident tensor owns
-one (or, under fragmentation, a few) contiguous page runs assigned by a
-first-fit :class:`~repro.core.extents.ExtentAllocator`. Occupancy counters are
+A pool records which tensors are resident and how many page-rounded bytes
+each occupies. No result reads *where* a pool places a tensor's pages, so the
+pool keeps no physical layout; the address space, the page table and the FTL
+keep extents where their page counts feed results. Occupancy counters are
 maintained incrementally, so ``used_bytes``/``free_bytes``/``can_fit`` — the
 simulator's innermost admission checks — are O(1) instead of a sum over every
 resident tensor.
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 from ..config import PAGE_SIZE
-from ..core.extents import Extent, ExtentAllocator
 from ..errors import AllocationError
 
 
@@ -22,9 +22,8 @@ class MemoryPool:
 
     Allocation is accounted at page granularity (a tensor occupies whole
     pages), which is how the unified memory system manages every tensor.
-    Admission is purely byte-based — the extent allocator records *where* the
-    pages live and never rejects a fitting request (a fragmented pool spills a
-    tensor across multiple runs, like a real allocator would).
+    Admission is purely byte-based: a request fits whenever its page-rounded
+    size is at most the free bytes.
     """
 
     def __init__(self, name: str, capacity_bytes: int, page_size: int = PAGE_SIZE):
@@ -36,8 +35,6 @@ class MemoryPool:
         self.capacity_bytes = capacity_bytes
         self.page_size = page_size
         self._resident: dict[int, int] = {}
-        self._extents: dict[int, tuple[Extent, ...]] = {}
-        self._allocator = ExtentAllocator()
         self._used_bytes = 0
         #: High-water mark of occupancy, for reporting.
         self.peak_used_bytes = 0
@@ -63,6 +60,7 @@ class MemoryPool:
         return tensor_id in self._resident
 
     def resident_tensors(self) -> list[int]:
+        """Resident tensor ids in allocation order."""
         return list(self._resident)
 
     def resident_size(self, tensor_id: int) -> int:
@@ -70,24 +68,6 @@ class MemoryPool:
 
     def can_fit(self, size_bytes: int) -> bool:
         return self._page_bytes(size_bytes) <= self.free_bytes
-
-    # -- extent views -----------------------------------------------------
-
-    def extents_of(self, tensor_id: int) -> tuple[Extent, ...]:
-        """The physical page runs backing one resident tensor (empty if absent)."""
-        return self._extents.get(tensor_id, ())
-
-    @property
-    def num_extents(self) -> int:
-        """Total extents across resident tensors (== residents when unfragmented)."""
-        return sum(len(extents) for extents in self._extents.values())
-
-    def fragmentation(self) -> float:
-        """Fraction of resident tensors split across more than one run."""
-        if not self._extents:
-            return 0.0
-        split = sum(1 for extents in self._extents.values() if len(extents) > 1)
-        return split / len(self._extents)
 
     # -- mutation -----------------------------------------------------------
 
@@ -102,22 +82,16 @@ class MemoryPool:
                 f"need {rounded} bytes, only {self.free_bytes} free"
             )
         self._resident[tensor_id] = rounded
-        self._extents[tensor_id] = self._allocator.allocate(rounded // self.page_size)
         self._used_bytes += rounded
         if self._used_bytes > self.peak_used_bytes:
             self.peak_used_bytes = self._used_bytes
-        return
 
     def free(self, tensor_id: int) -> int:
         """Release a tensor's space; returns the bytes freed (0 if absent)."""
         freed = self._resident.pop(tensor_id, 0)
-        if freed:
-            self._used_bytes -= freed
-            self._allocator.free(self._extents.pop(tensor_id))
+        self._used_bytes -= freed
         return freed
 
     def clear(self) -> None:
         self._resident.clear()
-        self._extents.clear()
-        self._allocator = ExtentAllocator()
         self._used_bytes = 0

@@ -145,7 +145,7 @@ class MigrationEngine:
     def submit(self, request: MigrationRequest, now: float) -> float:
         """Schedule one migration; returns its completion time."""
         channels = self._channels_for(request)
-        start = max([now] + [self._free_at[c] for c in channels])
+        start = self._start_time(channels, now)
         duration = self._service_time(request)
         completion = start + duration
         for channel in channels:
@@ -163,16 +163,23 @@ class MigrationEngine:
 
     def earliest_start(self, request: MigrationRequest, now: float) -> float:
         """When a request would begin service if submitted now (no side effects)."""
-        channels = self._channels_for(request)
-        return max([now] + [self._free_at[c] for c in channels])
+        return self._start_time(self._channels_for(request), now)
 
     # -- internals -----------------------------------------------------------------
 
-    def _channels_for(self, request: MigrationRequest) -> list[str]:
-        channels = ["pcie_in" if request.direction_in else "pcie_out"]
-        if request.involves_flash:
-            channels.append("ssd_read" if request.direction_in else "ssd_write")
-        return channels
+    def _channels_for(self, request: MigrationRequest) -> tuple[str, ...]:
+        if request.direction_in:
+            return ("pcie_in", "ssd_read") if request.involves_flash else ("pcie_in",)
+        return ("pcie_out", "ssd_write") if request.involves_flash else ("pcie_out",)
+
+    def _start_time(self, channels: tuple[str, ...], now: float) -> float:
+        """The later of ``now`` and the time every channel is free."""
+        start = now
+        for channel in channels:
+            free_at = self._free_at[channel]
+            if free_at > start:
+                start = free_at
+        return start
 
     def _service_time(self, request: MigrationRequest) -> float:
         pcie = self._config.interconnect

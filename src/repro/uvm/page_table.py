@@ -142,7 +142,7 @@ class UnifiedPageTable:
         :meth:`place` calls; the PTE-maintenance counter is bumped once with
         the grouped total.
         """
-        total_pages = 0
+        moved_pages = 0
         pages = self._location_pages
         next_base = self._next_physical.get(location, 0)
         for tensor_id in tensor_ids:
@@ -155,11 +155,11 @@ class UnifiedPageTable:
             self._locations[tensor_id] = location
             self._physical_base[tensor_id] = next_base
             next_base += num_pages
-            total_pages += num_pages
+            moved_pages += num_pages
         self._next_physical[location] = next_base
-        pages[location] = pages.get(location, 0) + total_pages
-        self.pte_updates += total_pages
-        return total_pages
+        pages[location] = pages.get(location, 0) + moved_pages
+        self.pte_updates += moved_pages
+        return moved_pages
 
     def unmap(self, tensor_id: int) -> None:
         """Drop the physical backing of a tensor (freed intermediate)."""

@@ -1,10 +1,10 @@
-"""Extent bookkeeping invariants: coalescing, splitting, and pool residency.
+"""Extent algebra, byte-accounted pool residency, and unified extent views.
 
-The acceptance bar for the extent-based core is behavioural equivalence with
-per-page bookkeeping: random alloc/free/migrate sequences must give exactly
-the same residency answers as a reference model that tracks one record per
-page, while the extent views stay internally consistent (disjoint runs, a
-sorted and fully coalesced free list, conservation of pages).
+The memory pools keep no extents, so their acceptance bar is behavioural
+equivalence with per-page bookkeeping: random alloc/free/migrate sequences
+must give exactly the same occupancy and residency answers as a reference
+model that tracks one record per page. The address space and page table do
+keep extents; their views must stay address-ordered and disjoint.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.extents import Extent, ExtentAllocator, coalesce, total_pages
+from repro.core.extents import Extent
 from repro.errors import AllocationError
 from repro.uvm.memory import MemoryPool
 
@@ -39,101 +39,6 @@ class TestExtent:
         assert a.contains_page(3) and not a.contains_page(4)
         assert list(b.pages()) == [4, 5]
 
-    def test_coalesce_merges_touching_runs(self):
-        merged = coalesce([Extent(4, 2), Extent(0, 4), Extent(8, 2), Extent(6, 2)])
-        assert merged == [Extent(0, 10)]
-        assert coalesce([]) == []
-        assert coalesce([Extent(0, 1), Extent(2, 1)]) == [Extent(0, 1), Extent(2, 1)]
-
-
-class TestExtentAllocator:
-    def test_bump_allocation_is_contiguous(self):
-        allocator = ExtentAllocator()
-        first = allocator.allocate(4)
-        second = allocator.allocate(2)
-        assert first == (Extent(0, 4),)
-        assert second == (Extent(4, 2),)
-        assert allocator.frontier == 6
-
-    def test_first_fit_reuses_freed_run(self):
-        allocator = ExtentAllocator()
-        a = allocator.allocate(4)
-        allocator.allocate(2)
-        allocator.free(a)
-        assert allocator.allocate(3) == (Extent(0, 3),)  # split of the freed run
-        assert allocator.free_extents == (Extent(3, 1),)
-
-    def test_free_coalesces_with_both_neighbours(self):
-        allocator = ExtentAllocator()
-        a = allocator.allocate(2)
-        b = allocator.allocate(2)
-        c = allocator.allocate(2)
-        allocator.free(a)
-        allocator.free(c)
-        assert allocator.free_extents == (Extent(0, 2), Extent(4, 2))
-        allocator.free(b)
-        assert allocator.free_extents == (Extent(0, 6),)
-
-    def test_spill_across_fragmented_runs(self):
-        allocator = ExtentAllocator()
-        a = allocator.allocate(2)
-        allocator.allocate(1)
-        c = allocator.allocate(2)
-        allocator.allocate(1)
-        allocator.free(a)
-        allocator.free(c)
-        # No single free run holds 5 pages: the request spills across both
-        # free runs and the frontier.
-        pieces = allocator.allocate(5)
-        assert total_pages(list(pieces)) == 5
-        assert allocator.free_extents == ()
-
-    def test_double_free_rejected(self):
-        allocator = ExtentAllocator()
-        run = allocator.allocate(2)
-        allocator.free(run)
-        with pytest.raises(AllocationError):
-            allocator.free(run)
-
-    def test_free_beyond_frontier_rejected(self):
-        with pytest.raises(AllocationError):
-            ExtentAllocator().free((Extent(0, 1),))
-
-    @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(st.just("alloc"), st.integers(1, 64)),
-                st.tuples(st.just("free"), st.integers(0, 30)),
-            ),
-            max_size=60,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_random_sequences_conserve_pages_and_stay_coalesced(self, ops):
-        allocator = ExtentAllocator()
-        live: list[tuple[Extent, ...]] = []
-        for op, value in ops:
-            if op == "alloc":
-                live.append(allocator.allocate(value))
-            elif live:
-                allocator.free(live.pop(value % len(live)))
-            # Allocated runs are disjoint.
-            owned = sorted(e for run in live for e in run)
-            for first, second in zip(owned, owned[1:]):
-                assert first.end_page <= second.start_page
-            # The free list is sorted, coalesced, and below the frontier.
-            free = allocator.free_extents
-            for first, second in zip(free, free[1:]):
-                assert first.end_page < second.start_page
-            if free:
-                assert free[-1].end_page <= allocator.frontier
-            # Conservation: every page below the frontier is owned or free.
-            assert (
-                total_pages([e for run in live for e in run])
-                + allocator.free_pages_below_frontier
-                == allocator.frontier
-            )
-
 
 class _PerPageReference:
     """Reference model: one dict entry per page, byte-accounted admission."""
@@ -141,6 +46,7 @@ class _PerPageReference:
     def __init__(self, capacity_bytes: int):
         self.capacity = capacity_bytes
         self.pages: dict[int, set[int]] = {}
+        self.peak = 0
 
     def _rounded(self, size: int) -> int:
         return max(1, math.ceil(size / PAGE)) * PAGE
@@ -156,6 +62,7 @@ class _PerPageReference:
         if tensor_id in self.pages:
             return
         self.pages[tensor_id] = set(range(self._rounded(size) // PAGE))
+        self.peak = max(self.peak, self.used_bytes)
 
     def free(self, tensor_id: int) -> int:
         return len(self.pages.pop(tensor_id, ())) * PAGE
@@ -163,11 +70,14 @@ class _PerPageReference:
     def contains(self, tensor_id: int) -> bool:
         return tensor_id in self.pages
 
+    def clear(self) -> None:
+        self.pages.clear()
+
 
 @given(
     ops=st.lists(
         st.tuples(
-            st.sampled_from(["alloc", "free", "migrate"]),
+            st.sampled_from(["alloc", "free", "migrate", "clear"]),
             st.integers(0, 9),              # tensor id
             st.integers(1, 6 * PAGE),       # size bytes
         ),
@@ -176,7 +86,7 @@ class _PerPageReference:
 )
 @settings(max_examples=60, deadline=None)
 def test_pool_matches_per_page_reference_model(ops):
-    """Random alloc/free/migrate sequences: extent pool == per-page model."""
+    """Random alloc/free/migrate/clear sequences: byte pool == per-page model."""
     gpu = MemoryPool("gpu", 16 * PAGE)
     host = MemoryPool("host", 16 * PAGE)
     ref_gpu = _PerPageReference(16 * PAGE)
@@ -200,21 +110,20 @@ def test_pool_matches_per_page_reference_model(ops):
                 ref_gpu.free(tid)
                 host.allocate(tid, moved)
                 ref_host.allocate(tid, moved)
+        elif op == "clear":
+            host.clear()
+            ref_host.clear()
 
         for pool, ref in ((gpu, ref_gpu), (host, ref_host)):
             assert pool.used_bytes == ref.used_bytes
             assert pool.free_bytes == pool.capacity_bytes - ref.used_bytes
+            assert pool.peak_used_bytes == ref.peak
+            assert pool.can_fit(size) == ref.can_fit(size)
             assert sorted(pool.resident_tensors()) == sorted(ref.pages)
+            assert pool.num_resident == len(ref.pages)
             for resident in ref.pages:
                 assert pool.contains(resident)
-                extents = pool.extents_of(resident)
-                assert total_pages(list(extents)) * PAGE == pool.resident_size(resident)
-            # Extents of distinct tensors never share a page.
-            owned = sorted(
-                extent for resident in ref.pages for extent in pool.extents_of(resident)
-            )
-            for first, second in zip(owned, owned[1:]):
-                assert first.end_page <= second.start_page
+                assert pool.resident_size(resident) == len(ref.pages[resident]) * PAGE
 
 
 class TestUnifiedExtentViews:
@@ -255,30 +164,3 @@ class TestUnifiedExtentViews:
 
         with pytest.raises(TranslationError):
             table.physical_extent(1)
-
-
-class TestPoolExtentViews:
-    def test_extents_of_absent_tensor_is_empty(self):
-        assert MemoryPool("gpu", 4 * PAGE).extents_of(1) == ()
-
-    def test_fragmentation_reporting(self):
-        pool = MemoryPool("gpu", 4 * PAGE)
-        pool.allocate(1, PAGE)
-        pool.allocate(2, PAGE)
-        pool.allocate(3, PAGE)
-        pool.free(1)
-        pool.free(3)
-        # 2 pages free but split around tensor 2: a 2-page tensor fragments.
-        pool.allocate(4, 2 * PAGE)
-        assert len(pool.extents_of(4)) == 2
-        assert pool.num_extents == 3
-        assert pool.fragmentation() == pytest.approx(0.5)
-
-    def test_clear_resets_extents(self):
-        pool = MemoryPool("gpu", 4 * PAGE)
-        pool.allocate(1, PAGE)
-        pool.clear()
-        assert pool.used_bytes == 0
-        assert pool.num_extents == 0
-        pool.allocate(2, PAGE)
-        assert pool.extents_of(2) == (Extent(0, 1),)

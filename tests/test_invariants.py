@@ -20,9 +20,12 @@ import random
 
 import pytest
 
-from repro.baselines.factory import POLICY_NAMES
+from repro.baselines.factory import POLICY_NAMES, make_policy
 from repro.config import GB
 from repro.experiments import ConfigPatch, SweepCell, SweepRunner, default_config
+from repro.experiments.harness import build_workload
+from repro.sim.executor import ExecutionSimulator
+from repro.uvm.page_table import MemoryLocation
 
 #: Tolerance for float accumulation differences between policies' clocks.
 EPS = 1e-9
@@ -90,3 +93,52 @@ def test_execution_time_is_at_least_the_kernel_sum(policy_results):
             f"{policy} finished before its own kernels did"
         )
         assert result.normalized_performance <= 1.0 + EPS
+
+
+# -- end-of-run residency ---------------------------------------------------------
+#
+# Two executor paths drop a pending eviction without undoing it: a prefetch of
+# a tensor whose eviction is still draining forgets the eviction but leaves the
+# tensor placed at the eviction's target and its staged host copy allocated,
+# and a kernel reusing such a tensor releases a staged host copy but never a
+# staged flash copy. Both paths fire on the golden grid, so fixing them moves
+# goldens; until then these invariants are pinned as known failures.
+
+
+def _finished_run(model: str, policy: str):
+    workload = build_workload(model, scale="ci")
+    simulator = ExecutionSimulator(
+        workload.graph, workload.config, make_policy(policy), workload.report
+    )
+    assert not simulator.run().failed
+    return workload, simulator
+
+
+@pytest.mark.xfail(
+    strict=True, reason="a prefetch that cancels an eviction keeps its staged host copy"
+)
+def test_host_pool_residents_are_placed_on_host():
+    _, simulator = _finished_run("resnet152", "g10")
+    table = simulator.page_table
+    misplaced = [
+        tid
+        for tid in simulator.host_pool.resident_tensors()
+        if table.location_of(tid) is not MemoryLocation.HOST
+    ]
+    assert misplaced == []
+
+
+@pytest.mark.xfail(
+    strict=True, reason="a reused tensor whose eviction is cancelled keeps its flash copy"
+)
+def test_flash_objects_are_placed_on_flash():
+    workload, simulator = _finished_run("senet154", "deepum")
+    table = simulator.page_table
+    ssd = simulator.engine.ssd
+    misplaced = [
+        tensor.tensor_id
+        for tensor in workload.graph.tensors
+        if ssd.contains(tensor.tensor_id)
+        and table.location_of(tensor.tensor_id) is not MemoryLocation.FLASH
+    ]
+    assert misplaced == []
