@@ -1,5 +1,7 @@
 """Tests for the dataflow-graph substrate: tensors, operators, kernels, expansion."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,32 @@ class TestKernel:
             input_ids=(1, 2, 1), output_ids=(2, 3), workspace_id=3,
         )
         assert k.tensor_ids == (1, 2, 3)
+
+    @given(
+        inputs=st.lists(st.integers(0, 8), max_size=6),
+        outputs=st.lists(st.integers(0, 8), max_size=4),
+        workspace=st.none() | st.integers(0, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tensor_ids_keep_first_occurrences_in_order(self, inputs, outputs, workspace):
+        k = Kernel(
+            index=0, name="k", phase=KernelPhase.FORWARD, op_id=0,
+            input_ids=tuple(inputs), output_ids=tuple(outputs), workspace_id=workspace,
+        )
+        expected: list[int] = []
+        for tid in [*inputs, *outputs, *([] if workspace is None else [workspace])]:
+            if tid not in expected:
+                expected.append(tid)
+        assert k.tensor_ids == tuple(expected)
+
+    def test_tensor_ids_are_computed_once_and_ignored_by_equality(self):
+        fields = dict(index=0, name="k", phase=KernelPhase.FORWARD, op_id=0, input_ids=(1, 2))
+        read, unread = Kernel(**fields), Kernel(**fields)
+        assert read.tensor_ids is read.tensor_ids
+        assert read == unread and hash(read) == hash(unread)
+        # A copy with other inputs must not inherit the cached tuple.
+        assert replace(read, input_ids=(5,)).tensor_ids == (5,)
+        assert read.with_duration(1.0).tensor_ids == (1, 2)
 
     def test_with_duration(self):
         k = Kernel(index=0, name="k", phase=KernelPhase.FORWARD, op_id=0, output_ids=(1,))

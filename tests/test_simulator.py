@@ -1,6 +1,8 @@
 """Tests for the execution simulator, the event queue and the policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     BaseUVMPolicy,
@@ -17,7 +19,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.harness import run_policies, run_policy
 from repro.graph import expand_training
 from repro.sim import EventQueue, ExecutionSimulator
-from repro.sim.policy import MigrationDecision
+from repro.sim.policy import MigrationDecision, PolicyContext
 from repro.sim.results import KernelTiming, SimulationResult
 from repro.uvm.page_table import MemoryLocation
 
@@ -53,6 +55,55 @@ class TestEventQueue:
     def test_negative_time_rejected(self):
         with pytest.raises(SimulationError):
             EventQueue().schedule(-1.0, "x")
+
+    @given(
+        entries=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]), st.integers(-3, 3)),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_pop_order_matches_event_ordering(self, entries):
+        # The heap keys on plain tuples; the reference is Event's own
+        # (time, priority, sequence) dataclass ordering.
+        queue = EventQueue()
+        scheduled = [queue.schedule(time, "e", priority=prio) for time, prio in entries]
+        popped = [queue.pop() for _ in scheduled]
+        assert popped == sorted(scheduled)
+        assert len(queue) == 0
+
+    def test_tuple_priorities_break_same_time_ties(self):
+        queue = EventQueue()
+        queue.schedule(1.0, "b2", priority=(0, "b", 2))
+        queue.schedule(1.0, "a1", priority=(0, "a", 1))
+        queue.schedule(1.0, "b1", priority=(0, "b", 1))
+        queue.schedule(1.0, "a1-again", priority=(0, "a", 1))
+        queue.schedule(0.5, "early", priority=(9, "z", 9))
+        assert [queue.pop().kind for _ in range(5)] == [
+            "early", "a1", "a1-again", "b1", "b2",
+        ]
+
+    def test_peek_time_is_the_earliest_pending_time(self):
+        queue = EventQueue()
+        assert queue.peek_time() is None
+        queue.schedule(3.0, "c")
+        queue.schedule(1.0, "a")
+        assert queue.peek_time() == 1.0
+        queue.pop()
+        assert queue.peek_time() == 3.0
+        queue.schedule(2.0, "b")
+        assert queue.peek_time() == 2.0
+        assert [e.kind for e in queue.pop_until(10.0)] == ["b", "c"]
+        assert queue.peek_time() is None
+
+    def test_payloads_are_never_compared(self):
+        # Same time and priority: the sequence number decides, so payloads
+        # without an ordering (dicts, None, objects) are fine side by side.
+        queue = EventQueue()
+        payloads = [{"x": 1}, None, object(), {"x": 0}]
+        for payload in payloads:
+            queue.schedule(1.0, "e", payload=payload)
+        assert [queue.pop().payload for _ in payloads] == payloads
 
 
 class TestSimulationResult:
@@ -133,6 +184,17 @@ class TestExecutorBasics:
         result = ExecutionSimulator(tiny_training, config, FlashNeuronPolicy(), tiny_report).run()
         assert result.failed
         assert result.failure_reason
+
+    def test_host_pool_holds_host_evictions(self, tiny_training, tiny_report, small_config):
+        sim = ExecutionSimulator(tiny_training, small_config, BaseUVMPolicy(), tiny_report)
+        result = sim.run()
+        host = sim.host_pool
+        assert host is sim.host_pool
+        assert host.capacity_bytes == small_config.host_memory_bytes
+        assert result.traffic.host_write_bytes > 0
+        assert 0 < host.peak_used_bytes <= host.capacity_bytes
+        with pytest.raises(AttributeError):
+            sim.host_pool = host
 
 
 class TestPolicyFactory:
@@ -255,3 +317,24 @@ class TestG10Variants:
 
     def test_decision_defaults_to_ssd(self):
         assert MigrationDecision(3).destination is MemoryLocation.SSD
+
+
+class TestFlashNeuronVictims:
+    def test_victims_are_offloaded_intermediates(self, bert_ci_workload):
+        # Globals are offered too: FlashNeuron must still pick only the
+        # intermediates it chose to offload at compile time.
+        graph = bert_ci_workload.graph
+        policy = FlashNeuronPolicy()
+        policy.setup(PolicyContext(
+            config=bert_ci_workload.config, graph=graph, report=bert_ci_workload.report,
+        ))
+        planned = {
+            d.tensor_id for kernel in graph.kernels for d in policy.evictions_for(kernel, 0.0)
+        }
+        offered = [t.tensor_id for t in graph.tensors]
+        needed = sum(graph.tensor(tid).size_bytes for tid in offered)
+        decisions = policy.select_victims(needed, set(), iter(offered), 0.0)
+        assert decisions
+        assert {d.tensor_id for d in decisions} == planned
+        assert not any(graph.tensor(d.tensor_id).is_global for d in decisions)
+        assert all(d.destination is MemoryLocation.SSD for d in decisions)

@@ -1,5 +1,7 @@
 """Tests for the unified memory substrate: address space, page table, pools, engine."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.uvm import (
     UnifiedAddressSpace,
     UnifiedPageTable,
 )
+from repro.uvm.address_space import VirtualRange
 
 
 class TestAddressSpace:
@@ -53,6 +56,31 @@ class TestAddressSpace:
         for first, second in zip(ranges, ranges[1:]):
             assert first.end <= second.start
         assert space.total_mapped_bytes >= sum(sizes)
+
+    @given(
+        first_page=st.integers(0, 1 << 20),
+        size=st.integers(1, 64 * 4096),
+        page_size=st.sampled_from([512, 4096, 65536]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_range_page_arithmetic(self, first_page, size, page_size):
+        vrange = VirtualRange(first_page * page_size, size, page_size)
+        assert vrange.first_page == first_page
+        assert vrange.num_pages == -(-size // page_size)
+        assert vrange.end == (first_page + vrange.num_pages) * page_size
+        assert vrange.end - vrange.start >= size > vrange.end - vrange.start - page_size
+        assert list(vrange.pages()) == list(range(first_page, first_page + vrange.num_pages))
+
+    def test_range_identity_is_its_declared_fields(self):
+        a = VirtualRange(8192, 5000)
+        b = VirtualRange(8192, 5000)
+        assert a == b and hash(a) == hash(b)
+        assert a != VirtualRange(8192, 9000)
+        assert repr(a) == "VirtualRange(start=8192, size_bytes=5000, page_size=4096)"
+        grown = replace(a, size_bytes=9000)
+        assert (grown.num_pages, grown.end) == (3, 8192 + 3 * 4096)
+        with pytest.raises(FrozenInstanceError):
+            a.num_pages = 7
 
 
 class TestPageTable:
@@ -160,6 +188,18 @@ class TestMemoryPool:
         pool.allocate(1, 4096)
         assert pool.used_bytes == 4096
 
+    def test_clear_releases_everything_but_keeps_peak(self):
+        pool = MemoryPool("gpu", capacity_bytes=4 * 4096)
+        pool.allocate(1, 4096)
+        pool.allocate(2, 2 * 4096)
+        pool.clear()
+        assert pool.used_bytes == 0 and pool.free_bytes == 4 * 4096
+        assert pool.num_resident == 0 and not pool.contains(1)
+        assert pool.resident_size(2) == 0 and pool.free(2) == 0
+        assert pool.peak_used_bytes == 3 * 4096
+        pool.allocate(3, 4 * 4096)
+        assert pool.resident_tensors() == [3]
+
 
 class TestFaultModel:
     def test_fault_batches(self):
@@ -246,6 +286,61 @@ class TestMigrationEngine:
         kinds = [r.kind for r in batch.ordered()]
         assert kinds == [MigrationKind.FAULT, MigrationKind.PREFETCH, MigrationKind.EVICTION]
         assert batch.total_bytes == 300
+
+    @given(
+        requests=st.lists(
+            st.tuples(
+                st.sampled_from(["to_host", "from_host", "to_flash", "from_flash"]),
+                st.integers(1, 64 * MB),
+                st.floats(0.0, 0.05),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_start_waits_for_every_crossed_channel(self, requests):
+        # Reference channel model: outbound traffic crosses pcie_out, inbound
+        # pcie_in, and flash traffic also the SSD's write or read path. A
+        # request starts once it is submitted and all its channels are free.
+        engine = self._engine()
+        locations = {
+            "to_host": (MemoryLocation.GPU, MemoryLocation.HOST, ("pcie_out",)),
+            "from_host": (MemoryLocation.HOST, MemoryLocation.GPU, ("pcie_in",)),
+            "to_flash": (MemoryLocation.GPU, MemoryLocation.FLASH, ("pcie_out", "ssd_write")),
+            "from_flash": (MemoryLocation.FLASH, MemoryLocation.GPU, ("pcie_in", "ssd_read")),
+        }
+        free_at = dict.fromkeys(("pcie_in", "pcie_out", "ssd_read", "ssd_write"), 0.0)
+        now = 0.0
+        for tensor_id, (route, size, gap) in enumerate(requests):
+            now += gap
+            source, destination, crossed = locations[route]
+            if source is MemoryLocation.FLASH:
+                engine.ssd.preload_object(tensor_id, size)
+            request = MigrationRequest(tensor_id, size, source, destination, MigrationKind.EVICTION)
+            start = max([now] + [free_at[c] for c in crossed])
+            assert engine.earliest_start(request, now) == start
+            completion = engine.submit(request, now)
+            assert completion > start
+            for channel in crossed:
+                free_at[channel] = completion
+            for channel, expected in free_at.items():
+                assert engine.channel_free_at(channel) == expected
+
+    def test_earliest_start_has_no_side_effects(self):
+        engine = self._engine()
+        busy_until = engine.submit(
+            MigrationRequest(1, int(1e9), MemoryLocation.GPU, MemoryLocation.FLASH, MigrationKind.EVICTION),
+            0.0,
+        )
+        follow_up = MigrationRequest(
+            2, int(1e9), MemoryLocation.GPU, MemoryLocation.HOST, MigrationKind.EVICTION
+        )
+        assert engine.earliest_start(follow_up, 0.0) == busy_until
+        assert engine.earliest_start(follow_up, 2 * busy_until) == 2 * busy_until
+        assert engine.channel_free_at("pcie_out") == busy_until
+        assert engine.channel_free_at("pcie_in") == 0.0
+        assert engine.traffic.eviction_count == 1
 
     def test_invalid_request_rejected(self):
         with pytest.raises(SimulationError):

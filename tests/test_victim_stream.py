@@ -90,3 +90,26 @@ def test_policies_decide_the_same_from_a_one_shot_stream(
         from_list = policy.select_victims(needed, set(), list(order), 0.0)
         from_stream = policy.select_victims(needed, set(), iter(order), 0.0)
         assert from_stream == from_list, name
+
+
+class _CountingRecency(OrderedDict):
+    """An LRU recency map that counts full walks over its keys."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def test_stream_is_lazy():
+    gpu = MemoryPool("gpu", 1 << 30)
+    for tid in (1, 2, 3):
+        gpu.allocate(tid, PAGE)
+    last_used = _CountingRecency([(3, 0.0), (2, 1.0)])
+    stream = lru_victims(gpu, last_used, set())
+    # The never-used resident comes first, before the recency walk starts.
+    assert next(stream) == 1
+    assert last_used.walks == 0
+    assert list(stream) == [3, 2]
+    assert last_used.walks == 1
