@@ -1,7 +1,7 @@
 """Interprocedural dataflow analyses and the ``--project`` lint rules.
 
-Three rule families run on top of the :mod:`~repro.analysis.symbols` table
-and :mod:`~repro.analysis.callgraph` graph, all activated only by
+Two rule families run on top of the :mod:`~repro.analysis.symbols` table
+and :mod:`~repro.analysis.callgraph` graph, both activated only by
 ``repro lint --project`` (they need every module at once):
 
 * **DET005** — interprocedural determinism taint. A function anywhere in the
@@ -12,33 +12,25 @@ and :mod:`~repro.analysis.callgraph` graph, all activated only by
   a tainted function outside those layers is flagged, with the full call
   chain down to the entropy read as evidence. This closes the hole DET001
   cannot see: laundering nondeterminism through a helper in another module.
-* **ASY001** — await-atomicity. Inside any ``async def``, a write to shared
-  mutable state (``self.<attr>`` or a module global) whose value or guarding
-  condition derives from a read of the *same* state performed before an
-  intervening ``await`` is a statically detected race on the per-request
-  atomicity invariant ``repro serve`` depends on ("all queue/cache work
-  happens synchronously between await points").
 * **EXC001** — exception contract. Only :class:`~repro.errors.ReproError`
   subclasses may propagate out of CLI command handlers (``_cmd_*`` in
-  ``cli.py``) and :class:`~repro.experiments.backend.QueueBackend`
-  implementations. Each function's raise-set is propagated over the call
-  graph and intersected with the except-handlers enclosing each call site;
-  whatever non-``ReproError`` survives at a contract boundary is flagged with
-  the raise chain as evidence.
+  ``cli.py``). Each function's raise-set is propagated over the call graph
+  and intersected with the except-handlers enclosing each call site;
+  whatever non-``ReproError`` survives at a handler is flagged with the
+  raise chain as evidence.
 
-Conservatism contract (shared by all three): the call graph resolves only
+Conservatism contract (shared by both): the call graph resolves only
 statically certain targets, so dynamically dispatched paths (registry
 ``create``, callbacks, duck-typed attributes) are invisible — these rules can
-miss such paths but never fabricate one. ASY001 linearizes branches and scans
-loop bodies once; EXC001 only sees explicit ``raise`` statements of
-resolvable exception classes and treats an unresolvable ``except`` clause as
-catching everything.
+miss such paths but never fabricate one. EXC001 only sees explicit ``raise``
+statements of resolvable exception classes and treats an unresolvable
+``except`` clause as catching everything.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .callgraph import CallEdge, CallGraph
@@ -56,7 +48,6 @@ from .symbols import FunctionSymbol, ModuleSymbols, SymbolTable
 __all__ = [
     "ProjectContext",
     "EntropyTaintRule",
-    "AwaitAtomicityRule",
     "ExceptionContractRule",
 ]
 
@@ -65,9 +56,6 @@ _REPRO_ERROR = "errors.py::ReproError"
 
 #: Module holding the CLI command handlers EXC001 guards.
 _CLI_MODULE = "cli.py"
-
-#: Class id of the queue-backend contract EXC001 guards implementations of.
-_QUEUE_BACKEND = "experiments/backend.py::QueueBackend"
 
 #: Exceptions that may always propagate: they are control flow, not errors.
 _CONTROL_FLOW_EXCEPTIONS = frozenset(
@@ -251,345 +239,7 @@ class EntropyTaintRule(ProjectRule):
 
 
 # ---------------------------------------------------------------------------
-# ASY001 — await-atomicity in async functions
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _StateEvent:
-    """One ordered read/write/await event inside an async function body."""
-
-    kind: str  #: "read" | "write" | "await"
-    key: tuple[str, str] | None  #: ("self", attr) or ("global", name)
-    pos: int
-    line: int
-    #: For writes: dependency sources — same-key read positions feeding the
-    #: written value, its guards, or locals tainted by such reads.
-    deps: dict[tuple[str, str], int] = field(default_factory=dict)
-
-
-class _AsyncStateScan:
-    """Evaluation-ordered scan of one async function.
-
-    Produces read/write/await events against shared state with monotonically
-    increasing positions, visiting expressions in CPython evaluation order
-    (assignment values before targets, awaited expressions before the
-    suspension itself) so "the read happened before the suspension" is
-    decided by position comparison alone. Branches are linearized and loop
-    bodies scanned once — conservative, documented in the module docstring.
-    """
-
-    def __init__(
-        self, function: FunctionSymbol, module_globals: frozenset[str]
-    ) -> None:
-        self.function = function
-        self.events: list[_StateEvent] = []
-        self.awaits: list[_StateEvent] = []
-        self.writes: list[_StateEvent] = []
-        self._pos = 0
-        #: local name → same-key read positions it carries (taint)
-        self._taint: dict[str, dict[tuple[str, str], int]] = {}
-        #: dependency sources contributed by enclosing tests/iterables
-        self._guards: list[dict[tuple[str, str], int]] = []
-        locals_, globals_decl = _function_locals(function.node)
-        self._globals_decl = globals_decl
-        self._locals = locals_ - globals_decl
-        self._module_globals = module_globals
-        self._scan_body(function.node.body)
-
-    # -- event plumbing --------------------------------------------------------
-
-    def _emit(
-        self,
-        kind: str,
-        key: tuple[str, str] | None,
-        line: int,
-        deps: dict[tuple[str, str], int] | None = None,
-    ) -> _StateEvent:
-        self._pos += 1
-        event = _StateEvent(kind=kind, key=key, pos=self._pos, line=line, deps=deps or {})
-        self.events.append(event)
-        if kind == "await":
-            self.awaits.append(event)
-        elif kind == "write":
-            self.writes.append(event)
-        return event
-
-    def _guard_deps(self) -> dict[tuple[str, str], int]:
-        merged: dict[tuple[str, str], int] = {}
-        for guard in self._guards:
-            merged.update(guard)
-        return merged
-
-    # -- expressions (evaluation order), returning dependency sources ----------
-
-    def _scan_expr(self, node: ast.expr | None) -> dict[tuple[str, str], int]:
-        if node is None:
-            return {}
-        if isinstance(node, ast.Await):
-            deps = self._scan_expr(node.value)
-            self._emit("await", None, node.lineno)
-            return deps
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id in self._taint:
-                return dict(self._taint[node.id])
-            if self._is_global(node.id):
-                key = ("global", node.id)
-                event = self._emit("read", key, node.lineno)
-                return {key: event.pos}
-            return {}
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            deps = self._scan_expr(node.value)
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                key = ("self", node.attr)
-                event = self._emit("read", key, node.lineno)
-                deps = dict(deps)
-                deps[key] = event.pos
-            return deps
-        if isinstance(node, (ast.Lambda,)):
-            return {}  # deferred execution: out of scope
-        deps: dict[tuple[str, str], int] = {}
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.expr):
-                deps.update(self._scan_expr(child))
-            elif isinstance(child, ast.comprehension):
-                deps.update(self._scan_expr(child.iter))
-                for if_clause in child.ifs:
-                    deps.update(self._scan_expr(if_clause))
-            elif isinstance(child, ast.keyword):
-                deps.update(self._scan_expr(child.value))
-        return deps
-
-    def _is_global(self, name: str) -> bool:
-        if name in self._globals_decl:
-            return name in self._module_globals
-        return name in self._module_globals and name not in self._locals
-
-    # -- assignment targets ----------------------------------------------------
-
-    def _scan_target(
-        self, target: ast.expr, deps: dict[tuple[str, str], int], line: int
-    ) -> None:
-        if isinstance(target, ast.Attribute):
-            if isinstance(target.value, ast.Name) and target.value.id == "self":
-                merged = dict(deps)
-                merged.update(self._guard_deps())
-                self._emit("write", ("self", target.attr), line, merged)
-            else:
-                self._scan_expr(target.value)
-        elif isinstance(target, ast.Name):
-            if target.id in self._globals_decl and target.id in self._module_globals:
-                merged = dict(deps)
-                merged.update(self._guard_deps())
-                self._emit("write", ("global", target.id), line, merged)
-            else:
-                if deps:
-                    self._taint[target.id] = dict(deps)
-                else:
-                    self._taint.pop(target.id, None)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._scan_target(element, deps, line)
-        elif isinstance(target, ast.Subscript):
-            self._scan_expr(target.value)
-            self._scan_expr(target.slice)
-
-    def _read_target(self, target: ast.expr) -> dict[tuple[str, str], int]:
-        """The read half of an augmented assignment's target."""
-        if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-            if target.value.id == "self":
-                key = ("self", target.attr)
-                event = self._emit("read", key, target.lineno)
-                return {key: event.pos}
-        if isinstance(target, ast.Name):
-            if target.id in self._taint:
-                return dict(self._taint[target.id])
-            if self._is_global(target.id):
-                key = ("global", target.id)
-                event = self._emit("read", key, target.lineno)
-                return {key: event.pos}
-        return {}
-
-    # -- statements ------------------------------------------------------------
-
-    def _scan_body(self, body: Sequence[ast.stmt]) -> None:
-        for stmt in body:
-            self._scan_stmt(stmt)
-
-    def _scan_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # nested definitions execute later
-        if isinstance(stmt, ast.Assign):
-            deps = self._scan_expr(stmt.value)
-            for target in stmt.targets:
-                self._scan_target(target, deps, stmt.lineno)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                deps = self._scan_expr(stmt.value)
-                self._scan_target(stmt.target, deps, stmt.lineno)
-        elif isinstance(stmt, ast.AugAssign):
-            deps = self._read_target(stmt.target)
-            deps.update(self._scan_expr(stmt.value))
-            self._scan_target(stmt.target, deps, stmt.lineno)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            guard = self._scan_expr(stmt.test)
-            self._guards.append(guard)
-            self._scan_body(stmt.body)
-            self._scan_body(stmt.orelse)
-            self._guards.pop()
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            guard = self._scan_expr(stmt.iter)
-            if isinstance(stmt, ast.AsyncFor):
-                self._emit("await", None, stmt.lineno)
-            self._scan_target(stmt.target, guard, stmt.lineno)
-            self._guards.append(guard)
-            self._scan_body(stmt.body)
-            self._scan_body(stmt.orelse)
-            self._guards.pop()
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            deps: dict[tuple[str, str], int] = {}
-            for item in stmt.items:
-                deps.update(self._scan_expr(item.context_expr))
-            if isinstance(stmt, ast.AsyncWith):
-                self._emit("await", None, stmt.lineno)
-            for item in stmt.items:
-                if item.optional_vars is not None:
-                    self._scan_target(item.optional_vars, deps, stmt.lineno)
-            self._scan_body(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self._scan_body(stmt.body)
-            for handler in stmt.handlers:
-                self._scan_body(handler.body)
-            self._scan_body(stmt.orelse)
-            self._scan_body(stmt.finalbody)
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    self._taint.pop(target.id, None)
-                elif isinstance(target, ast.Attribute) and isinstance(
-                    target.value, ast.Name
-                ):
-                    if target.value.id == "self":
-                        self._emit("write", ("self", target.attr), stmt.lineno, {})
-        elif isinstance(stmt, ast.Return):
-            self._scan_expr(stmt.value)
-        elif isinstance(stmt, ast.Expr):
-            self._scan_expr(stmt.value)
-        elif isinstance(stmt, ast.Raise):
-            self._scan_expr(stmt.exc)
-            self._scan_expr(stmt.cause)
-        elif isinstance(stmt, ast.Assert):
-            self._scan_expr(stmt.test)
-            self._scan_expr(stmt.msg)
-
-
-def _function_locals(
-    node: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> tuple[set[str], set[str]]:
-    """(names bound locally, names declared ``global``) for one function."""
-    locals_: set[str] = set()
-    globals_decl: set[str] = set()
-    args = node.args
-    for arg in (
-        *args.posonlyargs, *args.args, *args.kwonlyargs,
-        *filter(None, (args.vararg, args.kwarg)),
-    ):
-        locals_.add(arg.arg)
-    for child in ast.walk(node):
-        if isinstance(child, ast.Name) and isinstance(child.ctx, (ast.Store, ast.Del)):
-            locals_.add(child.id)
-        elif isinstance(child, ast.Global):
-            globals_decl.update(child.names)
-    return locals_, globals_decl
-
-
-@register_rule(
-    "ASY001",
-    title="no shared-state write derived from a read across an await",
-    rationale=(
-        "repro serve's per-request atomicity holds only between await points; "
-        "a read→await→dependent-write sequence is an async race"
-    ),
-)
-class AwaitAtomicityRule(ProjectRule):
-    """Statically detects read→await→dependent-write races in ``async def``.
-
-    Shared state is ``self.<attr>`` and module globals. A write is flagged
-    when any of its dependency sources — a read feeding the written value, a
-    read in a guarding condition, or a local carrying such a read — happened
-    before an ``await`` that precedes the write: the decision was made
-    against state another request may have changed during the suspension.
-    Writes whose every dependency was (re-)read after the last suspension are
-    clean, as is any read/write pair within one synchronous segment.
-    """
-
-    code = "ASY001"
-    title = "no shared-state write derived from a read across an await"
-    rationale = (
-        "repro serve's per-request atomicity holds only between await points; "
-        "a read→await→dependent-write sequence is an async race"
-    )
-
-    def check_project(self, project: ProjectContext) -> list[LintFinding]:
-        findings: list[LintFinding | None] = []
-        for function in project.table.functions.values():
-            if not function.is_async:
-                continue
-            module = project.table.modules[function.module]
-            scan = _AsyncStateScan(function, frozenset(module.module_globals))
-            if not scan.awaits or not scan.writes:
-                continue
-            findings.extend(self._check_function(project, function, scan))
-        return _sorted_findings(findings)
-
-    def _check_function(
-        self,
-        project: ProjectContext,
-        function: FunctionSymbol,
-        scan: _AsyncStateScan,
-    ) -> list[LintFinding | None]:
-        findings: list[LintFinding | None] = []
-        for write in scan.writes:
-            source_pos = write.deps.get(write.key) if write.key else None
-            if source_pos is None:
-                continue
-            barrier = next(
-                (
-                    a
-                    for a in scan.awaits
-                    if source_pos < a.pos < write.pos
-                ),
-                None,
-            )
-            if barrier is None:
-                continue
-            source = next(e for e in scan.events if e.pos == source_pos)
-            kind, name = write.key  # type: ignore[misc]
-            label = f"self.{name}" if kind == "self" else name
-            findings.append(
-                project.finding(
-                    self.code,
-                    function.module,
-                    write.line,
-                    0,
-                    f"write to shared {label} depends on a read made before "
-                    f"the await on line {barrier.line} (read at line "
-                    f"{source.line}); another request can interleave at that "
-                    "await — re-read and write within one synchronous segment",
-                    evidence=(
-                        f"{function.module}:{source.line} {function.qual} "
-                        f"reads {label}",
-                        f"{function.module}:{barrier.line} suspends at await",
-                        f"{function.module}:{write.line} writes {label} "
-                        "from the stale read",
-                    ),
-                )
-            )
-        return findings
-
-
-# ---------------------------------------------------------------------------
-# EXC001 — exception contracts at CLI and queue-backend boundaries
+# EXC001 — exception contracts at the CLI handlers
 # ---------------------------------------------------------------------------
 
 #: Parent links for the builtin exceptions the analysis understands. Names
@@ -830,10 +480,10 @@ def _sub_bodies(stmt: ast.stmt) -> list[list[ast.stmt]]:
 
 @register_rule(
     "EXC001",
-    title="only ReproError subclasses may escape CLI handlers and queue backends",
+    title="only ReproError subclasses may escape CLI handlers",
     rationale=(
-        "the CLI's exit-code contract and the queue conformance suite both "
-        "assume every failure surfaces as a ReproError"
+        "the CLI's exit-code contract assumes every failure surfaces as a "
+        "ReproError"
     ),
 )
 class ExceptionContractRule(ProjectRule):
@@ -841,10 +491,9 @@ class ExceptionContractRule(ProjectRule):
 
     Each function's raise-set is its own (uncaught) explicit raises plus its
     callees' raise-sets filtered through the except-handlers enclosing each
-    call site, iterated to a fixpoint over the call graph. At the two
-    contract boundaries — ``_cmd_*`` handlers in ``cli.py`` and public
-    methods of :class:`QueueBackend` implementations — anything that is not a
-    ``ReproError`` (or pure control flow) is flagged, with the propagation
+    call site, iterated to a fixpoint over the call graph. At the contract
+    boundary — the ``_cmd_*`` handlers in ``cli.py`` — anything that is not
+    a ``ReproError`` (or pure control flow) is flagged, with the propagation
     chain down to the offending ``raise`` as evidence. Only explicit raises
     of statically resolvable classes participate: exceptions born inside the
     standard library (or behind dynamic dispatch) are invisible, so this rule
@@ -852,10 +501,10 @@ class ExceptionContractRule(ProjectRule):
     """
 
     code = "EXC001"
-    title = "only ReproError subclasses may escape CLI handlers and queue backends"
+    title = "only ReproError subclasses may escape CLI handlers"
     rationale = (
-        "the CLI's exit-code contract and the queue conformance suite both "
-        "assume every failure surfaces as a ReproError"
+        "the CLI's exit-code contract assumes every failure surfaces as a "
+        "ReproError"
     )
 
     def check_project(self, project: ProjectContext) -> list[LintFinding]:
@@ -875,7 +524,7 @@ class ExceptionContractRule(ProjectRule):
                         origin.line,
                         origin.col,
                         f"{_exception_label(key)} can escape "
-                        f"{self._describe_contract(function)} (raised at "
+                        f"CLI handler {function.qual} (raised at "
                         f"{root}); only ReproError subclasses may propagate "
                         "out of this boundary",
                         evidence=chain,
@@ -933,27 +582,12 @@ class ExceptionContractRule(ProjectRule):
         return raise_sets
 
     def _contract_functions(self, project: ProjectContext) -> list[FunctionSymbol]:
-        targets: list[FunctionSymbol] = []
         cli = project.table.modules.get(_CLI_MODULE)
-        if cli is not None:
-            targets.extend(
-                f for name, f in sorted(cli.functions.items())
-                if name.startswith("_cmd_")
-            )
-        for cid in sorted(project.table.classes):
-            klass = project.table.classes[cid]
-            if _QUEUE_BACKEND in project.table.class_ancestry(klass):
-                targets.extend(
-                    method
-                    for name, method in sorted(klass.methods.items())
-                    if not name.startswith("_")
-                )
-        return targets
-
-    def _describe_contract(self, function: FunctionSymbol) -> str:
-        if function.cls is not None:
-            return f"QueueBackend implementation {function.qual}"
-        return f"CLI handler {function.qual}"
+        if cli is None:
+            return []
+        return [
+            f for name, f in sorted(cli.functions.items()) if name.startswith("_cmd_")
+        ]
 
     @staticmethod
     def _chain(

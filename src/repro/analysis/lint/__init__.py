@@ -1,5 +1,4 @@
-"""``repro lint`` — project-specific static analysis for determinism and
-queue atomicity.
+"""``repro lint`` — project-specific static analysis for determinism.
 
 The public surface:
 

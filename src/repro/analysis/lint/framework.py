@@ -1,13 +1,11 @@
 """The ``repro lint`` rule framework: sources, findings, suppressions, baseline.
 
-Every correctness claim this repository makes rests on two informal
-disciplines: *bit-for-bit golden reproduction* (the 15 figure/table goldens
-must not drift, so the simulation layers may not read wall clocks, entropy
-sources, object identities or unordered containers) and *crash-safe queue
-publication* (task/lease state becomes visible only through atomic
-rename/exclusive-link, never through bare writes into live directories).
-This module turns those disciplines into machine-checked lint rules that run
-before a single simulation does.
+Every correctness claim this repository makes rests on one informal
+discipline: *bit-for-bit golden reproduction* (the figure/table goldens must
+not drift, so the simulation layers may not read wall clocks, entropy
+sources, object identities or unordered containers). This module turns that
+discipline into machine-checked lint rules that run before a single
+simulation does.
 
 The moving parts:
 
@@ -30,7 +28,7 @@ The moving parts:
 
 Suppressions are inline comments anywhere on the offending statement::
 
-    with log.open("a") as fh:  # repro-lint: disable=QUE001 -- append-only audit log
+    started = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time phase, never serialized
 
 A justification after ``--`` is conventional (CONTRIBUTING.md requires one);
 ``disable=all`` silences every rule on that statement. DET004's exact-float
@@ -96,9 +94,9 @@ def package_path_of(path: Path) -> str:
 class LintFinding:
     """One rule violation at one source location.
 
-    Interprocedural rules additionally carry ``evidence``: the call chain (or
-    read/await/write sequence) proving the finding, one human-readable hop per
-    entry, ending at the root cause. Evidence is diagnostic only — it is not
+    Interprocedural rules additionally carry ``evidence``: the call chain
+    proving the finding, one human-readable hop per entry, ending at the root
+    cause. Evidence is diagnostic only — it is not
     part of the :attr:`fingerprint`, so a finding's baseline identity survives
     refactors that merely reroute the chain.
     """
@@ -332,8 +330,7 @@ class ProjectRule(LintRule):
 
     A project rule sees the entire lint run at once — every parsed module,
     the project symbol table and the call graph — instead of one module at a
-    time, so it can follow a value across files (``DET005``), order events
-    inside one function against shared state (``ASY001``), or intersect
+    time, so it can follow a value across files (``DET005``) or intersect
     propagated raise-sets with except-handlers (``EXC001``). Because its
     verdicts depend on files *not* currently being edited, it only activates
     under ``repro lint --project`` (selecting one explicitly without
@@ -523,7 +520,7 @@ def lint_paths(
     Parse failures become :data:`PARSE_ERROR_CODE` findings and unusable
     paths become :data:`UNREADABLE_CODE` findings — structured output rather
     than exceptions, so CI artifacts capture them alongside rule findings.
-    With ``project=True`` the interprocedural rules (DET005/ASY001/EXC001 and
+    With ``project=True`` the interprocedural rules (DET005/EXC001 and
     any registered :class:`ProjectRule`) also run, over a symbol table and
     call graph built from *all* the given files.
     """

@@ -8,9 +8,6 @@ depends on informally:
   ``baselines/``) must be pure functions of the workload and configuration —
   no wall clocks, no entropy, no object identities, no unordered iteration,
   no approximate float equality.
-* **QUE001** protects the work queue's crash-safety proof: task/lease state
-  may only become visible through the atomic rename/exclusive-link idioms the
-  SIGKILL fault suite assumes.
 * **PERF001** keeps numpy code numpy: ``core/`` and ``sim/`` must not walk a
   numpy array element by element in a Python loop.
 
@@ -452,73 +449,6 @@ def _is_float_literal(node: ast.expr) -> bool:
 
 
 @register_rule(
-    "QUE001",
-    title="queue state may only be published atomically",
-    rationale="the SIGKILL fault suite's crash-safety proof assumes rename/exclusive-link publication",
-)
-class AtomicQueuePublishRule(LintRule):
-    """Restricts how ``experiments/queue.py`` writes files.
-
-    Task and lease state must be written to a temporary name and published
-    with ``os.replace``/``os.rename``/``os.link`` — a bare write into a live
-    state directory can be observed half-written by a competing consumer, or
-    survive a SIGKILL as garbage. The rule flags every write-capable ``open``
-    and every ``write_text``/``write_bytes`` whose target expression does not
-    mention a temporary (``tmp``) path. Genuinely append-only artifacts (the
-    events audit log) carry an inline suppression with justification.
-    """
-
-    code = "QUE001"
-    title = "queue state may only be published atomically"
-    rationale = (
-        "the SIGKILL fault suite's crash-safety proof assumes "
-        "rename/exclusive-link publication"
-    )
-
-    WRITE_MODES = ("w", "a", "x", "+")
-
-    def applies_to(self, module: ModuleSource) -> bool:
-        return module.package_path.endswith("experiments/queue.py")
-
-    @staticmethod
-    def _mode_of(node: ast.Call, position: int) -> str:
-        for keyword in node.keywords:
-            if keyword.arg == "mode" and isinstance(keyword.value, ast.Constant):
-                return str(keyword.value.value)
-        if len(node.args) > position and isinstance(node.args[position], ast.Constant):
-            return str(node.args[position].value)
-        return "r"
-
-    @staticmethod
-    def _mentions_tmp(node: ast.expr) -> bool:
-        return "tmp" in ast.unparse(node).lower()
-
-    def _flag(self, node: ast.AST, what: str) -> None:
-        self.report(
-            node,
-            f"{what} publishes into live queue state; write to a *.tmp name "
-            "and publish with os.replace()/os.link() (see the lease/task "
-            "idioms in this module)",
-        )
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Name) and func.id == "open" and node.args:
-            if any(ch in self._mode_of(node, 1) for ch in self.WRITE_MODES):
-                if not self._mentions_tmp(node.args[0]):
-                    self._flag(node, "write-mode open()")
-        elif isinstance(func, ast.Attribute):
-            if func.attr == "open":
-                if any(ch in self._mode_of(node, 0) for ch in self.WRITE_MODES):
-                    if not self._mentions_tmp(func.value):
-                        self._flag(node, "write-mode .open()")
-            elif func.attr in ("write_text", "write_bytes"):
-                if not self._mentions_tmp(func.value):
-                    self._flag(node, f".{func.attr}()")
-        self.generic_visit(node)
-
-
-@register_rule(
     "PERF001",
     title="no per-element Python loops over numpy arrays in core/sim",
     rationale="an element-wise Python loop over a numpy array pays boxing and dispatch per element",
@@ -657,7 +587,7 @@ class NoScalarArrayLoopRule(LintRule):
     visit_DictComp = _visit_ordered_comp
 
 
-# The interprocedural rules (DET005/ASY001/EXC001) live in
+# The interprocedural rules (DET005/EXC001) live in
 # repro.analysis.dataflow and register themselves on import; pulling the
 # module in here makes registry bootstrap (which imports this module) load
 # them too, so `repro lint --list`/`--project` see the full rule set.

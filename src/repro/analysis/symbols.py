@@ -1,19 +1,19 @@
 """Project-wide symbol table for the interprocedural lint rules.
 
 The per-module rules in :mod:`repro.analysis.lint.rules` deliberately see one
-file at a time; the ``--project`` rules (DET005/ASY001/EXC001) need to answer
-questions like "which function does ``WorkQueue.lease`` name from over in
-``server.py``?" across the whole ``src/repro`` tree. This module builds that
+file at a time; the ``--project`` rules (DET005/EXC001) need to answer
+questions like "which function does ``SweepRunner.run`` name from over in
+``cli.py``?" across the whole ``src/repro`` tree. This module builds that
 index:
 
 * :class:`FunctionSymbol` — one ``def``/``async def``, module-level or
   method, addressed by a stable id ``"<package_path>::<qualname>"``
-  (``"experiments/queue.py::WorkQueue.lease"``);
+  (``"experiments/sweep.py::SweepRunner.run"``);
 * :class:`ClassSymbol` — one class with its methods, resolved base classes
   and the inferred types of ``self.<attr>`` fields assigned from constructor
-  calls (``self.queue = WorkQueue(...)`` types ``queue`` as ``WorkQueue``);
-* :class:`ModuleSymbols` — one module: its functions, classes, module-level
-  (global) names and import-alias map;
+  calls (``self.cache = ResultCache(...)`` types ``cache`` as ``ResultCache``);
+* :class:`ModuleSymbols` — one module: its functions, classes and
+  import-alias map;
 * :class:`SymbolTable` — the project: lookup by package path or dotted name,
   alias/from-import-aware :meth:`resolve_dotted` (following re-exports
   through ``__init__`` modules), and method resolution over project base
@@ -50,7 +50,7 @@ _MAX_REEXPORT_HOPS = 8
 def module_dotted(package_path: str) -> str:
     """Package-relative dotted module name for a package path.
 
-    ``"experiments/queue.py"`` → ``"experiments.queue"``;
+    ``"experiments/sweep.py"`` → ``"experiments.sweep"``;
     ``"experiments/__init__.py"`` → ``"experiments"``; the package root
     ``"__init__.py"`` → ``""``.
     """
@@ -71,7 +71,6 @@ class FunctionSymbol:
     name: str
     node: ast.FunctionDef | ast.AsyncFunctionDef
     cls: str | None = None  #: defining class name, for methods
-    is_async: bool = False
 
     @property
     def fid(self) -> str:
@@ -112,9 +111,6 @@ class ModuleSymbols:
     aliases: dict[str, str] = field(default_factory=dict)
     functions: dict[str, FunctionSymbol] = field(default_factory=dict)
     classes: dict[str, ClassSymbol] = field(default_factory=dict)
-    #: Names assigned at module level — the mutable-global candidates ASY001
-    #: tracks inside ``async def`` bodies.
-    module_globals: set[str] = field(default_factory=set)
 
     @property
     def path(self) -> str:
@@ -158,15 +154,11 @@ class SymbolTable:
                     qual=node.name,
                     name=node.name,
                     node=node,
-                    is_async=isinstance(node, ast.AsyncFunctionDef),
                 )
                 module.functions[node.name] = symbol
                 self.functions[symbol.fid] = symbol
             elif isinstance(node, ast.ClassDef):
                 self._index_class(module, node)
-            else:
-                for target in _assigned_names(node):
-                    module.module_globals.add(target)
         self.modules[module.path] = module
         self._by_dotted[module.dotted] = module.path
 
@@ -180,7 +172,6 @@ class SymbolTable:
                     name=item.name,
                     node=item,
                     cls=node.name,
-                    is_async=isinstance(item, ast.AsyncFunctionDef),
                 )
                 symbol.methods[item.name] = method
                 self.functions[method.fid] = method
@@ -246,10 +237,10 @@ class SymbolTable:
     ) -> Resolution | None:
         """Resolve a dotted path to a project function, class or module.
 
-        Handles absolute package paths (``repro.experiments.queue.WorkQueue``
-        or the package-relative ``experiments.queue.WorkQueue``), relative
+        Handles absolute package paths (``repro.experiments.sweep.SweepRunner``
+        or the package-relative ``experiments.sweep.SweepRunner``), relative
         imports carried by the alias map (``..errors.ConfigurationError``
-        seen from ``experiments/server.py``), and re-exports: a name bound in
+        seen from ``experiments/sweep.py``), and re-exports: a name bound in
         an ``__init__`` module by ``from .sweep import SweepRunner`` resolves
         through to the defining module. Returns ``None`` for anything outside
         the project — callers treat that as an external/unknown target.
@@ -302,7 +293,7 @@ class SymbolTable:
         if parts[0] == "repro":
             parts = parts[1:]
             return parts if parts else None
-        # Package-relative absolute paths ("experiments.queue") and top-level
+        # Package-relative absolute paths ("experiments.sweep") and top-level
         # module names ("errors") are accepted as-is; anything whose first
         # component is not a project module falls out of resolution naturally.
         return parts
@@ -348,35 +339,3 @@ class SymbolTable:
                 if base_class is not None:
                     stack.append(base_class)
         return None
-
-    def class_ancestry(self, klass: ClassSymbol) -> list[str]:
-        """Every base id reachable from ``klass`` (project ids + externals)."""
-        out: list[str] = []
-        seen: set[str] = set()
-        stack = list(klass.bases)
-        while stack:
-            base = stack.pop(0)
-            if base in seen:
-                continue
-            seen.add(base)
-            out.append(base)
-            base_class = self.classes.get(base)
-            if base_class is not None:
-                stack.extend(base_class.bases)
-        return out
-
-
-def _assigned_names(node: ast.stmt) -> list[str]:
-    """Module-level names bound by an assignment statement."""
-    targets: list[ast.expr] = []
-    if isinstance(node, ast.Assign):
-        targets = list(node.targets)
-    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        targets = [node.target]
-    names: list[str] = []
-    for target in targets:
-        if isinstance(target, ast.Name):
-            names.append(target.id)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            names.extend(e.id for e in target.elts if isinstance(e, ast.Name))
-    return names

@@ -35,10 +35,7 @@ Sessions are the unit of dispatch everywhere: the sweep runner's
 a session, so ``Scenario(...).run()`` is bit-identical to the same cell run
 through ``SweepRunner``, the CLI, or the
 :mod:`repro.experiments.harness` ``build_workload``/``run_policy`` engine
-functions. The distributed work queue
-(:class:`~repro.experiments.queue.WorkQueue`) inherits the same property: a
-queue task is exactly :meth:`Scenario.cell` plus :meth:`Scenario.cache_key`,
-and its workers execute through sessions too.
+functions.
 
 Models and policies resolve through the open registries
 (:mod:`repro.registry`); anything registered with ``@register_policy`` /
@@ -204,7 +201,7 @@ class Scenario:
         return self.session().run(observers=observers, runner=runner)
 
     def cell(self) -> SweepCell:
-        """This scenario as a sweep-grid cell (for specs, sharding, caching).
+        """This scenario as a sweep-grid cell (for specs and caching).
 
         Scenarios carrying a custom base configuration are not expressible as
         cells — cells derive their configuration from the scale's default plus
@@ -228,12 +225,7 @@ class Scenario:
         )
 
     def cache_key(self) -> str:
-        """The sweep-cache content key this scenario's result is stored under.
-
-        Together with :meth:`cell` this is the identity of a distributed
-        work-queue task: ``WorkQueue.enqueue([scenario.cell()])`` queues
-        exactly the computation whose result lands at this key.
-        """
+        """The sweep-cache content key this scenario's result is stored under."""
         return self.session().cache_key()
 
     def describe(self) -> dict[str, Any]:

@@ -8,44 +8,24 @@ Subcommands:
   §7.7 lifetime study, optionally writing a JSON artifact;
 * ``sweep``  — run a custom (models x policies x batches) grid;
 * ``report`` — render *every* figure/table from the result cache into
-  Markdown + JSON artifacts (or warm one shard of the full grid);
+  Markdown + JSON artifacts;
 * ``bench``  — time the simulation core on representative cells and write
   ``BENCH_core.json`` (the repo's recorded perf trajectory); ``--check``
   gates CI against >2x regressions of the committed baseline;
-* ``lint``   — run the project's AST-based static analyzer (determinism and
-  queue-atomicity rules, DET001.. QUE001/PERF001) over source trees;
-  ``--project`` adds the interprocedural rules (DET005 entropy taint over the
-  call graph, ASY001 await-atomicity, EXC001 exception contracts); findings
-  not in the committed baseline fail the run (``--update-baseline`` refreshes
-  it, ``--list-rules`` documents every rule);
-* ``cache``  — inspect, clear, or merge on-disk result caches;
-* ``queue``  — drive the distributed work queue: ``enqueue`` the report grid,
-  ``work`` as a competing consumer, ``status`` the task states,
-  ``requeue-stale`` expired leases of dead workers, or ``clear`` the queue —
-  against the local queue directory or (``--queue-url``) a ``repro serve``
-  server;
-* ``serve``  — host a work queue + result cache over HTTP so workers on other
-  machines drain one sweep without a shared filesystem.
+* ``lint``   — run the project's AST-based static analyzer (determinism
+  rules, DET001.. PERF001) over source trees; ``--project`` adds the
+  interprocedural rules (DET005 entropy taint over the call graph, EXC001
+  exception contracts); findings not in the committed baseline fail the run
+  (``--update-baseline`` refreshes it, ``--list-rules`` documents every rule);
+* ``cache``  — inspect or clear the on-disk result cache.
 
-Every experiment honours ``--jobs`` (process-parallel fan-out) and the result
-cache under ``--cache-dir`` (default ``.repro_cache/``, or ``$REPRO_CACHE_DIR``);
-re-running any command is a cache hit. ``--no-cache`` forces re-execution.
-
-Paper-scale grids distribute across machines with ``--shard-index I
---shard-count N``: each shard executes a deterministic, cache-key-owned slice
-of the grid into its own cache; ``repro cache merge`` combines the shard
-caches; and ``--resume`` (or ``repro report --expect-warm``) regenerates the
-figures incrementally from the merged cache, bit-identical to a serial run.
-
-Dynamic load balancing replaces static shard ownership with ``--queue
---workers N``: cells become tasks in a file-backed work queue under
-``--queue-dir`` (default ``.repro_queue/`` or ``$REPRO_QUEUE_DIR``) that N
-competing consumers drain with crash-safe lease/ack semantics — a killed
-worker's cells are reclaimed after ``--lease-timeout`` seconds (``repro queue
-requeue-stale``) instead of straggling the run. Without a shared filesystem,
-``repro serve`` hosts the queue and cache over HTTP and the same commands
-point at it with ``--queue-url http://host:port`` instead of ``--queue-dir``
-(lease timing then lives on the server — it is the single clock authority).
+Every experiment runs serially in-process by default, or over ``--jobs N``
+worker processes on one machine (bit-identical to serial), and honours the
+result cache under ``--cache-dir`` (default ``.repro_cache/``, or
+``$REPRO_CACHE_DIR``); re-running any command is a cache hit. ``--no-cache``
+forces re-execution. ``--resume`` prints the warm/missing plan before
+finishing an interrupted run, and ``repro report --expect-warm`` fails if any
+cell had to be recomputed.
 
 Policies, models and experiments resolve through the open registries
 (:mod:`repro.registry`); out-of-tree registrations load with ``--plugins
@@ -65,25 +45,16 @@ from typing import Sequence
 
 from .api import Scenario
 from .experiments import (
-    DEFAULT_LEASE_TIMEOUT,
-    DEFAULT_MAX_ATTEMPTS,
     ConfigPatch,
-    HttpResultCache,
-    HttpWorkQueue,
     ResultCache,
     SweepRunner,
     SweepSpec,
-    WorkQueue,
     combined_spec,
-    default_queue_root,
-    enqueue_report,
     format_table,
     generate_report,
     get_experiment,
     jsonify,
-    run_worker,
     table2_configuration,
-    warm_cache,
 )
 from .experiments.reporting import experiment_ids
 from .config import GB
@@ -96,55 +67,8 @@ def _csv(text: str) -> list[str]:
 
 
 def _make_runner(args: argparse.Namespace) -> SweepRunner:
-    workers = getattr(args, "workers", None)
-    jobs = args.jobs
-    queue_url = getattr(args, "queue_url", None)
-    if queue_url is not None:
-        # HTTP queue mode: the server owns the queue, the cache *and* the
-        # lease timing, so every local override of those is a contradiction.
-        if getattr(args, "queue", False) or getattr(args, "queue_dir", None):
-            raise ConfigurationError("--queue-url and --queue/--queue-dir are mutually exclusive")
-        if getattr(args, "no_cache", False):
-            raise ConfigurationError(
-                "--queue-url routes results through the server's cache (drop --no-cache)"
-            )
-        if getattr(args, "cache_dir", None):
-            raise ConfigurationError(
-                "--cache-dir has no effect with --queue-url: results live in the "
-                "server's cache (merge or report from there)"
-            )
-        if getattr(args, "lease_timeout", None) is not None:
-            raise ConfigurationError(
-                "--lease-timeout is server configuration: set it on repro serve"
-            )
-        return SweepRunner(jobs=workers or jobs, queue_url=queue_url)
-    cache = None if getattr(args, "no_cache", False) else ResultCache(args.cache_dir)
-    queue_dir = None
-    if getattr(args, "queue", False):
-        if cache is None:
-            raise ConfigurationError("--queue requires the result cache (drop --no-cache)")
-        queue_dir = getattr(args, "queue_dir", None) or default_queue_root()
-        if workers is not None:
-            jobs = workers
-    elif workers is not None or getattr(args, "queue_dir", None):
-        raise ConfigurationError("--workers/--queue-dir require --queue")
-    return SweepRunner(
-        jobs=jobs,
-        cache=cache,
-        queue_dir=queue_dir,
-        lease_timeout=getattr(args, "lease_timeout", None),
-    )
-
-
-def _shard_args(args: argparse.Namespace) -> tuple[int, int] | None:
-    index, count = getattr(args, "shard_index", None), getattr(args, "shard_count", None)
-    if index is None and count is None:
-        return None
-    if index is None or count is None:
-        raise ConfigurationError("--shard-index and --shard-count must be given together")
-    if getattr(args, "no_cache", False):
-        raise ConfigurationError("sharded execution requires the result cache (drop --no-cache)")
-    return index, count
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    return SweepRunner(jobs=args.jobs, cache=cache)
 
 
 def _require_cache_for_resume(args: argparse.Namespace) -> None:
@@ -167,12 +91,9 @@ def _emit(args: argparse.Namespace, results, as_table: bool = False) -> None:
 
 def _report_stats(label: str, runner: SweepRunner, elapsed: float) -> None:
     stats = runner.last_stats
-    shard = ""
-    if "shard_index" in stats:
-        shard = f", shard {stats['shard_index']}/{stats['shard_count']} ({stats['skipped']} skipped)"
     print(
         f"{label}: {stats['cells']} cells "
-        f"({stats['cache_hits']} cached, {stats['executed']} executed){shard}, "
+        f"({stats['cache_hits']} cached, {stats['executed']} executed), "
         f"jobs={runner.jobs or 1}, {elapsed:.2f}s",
         file=sys.stderr,
     )
@@ -303,22 +224,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         else:
             models = tuple(_csv(args.models))
 
-    shard = _shard_args(args)
-    if shard is not None:
-        # Warm one shard of the figure's grid into the cache; render nothing.
-        if args.output:
-            print("shard mode warms the cache without rendering; --output ignored",
-                  file=sys.stderr)
-        if experiment.spec is None:
-            print(f"figure {args.id} has no sweep cells; nothing to shard", file=sys.stderr)
-            return 0
-        runner = _make_runner(args)
-        spec = experiment.spec(args.scale, models)
-        start = time.monotonic()
-        runner.run(spec, shard_index=shard[0], shard_count=shard[1])
-        _report_stats(f"figure {args.id} [{args.scale}]", runner, time.monotonic() - start)
-        return 0
-
     if experiment.id == "table2":
         _emit(args, [{"parameter": k, "value": v} for k, v in table2_configuration().items()],
               as_table=True)
@@ -348,15 +253,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scale=args.scale,
         profiling_errors=[float(e) for e in _csv(args.errors)] if args.errors else (0.0,),
     )
-    shard = _shard_args(args)
     _require_cache_for_resume(args)
-    if args.resume and shard is None:
+    if args.resume:
         _print_plan("sweep", runner, spec)
     start = time.monotonic()
-    if shard is not None:
-        outs = runner.run(spec, shard_index=shard[0], shard_count=shard[1])
-    else:
-        outs = runner.run(spec)
+    outs = runner.run(spec)
     _report_stats(f"sweep ({len(spec.cells)} cells)", runner, time.monotonic() - start)
     rows = [out.result.summary() for out in outs]
     print(format_table(rows))
@@ -374,16 +275,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
     figures = _csv(args.figures) if args.figures else None
-    shard = _shard_args(args)
-    if shard is not None:
-        # Distributed mode: warm this shard's slice of the full report grid.
-        start = time.monotonic()
-        warm_cache(
-            scale=args.scale, figures=figures, runner=runner,
-            shard_index=shard[0], shard_count=shard[1],
-        )
-        _report_stats(f"report warm [{args.scale}]", runner, time.monotonic() - start)
-        return 0
     _require_cache_for_resume(args)
     if args.resume:
         _print_plan("report", runner, combined_spec(args.scale, figures))
@@ -571,11 +462,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    if args.action != "merge" and args.sources:
-        raise ConfigurationError(
-            f"cache {args.action} takes no source directories "
-            f"(got {args.sources}); did you mean --cache-dir?"
-        )
     cache = ResultCache(args.cache_dir)
     if args.action == "info":
         stats = cache.stats()
@@ -587,125 +473,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {cache.clear()} cached results")
     elif args.action == "path":
         print(cache.root)
-    elif args.action == "merge":
-        if not args.sources:
-            raise ConfigurationError("cache merge requires at least one source directory")
-        total = 0
-        for source in args.sources:
-            merged = cache.merge_from(ResultCache(source))
-            print(f"merged {merged} entries from {source}", file=sys.stderr)
-            total += merged
-        print(f"merged {total} entries into {cache.root}")
-    return 0
-
-
-def _cmd_queue(args: argparse.Namespace) -> int:
-    if args.queue_url is not None:
-        if args.queue_dir is not None:
-            raise ConfigurationError("--queue-url and --queue-dir are mutually exclusive")
-        if args.lease_timeout is not None or args.max_attempts is not None:
-            raise ConfigurationError(
-                "--lease-timeout/--max-attempts are server configuration: "
-                "set them on repro serve"
-            )
-        if args.cache_dir is not None:
-            raise ConfigurationError(
-                "--cache-dir has no effect with --queue-url: results live in "
-                "the server's cache"
-            )
-        queue: WorkQueue | HttpWorkQueue = HttpWorkQueue(args.queue_url)
-        cache: ResultCache | HttpResultCache | None = (
-            None if args.no_cache else HttpResultCache(args.queue_url)
-        )
-    else:
-        kwargs = {} if args.max_attempts is None else {"max_attempts": args.max_attempts}
-        queue = WorkQueue(
-            args.queue_dir or default_queue_root(),
-            lease_timeout=(
-                DEFAULT_LEASE_TIMEOUT if args.lease_timeout is None else args.lease_timeout
-            ),
-            **kwargs,
-        )
-        cache = None if args.no_cache else ResultCache(args.cache_dir)
-    if args.action == "status":
-        status = queue.status()
-        # `total` is what the state directories contain; `expected` is what
-        # the events log says was ever enqueued — comparing them catches
-        # lost/mangled task files, which a purely structural sum cannot.
-        reconciled = (
-            status["queued"] + status["leased"] + status["done"] + status["failed"]
-            == status["total"] == status["expected"]
-        )
-        print(f"queue root : {status['root']}")
-        print(f"queued     : {status['queued']}")
-        print(f"leased     : {status['leased']} ({status['stale']} stale)")
-        print(f"done       : {status['done']}")
-        print(f"failed     : {status['failed']}")
-        print(f"total      : {status['total']} ({status['expected']} expected)")
-        print(f"reconciled : queued + leased + done + failed == total == expected -> "
-              f"{'yes' if reconciled else 'NO'}")
-        return 0 if reconciled else 1
-    if args.action == "requeue-stale":
-        keys = queue.requeue_stale()
-        print(f"requeued {len(keys)} stale lease(s)")
-        return 0
-    if args.action == "enqueue":
-        counts = enqueue_report(
-            queue,
-            scale=args.scale,
-            figures=_csv(args.figures) if args.figures else None,
-            cache=cache,
-            priority=args.priority,
-        )
-        print(
-            f"enqueued {counts['queued']} cell(s) into {queue.describe()} "
-            f"({counts['warm']} already warm, {counts['retried']} failed retried, "
-            f"{counts['skipped']} already tracked)"
-        )
-        return 0
-    if args.action == "work":
-        if cache is None:
-            raise ConfigurationError("queue workers need a result cache (drop --no-cache)")
-        executed = run_worker(
-            queue,
-            cache,
-            worker_id=args.worker_id,
-            poll_interval=args.poll_interval,
-        )
-        status = queue.status()
-        print(
-            f"worker {args.worker_id or f'pid-{os.getpid()}'}: "
-            f"executed {executed} cell(s); queue now "
-            f"{status['done']} done / {status['failed']} failed / "
-            f"{status['queued']} queued / {status['leased']} leased",
-            file=sys.stderr,
-        )
-        return 0 if status["failed"] == 0 else 1
-    if args.action == "clear":
-        queue.clear()
-        print(f"cleared queue at {queue.describe()}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .experiments.server import serve
-
-    limits = {}
-    if args.read_timeout is not None:
-        # 0 disables the per-read deadline (trusted-network escape hatch).
-        limits["read_timeout"] = None if args.read_timeout == 0 else args.read_timeout
-    if args.max_body_bytes is not None:
-        limits["max_body_bytes"] = args.max_body_bytes
-    serve(
-        args.queue_dir or default_queue_root(),
-        args.cache_dir,
-        host=args.host,
-        port=args.port,
-        lease_timeout=args.lease_timeout,
-        max_attempts=args.max_attempts if args.max_attempts is not None else DEFAULT_MAX_ATTEMPTS,
-        stream=sys.stderr,
-        **limits,
-    )
     return 0
 
 
@@ -728,27 +495,7 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
                         help="write results as a JSON artifact instead of stdout")
 
 
-def _add_queue(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--queue", action="store_true",
-                        help="dispatch cell execution through the file-backed work "
-                             "queue (dynamic load balancing, crash-safe leases)")
-    parser.add_argument("--queue-dir", default=None, metavar="DIR",
-                        help="work-queue directory (default: .repro_queue or $REPRO_QUEUE_DIR)")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="competing consumer processes in queue mode (default: --jobs or 1)")
-    parser.add_argument("--lease-timeout", type=float, default=None, metavar="SECONDS",
-                        help="seconds before a dead worker's lease is reclaimable "
-                             f"(default: {DEFAULT_LEASE_TIMEOUT:.0f}; file queue only)")
-    parser.add_argument("--queue-url", default=None, metavar="URL",
-                        help="drain a repro serve queue at this URL instead of a "
-                             "local queue directory (results land in the server's cache)")
-
-
-def _add_shard(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--shard-index", type=int, default=None, metavar="I",
-                        help="execute only shard I of the grid (0-based; warms the cache)")
-    parser.add_argument("--shard-count", type=int, default=None, metavar="N",
-                        help="total number of shards the grid is split into")
+def _add_resume(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="report the warm/missing plan before running; requires the cache")
 
@@ -795,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated model subset (figures that sweep models)")
     _add_common(figure)
     _add_output(figure)
-    _add_shard(figure)
-    _add_queue(figure)
+    _add_resume(figure)
     figure.set_defaults(func=_cmd_figure)
 
     sweep = sub.add_parser("sweep", help="run a custom model x policy x batch grid")
@@ -806,8 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--errors", default=None, help="comma-separated profiling error levels")
     _add_common(sweep)
     _add_output(sweep)
-    _add_shard(sweep)
-    _add_queue(sweep)
+    _add_resume(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser(
@@ -820,71 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--expect-warm", action="store_true",
                         help="fail if any cell had to be recomputed (CI resume contract)")
     _add_common(report)
-    _add_shard(report)
-    _add_queue(report)
+    _add_resume(report)
     report.set_defaults(func=_cmd_report)
-
-    queue = sub.add_parser(
-        "queue", help="drive the distributed work queue (competing consumers)"
-    )
-    queue.add_argument("action",
-                       choices=("status", "requeue-stale", "enqueue", "work", "clear"))
-    queue.add_argument("--queue-dir", default=None, metavar="DIR",
-                       help="work-queue directory (default: .repro_queue or $REPRO_QUEUE_DIR)")
-    queue.add_argument("--queue-url", default=None, metavar="URL",
-                       help="operate on a repro serve queue at this URL instead of "
-                            "a local queue directory")
-    queue.add_argument("--lease-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="deadline encoded into leases this process *takes* "
-                            "(work); existing leases expire at the deadline "
-                            "recorded when they were claimed "
-                            f"(default: {DEFAULT_LEASE_TIMEOUT:.0f}; file queue only)")
-    queue.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                       help="lease attempts per cell before it is parked as failed "
-                            "(default: 5; file queue only)")
-    queue.add_argument("--figures", default=None, metavar="IDS",
-                       help="enqueue: comma-separated experiment ids (default: all)")
-    queue.add_argument("--priority", choices=("slowest-first",), default=None,
-                       help="enqueue: drain order — slowest-first starts the "
-                            "costliest cells first to shorten the critical path")
-    queue.add_argument("--scale", choices=("ci", "paper"), default="ci",
-                       help="enqueue: workload scale (default: ci)")
-    queue.add_argument("--worker-id", default=None, metavar="ID",
-                       help="work: stable identity recorded in leases/events")
-    queue.add_argument("--poll-interval", type=float, default=0.05, metavar="SECONDS",
-                       help="work: idle polling interval while peers hold leases")
-    queue.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="result cache directory (default: .repro_cache or $REPRO_CACHE_DIR)")
-    queue.add_argument("--no-cache", action="store_true",
-                       help="enqueue without consulting the cache for warm cells")
-    queue.set_defaults(func=_cmd_queue)
-
-    serve = sub.add_parser(
-        "serve", help="host the work queue + result cache over HTTP (repro queue/sweep --queue-url)"
-    )
-    serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
-                       help="bind address (default: 127.0.0.1; 0.0.0.0 for a fleet)")
-    serve.add_argument("--port", type=int, default=8765, metavar="PORT",
-                       help="bind port; 0 picks a free port (default: 8765)")
-    serve.add_argument("--queue-dir", default=None, metavar="DIR",
-                       help="backing queue directory (default: .repro_queue or $REPRO_QUEUE_DIR)")
-    serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="backing result cache (default: .repro_cache or $REPRO_CACHE_DIR)")
-    serve.add_argument("--lease-timeout", type=float, default=DEFAULT_LEASE_TIMEOUT,
-                       metavar="SECONDS",
-                       help="lease deadline handed to workers; the server's clock is "
-                            f"the single authority (default: {DEFAULT_LEASE_TIMEOUT:.0f})")
-    serve.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                       help="lease attempts per cell before it is parked as failed "
-                            "(default: 5)")
-    serve.add_argument("--read-timeout", type=float, default=None, metavar="SECONDS",
-                       help="per-read client timeout; a stalled request is answered "
-                            "408 instead of pinning the server (default: 30; 0 disables)")
-    serve.add_argument("--max-body-bytes", type=int, default=None, metavar="BYTES",
-                       help="largest accepted request body; bigger uploads are "
-                            "answered 413 (default: 8 MiB)")
-    serve.set_defaults(func=_cmd_serve)
 
     bench = sub.add_parser(
         "bench", help="time the simulation core on representative cells"
@@ -909,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
-        "lint", help="run the determinism/atomicity static analyzer over source trees"
+        "lint", help="run the determinism static analyzer over source trees"
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to lint (default: src/repro)")
@@ -921,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rule codes to skip")
     lint.add_argument("--project", action="store_true",
                       help="also run the interprocedural rules "
-                           "(DET005/ASY001/EXC001) over a whole-program "
+                           "(DET005/EXC001) over a whole-program "
                            "symbol table and call graph built from PATHs")
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       help="grandfather file for pre-existing findings "
@@ -932,10 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="describe every registered rule and exit")
     lint.set_defaults(func=_cmd_lint)
 
-    cache = sub.add_parser("cache", help="inspect, clear, or merge result caches")
-    cache.add_argument("action", choices=("info", "clear", "path", "merge"))
-    cache.add_argument("sources", nargs="*", metavar="SRC",
-                       help="shard cache directories to merge into --cache-dir (merge only)")
+    cache = sub.add_parser("cache", help="inspect or clear the result cache")
+    cache.add_argument("action", choices=("info", "clear", "path"))
     cache.add_argument("--cache-dir", default=None, metavar="DIR",
                        help="result cache directory (default: .repro_cache or $REPRO_CACHE_DIR)")
     cache.set_defaults(func=_cmd_cache)

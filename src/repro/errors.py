@@ -43,13 +43,5 @@ class SSDError(ReproError):
     """The SSD substrate was misused (bad page state, out of space, ...)."""
 
 
-class QueueError(ReproError):
-    """The distributed work queue reached an inconsistent or failed state."""
-
-
-class QueueConnectionError(QueueError):
-    """An HTTP queue backend could not reach or understand its server."""
-
-
 class LintError(ReproError):
     """The static analyzer was misconfigured (unknown rule, bad baseline)."""

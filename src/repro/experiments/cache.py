@@ -20,8 +20,7 @@ stale temporaries never shadow a real entry, are counted by
 
 The default cache root is ``.repro_cache/`` in the current working directory,
 overridable with the ``REPRO_CACHE_DIR`` environment variable or an explicit
-path. Shard caches produced by distributed sweeps are combined with
-:meth:`ResultCache.merge_from` (``repro cache merge``).
+path.
 """
 
 from __future__ import annotations
@@ -34,17 +33,17 @@ import shutil
 from pathlib import Path
 
 # Per-process counter making temp names unique across concurrent writers in
-# one process (threads, or queue workers sharing a forked counter are still
-# distinct by pid). count().__next__ is atomic under the GIL.
+# one process (threads); writers in other processes are distinct by pid.
+# count().__next__ is atomic under the GIL.
 _TMP_COUNTER = itertools.count()
 
 
 def _tmp_path(target: Path) -> Path:
     """A collision-free temporary sibling of ``target``.
 
-    Two queue workers ``put()``-ing the same key concurrently used to race on
-    the shared ``<key>.tmp.<pid>`` name when they shared a pid (threads) —
-    one writer could truncate or rename the other's half-written file. A
+    Two writers ``put()``-ing the same key concurrently used to race on the
+    shared ``<key>.tmp.<pid>`` name when they shared a pid (threads) — one
+    writer could truncate or rename the other's half-written file. A
     per-call counter makes every temporary unique, so the only shared state
     left is the final atomic rename: last writer wins, bit-identically.
     """
@@ -148,30 +147,6 @@ class ResultCache:
             raise
         return path
 
-    def merge_from(self, other: "ResultCache") -> int:
-        """Copy every entry of ``other`` that this cache is missing.
-
-        Used to combine the per-shard caches of a distributed sweep into one
-        warm cache. Entries are copied verbatim (keys are content hashes, so
-        equal keys hold equal payloads); stale temp files are never copied.
-        Returns the number of entries merged.
-        """
-        merged = 0
-        for src in sorted(other.root.glob("*/*.json")):
-            dst = self.root / src.parent.name / src.name
-            if dst.exists():
-                continue
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            tmp = _tmp_path(dst)
-            try:
-                shutil.copyfile(src, tmp)
-                tmp.replace(dst)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
-            merged += 1
-        return merged
-
     def _stale_tmp_files(self) -> list[Path]:
         """Temp files abandoned by killed writers.
 
@@ -210,8 +185,3 @@ class ResultCache:
             "stale_tmp": len(stale),
             "stale_tmp_bytes": sum(_size_or_zero(p) for p in stale),
         }
-
-    def connect_info(self) -> dict:
-        """Picklable descriptor a worker process reconstructs this cache from
-        (see :func:`~repro.experiments.backend.cache_from_info`)."""
-        return {"kind": "file", "root": str(self.root)}

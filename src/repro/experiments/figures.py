@@ -81,11 +81,11 @@ def _characterization_spec(name: str, scale: str) -> SweepSpec:
 
 # --------------------------------------------------------------------- specs
 # One builder per experiment, mirroring the figure functions below but
-# producing only the grid. The builders are what make figures shardable and
-# resumable: ``repro figure N --shard-index i --shard-count n`` executes one
-# shard of the spec into the cache, and the figure function later renders the
-# same spec entirely from warm entries. Every builder accepts ``models=None``
-# for its default workload set; fixed-workload figures ignore the argument.
+# producing only the grid. The builders are what make figures resumable and
+# reportable: ``repro figure N --resume`` and ``repro report`` plan the spec
+# against the cache before the figure function renders it, executing only the
+# misses. Every builder accepts ``models=None`` for its default workload set;
+# fixed-workload figures ignore the argument.
 
 def figure2_spec(scale: str = "paper", models: Sequence[str] | None = None) -> SweepSpec:
     return _characterization_spec("figure2", scale)

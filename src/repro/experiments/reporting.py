@@ -2,20 +2,16 @@
 
 This module owns the canonical registry of the paper's experiments
 (:data:`EXPERIMENTS`) — each entry pairs the figure's render function with the
-:class:`~repro.experiments.sweep.SweepSpec` builder behind it — and two entry
-points built on it:
-
-* :func:`warm_cache` — execute one shard of the union of every experiment's
-  grid into the result cache (the distributed half of a paper-scale sweep);
-* :func:`generate_report` — render every figure and table straight from the
-  (ideally warm) cache into ``<output_dir>/<id>.json`` artifacts plus a
-  ``report.md``/``report.json`` pair whose provenance tables say, cell by
-  cell, which results were served warm and which had to be recomputed.
+:class:`~repro.experiments.sweep.SweepSpec` builder behind it — and
+:func:`generate_report`, which renders every figure and table from the
+(ideally warm) result cache into ``<output_dir>/<id>.json`` artifacts plus a
+``report.md``/``report.json`` pair whose provenance tables say, cell by cell,
+which results were served warm and which had to be recomputed.
 
 Because each figure is planned against the cache *before* it is rendered, the
-report doubles as a determinism audit: after a sharded sweep whose caches were
-merged, ``generate_report(expect_warm=True)`` proves that regenerating every
-figure required zero simulation.
+report doubles as a determinism audit: after a cold run has warmed the cache,
+``generate_report(expect_warm=True)`` proves that regenerating every figure
+required zero simulation.
 """
 
 from __future__ import annotations
@@ -161,9 +157,9 @@ class Experiment:
     """One reproducible artifact of the paper: a renderer plus its sweep spec.
 
     ``spec`` is ``None`` for artifacts with no simulation behind them
-    (Table 2 is pure configuration); those can never be sharded and are always
-    "warm". ``render`` takes ``(scale, runner)`` plus an optional ``models``
-    subset when ``supports_models`` is set.
+    (Table 2 is pure configuration); those are always "warm". ``render``
+    takes ``(scale, runner)`` plus an optional ``models`` subset when
+    ``supports_models`` is set.
     """
 
     id: str
@@ -275,57 +271,13 @@ def combined_spec(
     """The union grid of every selected experiment, in report order.
 
     Duplicate cells across figures keep their first position, so the combined
-    spec shards exactly like the per-figure specs would, workload-locality
-    included.
+    spec keeps the per-figure specs' workload locality.
     """
     cells = []
     for experiment in _resolve(figures):
         if experiment.spec is not None:
             cells.extend(experiment.spec(scale).cells)
     return SweepSpec(name="report", cells=tuple(cells))
-
-
-def enqueue_report(
-    queue,
-    scale: str = "ci",
-    figures: Sequence[str] | None = None,
-    cache=None,
-    priority: str | None = None,
-) -> dict[str, int]:
-    """Enqueue the union report grid into a work queue (``repro queue enqueue``).
-
-    This is the producer half of a queue-mode sweep: one enqueue, then any
-    number of competing consumers (``repro queue work`` processes, possibly on
-    different machines with independent caches) drain the grid; merging their
-    caches makes :func:`generate_report` a pure, ``expect_warm`` resume.
-    Cells already warm in ``cache`` are recorded as done rather than queued.
-    Enqueueing is idempotent — keys already tracked by the queue are skipped —
-    so a crashed producer can simply re-run. ``priority="slowest-first"``
-    records estimated cell costs so consumers start the longest cells first.
-    """
-    return queue.enqueue(combined_spec(scale, figures).cells, cache=cache, priority=priority)
-
-
-def warm_cache(
-    scale: str = "ci",
-    figures: Sequence[str] | None = None,
-    runner: SweepRunner | None = None,
-    shard_index: int = 0,
-    shard_count: int = 1,
-) -> dict[str, int]:
-    """Execute one shard of the full report grid into the runner's cache.
-
-    This is the distributed half of a paper-scale sweep: N invocations with
-    ``shard_index = 0..N-1`` (each against its own cache directory, later
-    combined with ``repro cache merge``) together warm every cell the report
-    needs, and :func:`generate_report` then renders figures without running a
-    single simulation. Returns the runner's ``last_stats``.
-    """
-    runner = runner or SweepRunner()
-    if runner.cache is None:
-        raise ConfigurationError("warm_cache requires a runner with a cache")
-    runner.run(combined_spec(scale, figures), shard_index=shard_index, shard_count=shard_count)
-    return dict(runner.last_stats)
 
 
 def _provenance(plan: SweepPlan) -> list[dict[str, object]]:
@@ -403,7 +355,7 @@ def generate_report(
     With ``expect_warm=True`` a :class:`~repro.errors.ReproError` is raised
     (after all artifacts are written, so the report can be inspected) if any
     cell had to be recomputed — the CI contract that incremental figure
-    regeneration really was served by the merged shard caches.
+    regeneration really was served by the cache a cold run warmed.
     """
     runner = runner or SweepRunner()
     output_dir = Path(output_dir)

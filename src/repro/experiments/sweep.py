@@ -10,15 +10,10 @@ profiling-error) cells. This module turns that grid into data:
   :class:`~repro.config.SystemConfig` (the Figures 16-18 sensitivity axes);
 * :class:`SweepSpec` — a named, ordered collection of cells with a grid
   constructor for cartesian-product sweeps;
-* :class:`SweepRunner` — executes a spec serially, over a
-  ``ProcessPoolExecutor``, or through a work queue of competing consumers
-  (``queue_dir`` for the file-backed
-  :class:`~repro.experiments.queue.WorkQueue`, ``queue_url`` for the
-  HTTP-backed :class:`~repro.experiments.http_queue.HttpWorkQueue` speaking
-  to a ``repro serve`` process); it deduplicates identical cells, serves
-  repeats from a :class:`~repro.experiments.cache.ResultCache`, and always
-  returns results in spec order so parallel, queued and serial runs are
-  indistinguishable.
+* :class:`SweepRunner` — executes a spec serially or over a
+  ``ProcessPoolExecutor``; it deduplicates identical cells, serves repeats
+  from a :class:`~repro.experiments.cache.ResultCache`, and always returns
+  results in spec order so parallel and serial runs are indistinguishable.
 
 Workers build workloads through :func:`~repro.experiments.harness.build_workload`,
 whose per-process memo means consecutive cells that share a workload profile
@@ -34,14 +29,13 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from ..analysis.characterization import CharacterizationResult, characterize_workload
 from ..config import SystemConfig
-from ..errors import ConfigurationError, QueueError
+from ..errors import ConfigurationError
 from ..registry import load_plugins
 from ..sim import SimulationResult
 from .cache import CACHE_SCHEMA_VERSION, ResultCache
@@ -49,7 +43,6 @@ from .harness import build_workload, canonicalize_cell_fields, default_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..api import Scenario
-    from .backend import ResultStore
 
 
 @dataclass(frozen=True)
@@ -238,85 +231,39 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One spec cell in a :class:`SweepPlan`: its key, owning shard, and
-    whether the cache already holds its result."""
+    """One spec cell in a :class:`SweepPlan`: its key and whether the cache
+    already holds its result."""
 
     cell: SweepCell
     key: str
-    shard: int
     cached: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "cell": self.cell.to_dict(),
-            "key": self.key,
-            "shard": self.shard,
-            "cached": self.cached,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PlanEntry":
-        return cls(
-            cell=SweepCell.from_dict(data["cell"]),
-            key=data["key"],
-            shard=data["shard"],
-            cached=data["cached"],
-        )
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Manifest of a sweep: every cell's cache key, hit/miss status, and shard.
+    """Manifest of a sweep: every cell's cache key and hit/miss status.
 
-    The plan is what makes paper-scale grids restartable and distributable:
-    it is computed without running anything, so a scheduler (or the CLI's
-    ``--shard-index/--shard-count/--resume`` flags) can see up front which
-    cells are already warm in the cache and which shard owns each remaining
-    miss.
-
-    Sharding is deterministic and cache-key based: the *distinct* keys of the
-    spec, in first-occurrence order, are split into ``shard_count`` contiguous
-    blocks (the same rule the process pool uses for chunking), so cells that
-    share a workload stay on one shard and every key is owned by exactly one
-    shard regardless of which machine computes the plan.
+    The plan is computed without running anything, so a caller (the CLI's
+    ``--resume``, or :func:`~repro.experiments.reporting.generate_report`'s
+    provenance tables) can see up front which cells are already warm in the
+    cache and which will have to execute.
     """
 
     name: str
-    shard_count: int
     entries: tuple[PlanEntry, ...]
 
     @classmethod
     def build(
-        cls,
-        spec: SweepSpec | Iterable[SweepCell],
-        cache: ResultCache | None = None,
-        shard_count: int = 1,
+        cls, spec: SweepSpec | Iterable[SweepCell], cache: ResultCache | None = None
     ) -> "SweepPlan":
-        if shard_count < 1:
-            raise ConfigurationError(f"shard_count must be >= 1, got {shard_count}")
         name = spec.name if isinstance(spec, SweepSpec) else "cells"
         cells = list(spec.cells if isinstance(spec, SweepSpec) else spec)
         keys = [cell.cache_key() for cell in cells]
-        distinct = list(dict.fromkeys(keys))
-        total = len(distinct)
-        owner: dict[str, int] = {}
-        for shard in range(shard_count):
-            for key in distinct[shard * total // shard_count : (shard + 1) * total // shard_count]:
-                owner[key] = shard
-        warm = {key: cache is not None and cache.has(key) for key in distinct}
+        warm = {key: cache is not None and cache.has(key) for key in dict.fromkeys(keys)}
         entries = tuple(
-            PlanEntry(cell=cell, key=key, shard=owner[key], cached=warm[key])
-            for cell, key in zip(cells, keys)
+            PlanEntry(cell=cell, key=key, cached=warm[key]) for cell, key in zip(cells, keys)
         )
-        return cls(name=name, shard_count=shard_count, entries=entries)
-
-    def shard_entries(self, shard_index: int) -> tuple[PlanEntry, ...]:
-        """The entries owned by one shard (spec order preserved)."""
-        if not 0 <= shard_index < self.shard_count:
-            raise ConfigurationError(
-                f"shard_index must be in [0, {self.shard_count}), got {shard_index}"
-            )
-        return tuple(entry for entry in self.entries if entry.shard == shard_index)
+        return cls(name=name, entries=entries)
 
     def counts(self) -> dict[str, int]:
         """Cell/distinct/warm/to-execute totals (distinct keys, not spec cells)."""
@@ -330,21 +277,6 @@ class SweepPlan:
             "warm": warm,
             "to_execute": len(distinct) - warm,
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "shard_count": self.shard_count,
-            "entries": [entry.to_dict() for entry in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepPlan":
-        return cls(
-            name=data["name"],
-            shard_count=data["shard_count"],
-            entries=tuple(PlanEntry.from_dict(e) for e in data["entries"]),
-        )
 
 
 @dataclass
@@ -431,142 +363,42 @@ def _execute_cell_dict(cell_dict: dict) -> dict:
     return execute_cell(SweepCell.from_dict(cell_dict))
 
 
-def estimate_cell_cost(cell: SweepCell) -> float:
-    """Relative execution-cost estimate of one cell (for drain ordering).
-
-    The proxy is ``num_kernels x batch_size``: the simulator's work grows with
-    the kernel count (event-loop length, planner candidates) and memory
-    pressure grows with the batch, which is what makes the planner and the
-    eviction path expensive. The workload is built through the memoized
-    :func:`~repro.experiments.harness.build_workload`, so estimating a grid
-    costs one profile per distinct (model, batch, scale) — the same profiles
-    the sweep itself will reuse. Characterization cells (``policy=None``) skip
-    the simulation entirely and are weighted down accordingly.
-
-    Only the *ordering* of the estimates matters (slowest-first queue drain);
-    the absolute scale is meaningless.
-    """
-    cell = cell.resolved()
-    workload = build_workload(cell.model, cell.batch_size, cell.scale)
-    cost = float(workload.graph.num_kernels * workload.batch_size)
-    if cell.policy is None:
-        cost *= 0.1
-    return cost
-
-
 class SweepRunner:
     """Executes sweep specs with deduplication, caching and optional parallelism.
 
     Args:
         jobs: Worker processes to fan cells out over; ``None``, 0 or 1 runs
-            in-process (and benefits from the warm workload memo). In queue
-            mode this is the number of competing consumer processes.
+            in-process (and benefits from the warm workload memo). Negative
+            values are rejected.
         cache: Persistent result cache; ``None`` disables on-disk caching
             (in-run deduplication of identical cells still applies).
-        queue_dir: When set, cache misses are not fanned out over a process
-            pool but enqueued into the file-backed
-            :class:`~repro.experiments.queue.WorkQueue` at this directory and
-            drained by ``jobs`` competing worker processes (crash-safe
-            lease/ack semantics, dead-worker requeue). Results are read back
-            from the cache, so queue runs are bit-identical to serial ones.
-            Requires ``cache``.
-        queue_url: Like ``queue_dir``, but the queue lives behind a
-            ``repro serve`` HTTP service at this URL. When no ``cache`` is
-            given, results are read/written through the *server's* cache
-            (an :class:`~repro.experiments.http_queue.HttpResultCache`).
-            Mutually exclusive with ``queue_dir``.
-        lease_timeout: Queue-mode lease timeout in seconds (how long a dead
-            worker's cells stay stranded before reclaim). File backend only:
-            over HTTP the server is the single authority for lease timing.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        cache: "ResultCache | ResultStore | None" = None,
-        queue_dir: str | Path | None = None,
-        queue_url: str | None = None,
-        lease_timeout: float | None = None,
-    ):
-        if queue_dir is not None and queue_url is not None:
+    def __init__(self, jobs: int | None = None, cache: ResultCache | None = None):
+        if jobs is not None and jobs < 0:
             raise ConfigurationError(
-                "queue_dir and queue_url are mutually exclusive: a sweep "
-                "drains either a local queue directory or a queue server"
-            )
-        if queue_url is not None and lease_timeout is not None:
-            raise ConfigurationError(
-                "lease_timeout cannot be set for an HTTP queue: the server "
-                "is the single authority for lease timing (configure it on "
-                "repro serve)"
-            )
-        if queue_url is not None and cache is None:
-            # Results travel through the server's cache; no local cache needed.
-            from .http_queue import HttpResultCache
-
-            cache = HttpResultCache(queue_url)
-        if queue_dir is not None and cache is None:
-            raise ConfigurationError(
-                "queue-mode execution requires a result cache "
-                "(results travel from workers to the runner through it)"
+                f"jobs must be >= 0 (None, 0 and 1 run serially), got {jobs}"
             )
         self.jobs = jobs
         self.cache = cache
-        self.queue_dir = Path(queue_dir) if queue_dir is not None else None
-        self.queue_url = queue_url
-        self.lease_timeout = lease_timeout
         #: (hits, executed) counters of the most recent :meth:`run`.
         self.last_stats: dict[str, int] = {"cells": 0, "cache_hits": 0, "executed": 0}
 
-    def plan(
-        self, spec: SweepSpec | Iterable[SweepCell], shard_count: int = 1
-    ) -> SweepPlan:
+    def plan(self, spec: SweepSpec | Iterable[SweepCell]) -> SweepPlan:
         """Manifest of a spec against this runner's cache (no execution)."""
-        return SweepPlan.build(spec, cache=self.cache, shard_count=shard_count)
+        return SweepPlan.build(spec, cache=self.cache)
 
-    def run(
-        self,
-        spec: SweepSpec | Iterable[SweepCell],
-        *,
-        shard_index: int | None = None,
-        shard_count: int | None = None,
-    ) -> list[CellResult]:
+    def run(self, spec: SweepSpec | Iterable[SweepCell]) -> list[CellResult]:
         """Execute every cell, returning results in spec order.
 
         The output is independent of ``jobs`` and of cache state: payloads are
         produced by the same :func:`execute_cell` code path everywhere and
         results are reassembled in submission order.
-
-        With ``shard_index``/``shard_count`` set, only the cells whose cache
-        key is owned by that shard (per :class:`SweepPlan`'s deterministic
-        partition) are processed; the rest are skipped and counted in
-        ``last_stats['skipped']``. Running every shard against caches that are
-        later merged leaves the merged cache bit-identical to one warm serial
-        run, so a final ``run`` over the full spec is a pure resume.
         """
-        if (shard_index is None) != (shard_count is None):
-            raise ConfigurationError(
-                "shard_index and shard_count must be given together"
-            )
-        if shard_index is not None:
-            plan = SweepPlan.build(spec, cache=self.cache, shard_count=shard_count)
-            owned = plan.shard_entries(shard_index)
-            results = self._run_cells(
-                [entry.cell for entry in owned], [entry.key for entry in owned]
-            )
-            self.last_stats.update(
-                {
-                    "skipped": len(plan.entries) - len(owned),
-                    "shard_index": shard_index,
-                    "shard_count": shard_count,
-                }
-            )
-            return results
-        cells = list(spec.cells if isinstance(spec, SweepSpec) else spec)
-        return self._run_cells(cells, [cell.cache_key() for cell in cells])
-
-    def _run_cells(self, cells: list[SweepCell], keys: list[str]) -> list[CellResult]:
         from ..core.plan_cache import snapshot_counters
 
+        cells = list(spec.cells if isinstance(spec, SweepSpec) else spec)
+        keys = [cell.cache_key() for cell in cells]
         plan_cache_before = snapshot_counters()
         payloads: dict[str, dict] = {}
         cached_keys: set[str] = set()
@@ -588,27 +420,21 @@ class SweepRunner:
                 miss_cells.append(cell)
 
         if miss_cells:
-            if self.queue_dir is not None or self.queue_url is not None:
-                # Queue mode: competing consumers drain the cells dynamically
-                # and publish payloads through the cache (already persisted).
-                for key, payload in zip(miss_order, self._queue_execute(miss_cells)):
-                    payloads[key] = payload
+            if self.jobs and self.jobs > 1 and len(miss_cells) > 1:
+                cell_dicts = [cell.to_dict() for cell in miss_cells]
+                workers = min(self.jobs, len(miss_cells))
+                # Chunk consecutive cells onto the same worker so cells that
+                # share a workload reuse its per-process build_workload memo
+                # (the default chunksize of 1 would scatter them).
+                chunksize = max(1, len(cell_dicts) // workers)
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    executed = list(pool.map(_execute_cell_dict, cell_dicts, chunksize=chunksize))
             else:
-                if self.jobs and self.jobs > 1 and len(miss_cells) > 1:
-                    cell_dicts = [cell.to_dict() for cell in miss_cells]
-                    workers = min(self.jobs, len(miss_cells))
-                    # Chunk consecutive cells onto the same worker so cells that
-                    # share a workload reuse its per-process build_workload memo
-                    # (the default chunksize of 1 would scatter them).
-                    chunksize = max(1, len(cell_dicts) // workers)
-                    with ProcessPoolExecutor(max_workers=workers) as pool:
-                        executed = list(pool.map(_execute_cell_dict, cell_dicts, chunksize=chunksize))
-                else:
-                    executed = [execute_cell(cell) for cell in miss_cells]
-                for cell, key, payload in zip(miss_cells, miss_order, executed):
-                    payloads[key] = payload
-                    if self.cache is not None:
-                        self.cache.put(key, payload, cell=cell.to_dict())
+                executed = [execute_cell(cell) for cell in miss_cells]
+            for cell, key, payload in zip(miss_cells, miss_order, executed):
+                payloads[key] = payload
+                if self.cache is not None:
+                    self.cache.put(key, payload, cell=cell.to_dict())
 
         self.last_stats = {
             "cells": len(cells),
@@ -616,7 +442,7 @@ class SweepRunner:
             "executed": len(miss_cells),
         }
         # Plan-fragment cache deltas for this run. Only the serial in-process
-        # path plans in this process; pool/queue workers warm their own
+        # path plans in this process; pool workers warm their own
         # process-global caches, so their outcomes are not visible here.
         for counter, count in snapshot_counters().items():
             self.last_stats[f"plan_{counter}"] = count - plan_cache_before[counter]
@@ -624,40 +450,6 @@ class SweepRunner:
             CellResult(cell=cell, payload=payloads[key], cached=key in cached_keys)
             for cell, key in zip(cells, keys)
         ]
-
-    def _queue_execute(self, cells: list[SweepCell]) -> list[dict]:
-        """Execute cache misses through the work queue; payloads in cell order.
-
-        Deferred import: :mod:`~repro.experiments.queue` imports this module
-        for :class:`SweepCell`/:func:`execute_cell`.
-        """
-        from .backend import QueueBackend
-        from .queue import DEFAULT_LEASE_TIMEOUT, QueueRunner, WorkQueue
-
-        queue: QueueBackend
-        if self.queue_url is not None:
-            from .http_queue import HttpWorkQueue
-
-            queue = HttpWorkQueue(self.queue_url)
-        else:
-            queue = WorkQueue(
-                self.queue_dir, lease_timeout=self.lease_timeout or DEFAULT_LEASE_TIMEOUT
-            )
-        QueueRunner(queue, self.cache, workers=self.jobs or 1).run(cells)
-        payloads, missing = [], []
-        for cell in cells:
-            payload = self.cache.get(cell.cache_key())
-            if payload is None:
-                missing.append(cell.cache_key()[:12])
-            else:
-                payloads.append(payload)
-        if missing:
-            where = getattr(self.cache, "root", None) or getattr(self.cache, "url", "?")
-            raise QueueError(
-                f"queue drained but the cache at {where} is missing "
-                f"{len(missing)} result(s): {', '.join(missing)}"
-            )
-        return payloads
 
     def run_one(self, cell: SweepCell) -> CellResult:
         """Execute a single cell."""

@@ -127,7 +127,7 @@ def simulate(
     """Run one training iteration under a policy — the single simulation path.
 
     This is the only place an :class:`~repro.sim.executor.ExecutionSimulator`
-    is constructed: the Scenario/Session API, the sweep/queue workers and the
+    is constructed: the Scenario/Session API, the sweep workers and the
     harness functions all route here, so simulator setup logic cannot drift
     between entry points.
     """

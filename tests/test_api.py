@@ -237,6 +237,29 @@ class TestPackageRoot:
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro._compat")
 
+    def test_removed_grid_execution_modes_stay_removed(self, capsys):
+        from repro import errors, experiments
+        from repro.cli import main
+
+        for module in ("queue", "backend", "http_queue", "server"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.experiments.{module}")
+        for name in ("WorkQueue", "HttpWorkQueue", "QueueServer", "QueueBackend",
+                     "warm_cache", "enqueue_report"):
+            assert not hasattr(experiments, name)
+        assert not hasattr(experiments.ResultCache, "merge_from")
+        assert not hasattr(errors, "QueueError")
+        for argv in (
+            ["queue", "status"],
+            ["serve"],
+            ["cache", "merge", "shard0"],
+            ["report", "--shard-index", "0", "--shard-count", "2"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
+        capsys.readouterr()
+
 
 class TestNumpySeeds:
     def test_numpy_integer_seed_accepted(self, bert_ci_workload):

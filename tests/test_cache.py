@@ -222,18 +222,6 @@ class TestTempFileHygiene:
             "stale_tmp": 0, "stale_tmp_bytes": 0,
         }
 
-    def test_merge_from_skips_stale_temp_files(self, tmp_path):
-        shard = ResultCache(tmp_path / "shard")
-        shard.put("ab12cd", {"v": 1})
-        leaked = _tmp_path(shard.path_for("fe99aa"))
-        leaked.parent.mkdir(parents=True, exist_ok=True)
-        leaked.write_text("{torn", encoding="utf-8")
-
-        combined = ResultCache(tmp_path / "combined")
-        assert combined.merge_from(shard) == 1
-        assert combined.get("ab12cd") == {"v": 1}
-        assert combined.stats()["stale_tmp"] == 0
-
     def test_stale_temp_file_never_shadows_an_entry(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
         path = cache.path_for("ab12cd")
@@ -244,7 +232,7 @@ class TestTempFileHygiene:
 
 
 class TestConcurrentPutRace:
-    """Regression suite for the queue-worker ``put()`` race: two writers of
+    """Regression suite for the concurrent ``put()`` race: two writers of
     the same key used to share one ``<key>.tmp.<pid>`` temporary when they
     shared a pid, so one could truncate or rename the other's half-written
     file. Temp names are now unique per call; the only shared step left is
@@ -306,35 +294,3 @@ class TestConcurrentPutRace:
 
         assert cache.get("fe99") in payloads
         assert cache.stats()["stale_tmp"] == 0
-
-
-class TestMerge:
-    def test_merge_copies_missing_entries(self, tmp_path):
-        source = ResultCache(tmp_path / "a")
-        dest = ResultCache(tmp_path / "b")
-        entries = {"ab12": {"v": 1}, "cd34": {"v": 2}, "ab99": {"v": 3}}
-        for key, payload in entries.items():
-            source.put(key, payload)
-        assert dest.merge_from(source) == 3
-        for key, payload in entries.items():
-            assert dest.get(key) == payload
-        # Idempotent: nothing left to merge.
-        assert dest.merge_from(source) == 0
-        assert dest.stats()["entries"] == 3
-
-    def test_merge_skips_existing_and_stale_temp_files(self, tmp_path):
-        source = ResultCache(tmp_path / "a")
-        dest = ResultCache(tmp_path / "b")
-        source.put("ab12", {"v": "source"})
-        dest.put("ab12", {"v": "dest"})
-        stale = source.root / "ff" / "ffff.tmp.7"
-        stale.parent.mkdir(parents=True, exist_ok=True)
-        stale.write_text("torn", encoding="utf-8")
-
-        assert dest.merge_from(source) == 0
-        assert dest.get("ab12") == {"v": "dest"}
-        assert dest.stats()["stale_tmp"] == 0
-
-    def test_merge_from_empty_or_absent_cache(self, tmp_path):
-        dest = ResultCache(tmp_path / "b")
-        assert dest.merge_from(ResultCache(tmp_path / "missing")) == 0

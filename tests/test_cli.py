@@ -4,12 +4,12 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.experiments import ResultCache
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -118,152 +118,29 @@ class TestSweepCommand:
         rows = json.loads(artifact.read_text())
         assert [row["cell"]["policy"] for row in rows] == ["g10", "base_uvm"]
 
-
-class TestQueueCommands:
-    def test_sweep_queue_matches_serial_and_resumes_warm(self, tmp_path, capsys):
-        base = ("sweep", "--models", "bert", "--policies", "ideal,g10", "--scale", "ci")
-        assert run_cli(*base, "--no-cache") == 0
-        serial = capsys.readouterr().out
-
-        queued_args = (
-            *base, "--queue", "--workers", "2",
-            "--queue-dir", str(tmp_path / "q"), "--cache-dir", str(tmp_path / "c"),
-        )
-        assert run_cli(*queued_args) == 0
-        queued = capsys.readouterr()
-        assert queued.out == serial  # bit-identical to the serial run
-        assert "2 executed" in queued.err
-
-        # Re-running is a pure cache resume; the drained queue is untouched.
-        assert run_cli(*queued_args) == 0
-        resumed = capsys.readouterr()
-        assert resumed.out == serial
-        assert "2 cached, 0 executed" in resumed.err
-
-    def test_enqueue_work_status_report_roundtrip(self, tmp_path, capsys):
-        """The CI competing-consumer workflow in miniature: enqueue the grid,
-        drain it with a worker, verify the accounting, report fully warm."""
-        qdir, cdir = str(tmp_path / "q"), str(tmp_path / "c")
-        assert run_cli(
-            "queue", "enqueue", "--figures", "2", "--scale", "ci",
-            "--queue-dir", qdir, "--cache-dir", cdir,
-        ) == 0
-        assert "enqueued 4 cell(s)" in capsys.readouterr().out
-
-        # Enqueueing is idempotent: every key is already tracked.
-        assert run_cli(
-            "queue", "enqueue", "--figures", "2", "--scale", "ci",
-            "--queue-dir", qdir, "--cache-dir", cdir,
-        ) == 0
-        assert "enqueued 0 cell(s)" in capsys.readouterr().out
-
-        assert run_cli(
-            "queue", "work", "--queue-dir", qdir, "--cache-dir", cdir,
-            "--worker-id", "consumer-a",
-        ) == 0
-        assert "executed 4 cell(s)" in capsys.readouterr().err
-
-        assert run_cli("queue", "status", "--queue-dir", qdir) == 0
-        status = capsys.readouterr().out
-        assert "done       : 4" in status
-        assert "total      : 4 (4 expected)" in status
-        assert ("reconciled : queued + leased + done + failed == total == expected"
-                " -> yes") in status
-
-        assert run_cli(
-            "report", "--figures", "2", "--scale", "ci", "--cache-dir", cdir,
-            "--output-dir", str(tmp_path / "report"), "--expect-warm",
-        ) == 0
-
-    def test_requeue_stale_reclaims_a_dead_workers_cell(self, tmp_path, capsys):
-        from repro.experiments import WorkQueue
-
-        queue = WorkQueue(tmp_path / "q", lease_timeout=0.01)
-        queue.enqueue_tasks([("ab12cd34", {"cell": None})])
-        queue.lease("dead-worker")
-        time.sleep(0.05)  # let the (tiny) lease deadline pass
-
-        assert run_cli("queue", "requeue-stale", "--queue-dir", str(tmp_path / "q")) == 0
-        assert "requeued 1 stale lease(s)" in capsys.readouterr().out
-        assert run_cli("queue", "status", "--queue-dir", str(tmp_path / "q")) == 0
-        assert "queued     : 1" in capsys.readouterr().out
-
-    def test_queue_clear(self, tmp_path, capsys):
-        qdir = str(tmp_path / "q")
-        from repro.experiments import WorkQueue
-
-        WorkQueue(tmp_path / "q").enqueue_tasks([("ab12cd34", {"cell": None})])
-        assert run_cli("queue", "clear", "--queue-dir", qdir) == 0
-        assert "cleared" in capsys.readouterr().out
-        assert not (tmp_path / "q").exists()
-
-    def test_queue_requires_the_cache(self, tmp_path, capsys):
+    def test_negative_jobs_rejected(self, capsys):
         assert run_cli(
             "sweep", "--models", "bert", "--policies", "g10", "--scale", "ci",
-            "--queue", "--no-cache",
+            "--jobs", "-2", "--no-cache",
         ) == 2
-        assert "requires the result cache" in capsys.readouterr().err
-
-    def test_workers_without_queue_rejected(self, tmp_path, capsys):
-        assert run_cli(
-            "sweep", "--models", "bert", "--policies", "g10", "--scale", "ci",
-            "--cache-dir", str(tmp_path / "c"), "--workers", "2",
-        ) == 2
-        assert "require --queue" in capsys.readouterr().err
+        assert "jobs must be >= 0" in capsys.readouterr().err
 
 
-class TestShardedCommands:
-    def test_figure_shards_merge_and_resume_match_serial(self, tmp_path, capsys):
-        """The acceptance workflow through the CLI: 3 shards -> merge -> resume."""
+class TestResumeCommands:
+    def test_figure_resume_from_warm_cache_matches_serial(self, tmp_path, capsys):
         base = ("figure", "11", "--scale", "ci", "--models", "bert")
         assert run_cli(*base, "--no-cache") == 0
         serial = capsys.readouterr().out
 
-        for index in range(3):
-            assert run_cli(
-                *base, "--cache-dir", str(tmp_path / f"shard{index}"),
-                "--shard-index", str(index), "--shard-count", "3",
-            ) == 0
-            out = capsys.readouterr()
-            assert out.out == ""  # shard warming renders nothing
-            assert f"shard {index}/3" in out.err and "4 skipped" in out.err
+        cache_dir = str(tmp_path / "c")
+        assert run_cli(*base, "--cache-dir", cache_dir, "--jobs", "2") == 0
+        capsys.readouterr()
 
-        merged = str(tmp_path / "merged")
-        assert run_cli(
-            "cache", "merge",
-            *(str(tmp_path / f"shard{i}") for i in range(3)),
-            "--cache-dir", merged,
-        ) == 0
-        assert "merged 6 entries" in capsys.readouterr().out
-
-        assert run_cli(*base, "--cache-dir", merged, "--resume") == 0
+        assert run_cli(*base, "--cache-dir", cache_dir, "--resume") == 0
         resumed = capsys.readouterr()
         assert resumed.out == serial  # bit-identical to the cold serial run
         assert "6 warm, 0 to execute" in resumed.err
         assert "6 cached, 0 executed" in resumed.err
-
-    def test_sweep_shard_prints_only_owned_cells(self, tmp_path, capsys):
-        args = ("sweep", "--models", "bert", "--policies", "g10,base_uvm,deepum",
-                "--scale", "ci", "--cache-dir", str(tmp_path / "c"))
-        assert run_cli(*args, "--shard-index", "0", "--shard-count", "3") == 0
-        out = capsys.readouterr().out
-        # Header + separator + exactly the one row this shard owns (g10).
-        assert len(out.strip().splitlines()) == 3
-        assert "G10" in out
-
-    def test_shard_index_without_count_is_an_error(self, tmp_path, capsys):
-        assert run_cli(
-            "figure", "11", "--scale", "ci", "--models", "bert",
-            "--cache-dir", str(tmp_path / "c"), "--shard-index", "0",
-        ) == 2
-        assert "together" in capsys.readouterr().err
-
-    def test_shard_requires_cache(self, capsys):
-        assert run_cli(
-            "figure", "11", "--scale", "ci", "--models", "bert",
-            "--no-cache", "--shard-index", "0", "--shard-count", "2",
-        ) == 2
-        assert "requires the result cache" in capsys.readouterr().err
 
     def test_resume_requires_cache(self, capsys):
         assert run_cli(
@@ -271,16 +148,6 @@ class TestShardedCommands:
             "--no-cache", "--resume",
         ) == 2
         assert "requires the result cache" in capsys.readouterr().err
-
-    def test_shard_mode_warns_when_output_is_ignored(self, tmp_path, capsys):
-        artifact = tmp_path / "fig.json"
-        assert run_cli(
-            "figure", "11", "--scale", "ci", "--models", "bert",
-            "--cache-dir", str(tmp_path / "c"),
-            "--shard-index", "0", "--shard-count", "3", "--output", str(artifact),
-        ) == 0
-        assert "--output ignored" in capsys.readouterr().err
-        assert not artifact.exists()
 
     def test_report_resume_prints_the_plan(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "c")
@@ -309,19 +176,20 @@ class TestReportCommand:
         assert manifest["totals"]["warm"] == 0
         assert "Figure 2" in (out_dir / "report.md").read_text()
 
-    def test_report_shard_then_expect_warm(self, tmp_path, capsys):
+    def test_report_jobs_then_expect_warm(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "c")
-        for index in range(2):
-            assert run_cli(
-                "report", "--scale", "ci", "--figures", "2", "--cache-dir", cache_dir,
-                "--shard-index", str(index), "--shard-count", "2",
-            ) == 0
+        assert run_cli(
+            "report", "--scale", "ci", "--figures", "2", "--cache-dir", cache_dir,
+            "--jobs", "2", "--output-dir", str(tmp_path / "cold"),
+        ) == 0
         capsys.readouterr()
         assert run_cli(
             "report", "--scale", "ci", "--figures", "2", "--cache-dir", cache_dir,
             "--output-dir", str(tmp_path / "report"), "--expect-warm",
         ) == 0
         assert "4 warm, 0 recomputed" in capsys.readouterr().err
+        cold, warm = tmp_path / "cold" / "figure2.json", tmp_path / "report" / "figure2.json"
+        assert warm.read_bytes() == cold.read_bytes()
 
     def test_expect_warm_cold_cache_fails(self, tmp_path, capsys):
         assert run_cli(
@@ -346,14 +214,15 @@ class TestCacheCommand:
         assert run_cli("cache", "path", "--cache-dir", cache_dir) == 0
         assert cache_dir in capsys.readouterr().out
 
-    def test_merge_requires_sources(self, tmp_path, capsys):
-        assert run_cli("cache", "merge", "--cache-dir", str(tmp_path / "c")) == 2
-        assert "at least one source" in capsys.readouterr().err
-
-    def test_non_merge_actions_reject_stray_sources(self, tmp_path, capsys):
-        """`cache clear shard0` must not silently clear the default cache."""
-        assert run_cli("cache", "clear", "shard0", "--cache-dir", str(tmp_path / "c")) == 2
-        assert "--cache-dir" in capsys.readouterr().err
+    def test_stray_positional_is_rejected_without_clearing(self, tmp_path, capsys):
+        """`cache clear shard0` must not silently clear the cache."""
+        cache = ResultCache(tmp_path / "c")
+        cache.put("ab12", {"v": 1})
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("cache", "clear", "shard0", "--cache-dir", str(cache.root))
+        assert exit_info.value.code == 2
+        assert "shard0" in capsys.readouterr().err
+        assert cache.get("ab12") == {"v": 1}
 
 
 class TestModuleEntryPoint:

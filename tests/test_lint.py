@@ -1,4 +1,4 @@
-"""Tests for ``repro lint`` — the determinism/atomicity static analyzer.
+"""Tests for ``repro lint`` — the determinism static analyzer.
 
 Each rule gets fixture-snippet pairs: a minimal violation that must fire and
 the compliant idiom that must stay quiet. On top of that: inline
@@ -320,57 +320,6 @@ class TestDET004FloatEquality:
         assert lint_snippet(source, "uvm/memory.py") == []
 
 
-class TestQUE001AtomicPublish:
-    def test_fires_on_bare_write_into_state(self):
-        source = """
-            def publish(task_path, payload):
-                with open(task_path, "w") as fh:
-                    fh.write(payload)
-        """
-        assert codes(lint_snippet(source, "experiments/queue.py")) == ["QUE001"]
-
-    def test_fires_on_write_text(self):
-        source = """
-            def publish(lease, payload):
-                lease.write_text(payload)
-        """
-        assert codes(lint_snippet(source, "experiments/queue.py")) == ["QUE001"]
-
-    def test_fires_on_append_mode_method_open(self):
-        source = """
-            def publish(root, line):
-                with (root / "state.json").open(mode="a") as fh:
-                    fh.write(line)
-        """
-        assert codes(lint_snippet(source, "experiments/queue.py")) == ["QUE001"]
-
-    def test_quiet_on_tmp_then_rename_idiom(self):
-        source = """
-            import os
-
-            def publish(task_path, payload):
-                tmp = task_path.with_suffix(".tmp")
-                with tmp.open("w") as fh:
-                    fh.write(payload)
-                os.replace(tmp, task_path)
-        """
-        assert lint_snippet(source, "experiments/queue.py") == []
-
-    def test_quiet_on_reads_and_other_modules(self):
-        read_source = """
-            def load(task_path):
-                with task_path.open("r") as fh:
-                    return fh.read()
-        """
-        assert lint_snippet(read_source, "experiments/queue.py") == []
-        write_source = """
-            def save(path, payload):
-                with open(path, "w") as fh:
-                    fh.write(payload)
-        """
-        assert lint_snippet(write_source, "experiments/cache.py") == []
-
-
 class TestPERF001ScalarArrayLoops:
     def test_fires_on_for_over_numpy_call(self):
         source = """
@@ -485,13 +434,15 @@ class TestSuppressions:
 
     def test_suppression_on_any_line_of_statement(self):
         source = """
-            def publish(root, line):
-                with (root / "state.json").open(  # repro-lint: disable=QUE001 -- fixture
-                    "a"
-                ) as fh:
-                    fh.write(line)
+            import time
+
+            def tick():
+                return time.time(
+                )  # repro-lint: disable=DET001 -- fixture
         """
-        assert lint_snippet(source, "experiments/queue.py") == []
+        assert lint_snippet(source, "sim/engine.py") == []
+        unsuppressed = source.replace("  # repro-lint: disable=DET001 -- fixture", "")
+        assert codes(lint_snippet(unsuppressed, "sim/engine.py")) == ["DET001"]
 
 
 class TestFrameworkAndCLI:
@@ -519,7 +470,7 @@ class TestFrameworkAndCLI:
 
     def test_registry_hosts_rules(self):
         available = LINT_REGISTRY.available()
-        assert {"det001", "det002", "det003", "det004", "que001", "perf001"} <= set(available)
+        assert {"det001", "det002", "det003", "det004", "perf001"} <= set(available)
         assert issubclass(LINT_REGISTRY.get("DET001"), LintRule)
 
     def test_plugin_rules_register_and_unregister(self):
@@ -591,7 +542,7 @@ class TestFrameworkAndCLI:
     def test_cli_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DET001", "DET002", "DET003", "DET004", "QUE001", "PERF001"):
+        for code in ("DET001", "DET002", "DET003", "DET004", "PERF001"):
             assert code in out
 
     def test_cli_unknown_rule_is_usage_error(self, tmp_path, capsys):

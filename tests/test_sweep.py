@@ -8,17 +8,21 @@ import pytest
 
 from repro.analysis.characterization import characterize_workload
 from repro.config import GB, SystemConfig, paper_config
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import (
     CellResult,
     ConfigPatch,
     ResultCache,
     SweepCell,
+    SweepPlan,
     SweepRunner,
     SweepSpec,
     build_workload,
+    combined_spec,
     default_config,
     execute_cell,
+    figure11_spec,
+    generate_report,
     resolve_batch_size,
     run_policy,
 )
@@ -155,6 +159,12 @@ class TestSweepRunner:
         "unit", models=("bert",), policies=("g10", "base_uvm"), scale="ci"
     )
 
+    def test_negative_jobs_rejected(self):
+        for jobs in (None, 0, 1):  # all run serially, as documented
+            SweepRunner(jobs=jobs)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            SweepRunner(jobs=-2)
+
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = SweepRunner().run(self.SPEC)
         parallel = SweepRunner(jobs=2).run(self.SPEC)
@@ -257,3 +267,90 @@ class TestExecuteCell:
         )
         assert patched.result.traffic.gpu_host_bytes == 0
         assert plain.result.traffic.gpu_host_bytes > 0
+
+
+class TestSweepPlan:
+    SPEC = figure11_spec("ci", models=("bert",))  # 6 cells, 6 distinct keys
+
+    def test_manifest_covers_every_cell_with_keys_and_status(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        plan = SweepPlan.build(self.SPEC, cache=cache)
+        assert [e.cell for e in plan.entries] == list(self.SPEC.cells)
+        assert all(len(e.key) == 64 for e in plan.entries)
+        assert plan.counts() == {"cells": 6, "distinct": 6, "warm": 0, "to_execute": 6}
+
+        # Warm one cell: the plan flips exactly that entry to cached.
+        SweepRunner(cache=cache).run([self.SPEC.cells[0]])
+        plan = SweepPlan.build(self.SPEC, cache=cache)
+        assert [e.cached for e in plan.entries] == [True] + [False] * 5
+        assert plan.counts()["warm"] == 1 and plan.counts()["to_execute"] == 5
+
+    def test_duplicate_cells_share_a_key(self):
+        cell = self.SPEC.cells[0]
+        plan = SweepPlan.build([cell, dataclasses.replace(cell, seed=9), self.SPEC.cells[1]])
+        assert plan.counts() == {"cells": 3, "distinct": 2, "warm": 0, "to_execute": 2}
+        assert plan.entries[0].key == plan.entries[1].key
+
+    def test_interrupted_run_resumes_without_recomputation(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        SweepRunner(cache=cache).run(self.SPEC.cells[:3])  # "crash" halfway through
+        resumed = SweepRunner(cache=cache)
+        outs = resumed.run(self.SPEC)
+        stats = resumed.last_stats
+        assert (stats["cells"], stats["cache_hits"], stats["executed"]) == (6, 3, 3)
+        assert [out.cell for out in outs] == list(self.SPEC.cells)
+
+
+class TestReportFromWarmCache:
+    FIGURES = ("2", "3", "4")  # three figures over the same 4 characterization cells
+
+    def test_combined_spec_deduplicates_across_figures(self):
+        counts = SweepPlan.build(combined_spec("ci", self.FIGURES)).counts()
+        assert counts["cells"] == 12 and counts["distinct"] == 4
+
+    def test_warmed_cache_renders_an_all_warm_report(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        warmer = SweepRunner(cache=cache)
+        warmer.run(combined_spec("ci", self.FIGURES))
+        assert warmer.last_stats["executed"] == 4
+
+        # Regenerating every figure from the warm cache is pure resume: the
+        # report proves it by marking every provenance row warm.
+        out_dir = tmp_path / "report"
+        manifest = generate_report(
+            scale="ci", figures=self.FIGURES,
+            runner=SweepRunner(cache=cache),
+            output_dir=out_dir, expect_warm=True,
+        )
+        assert manifest["totals"]["recomputed"] == 0
+        assert manifest["totals"]["warm"] == 12
+        for figure in manifest["figures"]:
+            assert figure["to_execute"] == 0
+            assert all(row["status"] == "warm" for row in figure["provenance"])
+
+        report_md = (out_dir / "report.md").read_text(encoding="utf-8")
+        assert "**12 served warm**" in report_md and "**0 recomputed**" in report_md
+        assert "recomputed |" in report_md  # summary column present
+        manifest_json = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+        perf_totals = manifest_json["totals"].pop("perf")
+        assert manifest_json["totals"] == {
+            "cells": 12, "distinct": 12, "warm": 12, "recomputed": 0,
+        }
+        # Characterization-only figures do no simulation work.
+        assert set(perf_totals) == {
+            "events_processed", "pages_moved", "fault_events", "eviction_stalls",
+        }
+        assert all(value == 0 for value in perf_totals.values())
+        for fid in self.FIGURES:
+            assert (out_dir / f"figure{fid}.json").exists()
+
+    def test_expect_warm_fails_on_a_cold_cache_but_still_writes_artifacts(self, tmp_path):
+        out_dir = tmp_path / "report"
+        with pytest.raises(ReproError, match="recomputed"):
+            generate_report(
+                scale="ci", figures=("2",),
+                runner=SweepRunner(cache=ResultCache(tmp_path / "cold")),
+                output_dir=out_dir, expect_warm=True,
+            )
+        assert (out_dir / "figure2.json").exists()
+        assert (out_dir / "report.md").exists()
