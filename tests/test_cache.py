@@ -114,6 +114,65 @@ class TestCorruptionTolerance:
         assert not cache.has(key)
 
 
+def _entry(key: str, **overrides) -> dict:
+    entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "cell": None, "payload": {"v": [1, 2]}}
+    entry.update(overrides)
+    return entry
+
+
+#: On-disk states of one entry path, and whether each is a hit. Writers
+#: other than ``put`` (a hand-edited or pretty-printed entry, reordered
+#: keys) miss the fast header sniff and must fall back to a full read.
+ENTRY_STATES = {
+    "compact-as-put": (lambda key: json.dumps(_entry(key), separators=(",", ":")), True),
+    "pretty-printed": (lambda key: json.dumps(_entry(key), indent=2), True),
+    "schema-not-first": (
+        lambda key: json.dumps({"payload": {"v": 1}, "schema": CACHE_SCHEMA_VERSION}), True,
+    ),
+    "spaced-header": (lambda key: json.dumps(_entry(key)), True),
+    "older-schema": (
+        lambda key: json.dumps(_entry(key, schema=CACHE_SCHEMA_VERSION - 1), separators=(",", ":")),
+        False,
+    ),
+    "schema-as-string": (
+        lambda key: json.dumps(_entry(key, schema=str(CACHE_SCHEMA_VERSION))), False,
+    ),
+    "cut-after-header": (
+        lambda key: json.dumps(_entry(key), separators=(",", ":")).split('"payload"')[0], False,
+    ),
+    "empty-file": (lambda key: "", False),
+    "top-level-list": (lambda key: json.dumps([_entry(key)]), False),
+    "invalid-utf8": (lambda key: b"\xff\xfe{}", False),
+}
+
+
+class TestHasAgreesWithGet:
+    """``has`` answers ``SweepPlan``'s warm/cold question without decoding
+    the payload; it must agree with ``get`` on every entry state."""
+
+    @pytest.mark.parametrize("state", sorted(ENTRY_STATES))
+    def test_has_matches_get(self, tmp_path, state):
+        write, hit = ENTRY_STATES[state]
+        cache = ResultCache(tmp_path / "c")
+        key = "ab" + "0" * 62
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        content = write(key)
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        assert (cache.get(key) is not None) is hit
+        assert cache.has(key) is hit
+
+    def test_directory_in_place_of_an_entry_is_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path / "c")
+        key = "cd" + "0" * 62
+        cache.path_for(key).mkdir(parents=True)
+        assert cache.get(key) is None
+        assert not cache.has(key)
+
+
 class TestStatsClearAgreement:
     @relaxed
     @given(keyset=st.sets(keys, max_size=8))

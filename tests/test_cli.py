@@ -10,6 +10,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import ResultCache
+from repro.experiments import sweep as sweep_module
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -124,6 +125,33 @@ class TestSweepCommand:
             "--jobs", "-2", "--no-cache",
         ) == 2
         assert "jobs must be >= 0" in capsys.readouterr().err
+
+
+class TestJobsOption:
+    @pytest.mark.parametrize("command", ["run", "figure", "report"])
+    def test_negative_jobs_exits_2_before_running(self, tmp_path, capsys, command):
+        argv = {
+            "run": ["run", "--model", "bert"],
+            "figure": ["figure", "11", "--models", "bert"],
+            "report": ["report", "--figures", "2", "--output-dir", str(tmp_path / "r")],
+        }[command]
+        cache_dir = tmp_path / "c"
+        assert run_cli(*argv, "--scale", "ci", "--jobs", "-1", "--cache-dir", str(cache_dir)) == 2
+        assert "jobs must be >= 0" in capsys.readouterr().err
+        assert not cache_dir.exists()
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "1"])
+    def test_zero_and_one_run_in_process(self, monkeypatch, capsys, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError(f"--jobs {jobs} started a process pool")
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", no_pool)
+        assert run_cli(
+            "sweep", "--models", "bert", "--policies", "g10,base_uvm", "--scale", "ci",
+            "--jobs", jobs, "--no-cache",
+        ) == 0
+        assert "2 executed), jobs=1," in capsys.readouterr().err
 
 
 class TestResumeCommands:

@@ -10,6 +10,7 @@ from repro.analysis.characterization import characterize_workload
 from repro.config import GB, SystemConfig, paper_config
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import (
+    EXPERIMENTS,
     CellResult,
     ConfigPatch,
     ResultCache,
@@ -23,10 +24,34 @@ from repro.experiments import (
     execute_cell,
     figure11_spec,
     generate_report,
+    get_experiment,
     resolve_batch_size,
     run_policy,
 )
+from repro.experiments import sweep as sweep_module
 from repro.sim.results import KernelTiming, SimulationResult
+
+#: One cell down every path a cell can take: a characterization cell and
+#: every built-in policy on two models, plus profiling noise and a patch.
+MODE_CELLS = (
+    *SweepSpec.grid(
+        "modes",
+        models=("bert", "vit"),
+        policies=(None, "ideal", "base_uvm", "deepum", "flashneuron", "g10", "g10_gds", "g10_host"),
+        scale="ci",
+    ).cells,
+    SweepCell(model="bert", policy="g10", scale="ci", profiling_error=0.1, seed=3),
+    SweepCell(model="bert", policy="g10", scale="ci", patch=ConfigPatch(host_memory_bytes=0)),
+)
+MODE_IDS = [
+    f"{cell.model}-{cell.policy or 'characterize'}" for cell in MODE_CELLS[:-2]
+] + ["bert-g10-noise", "bert-g10-no-host"]
+
+#: Every built-in experiment with a sweep grid behind it (Table 2 has none).
+GRID_EXPERIMENTS = (
+    "2", "3", "4", "11", "12", "13", "14", "15", "16", "17", "18", "19",
+    "lifetime", "table1", "tenancy",
+)
 
 
 class TestConfigSerialization:
@@ -111,6 +136,51 @@ class TestConfigPatch:
         assert ConfigPatch.from_dict(patch.to_dict()) == patch
         assert ConfigPatch.from_dict({}) == ConfigPatch()
 
+    def test_write_bandwidth_alone_keeps_read_bandwidth(self):
+        base = default_config("bert", "ci")
+        config = ConfigPatch(ssd_write_bandwidth=1.5 * GB).apply(base)
+        assert config.ssd.write_bandwidth == 1.5 * GB
+        assert config.ssd.read_bandwidth == base.ssd.read_bandwidth
+
+
+#: Each swept axis with a value off the CI default, and where it lands.
+PATCH_AXES = {
+    "host_memory_bytes": (3 * GB, lambda config: config.host_memory_bytes),
+    "gpu_memory_bytes": (12 * GB, lambda config: config.gpu.memory_bytes),
+    "interconnect_bandwidth": (32 * GB, lambda config: config.interconnect.bandwidth),
+    "ssd_read_bandwidth": (6.4 * GB, lambda config: config.ssd.read_bandwidth),
+    "ssd_write_bandwidth": (1.5 * GB, lambda config: config.ssd.write_bandwidth),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(PATCH_AXES))
+class TestConfigPatchAxes:
+    """Every axis on its own must survive serialization, reach the
+    simulated config and change the cell's cache key; an axis that
+    stopped at any of these would serve one sensitivity point's results
+    for another."""
+
+    def test_axis_round_trips_alone(self, axis):
+        value, _ = PATCH_AXES[axis]
+        patch = ConfigPatch(**{axis: value})
+        assert not patch.is_empty()
+        assert patch.to_dict() == {axis: value}
+        assert ConfigPatch.from_dict(json.loads(json.dumps(patch.to_dict()))) == patch
+
+    def test_axis_reaches_the_cell_config(self, axis):
+        value, read = PATCH_AXES[axis]
+        base = default_config("bert", "ci")
+        assert read(base) != value
+        config = SweepCell(model="bert", scale="ci", patch=ConfigPatch(**{axis: value})).config()
+        assert read(config) == value
+        assert config.fingerprint() != base.fingerprint()
+
+    def test_axis_changes_the_cache_key(self, axis):
+        value, _ = PATCH_AXES[axis]
+        plain = SweepCell(model="bert", scale="ci")
+        patched = dataclasses.replace(plain, patch=ConfigPatch(**{axis: value}))
+        assert patched.cache_key() != plain.cache_key()
+
 
 class TestSweepCell:
     def test_resolution_fills_defaults(self):
@@ -145,6 +215,17 @@ class TestSweepCell:
         )
         assert SweepCell.from_dict(cell.to_dict()) == cell
 
+    @pytest.mark.parametrize("cell", MODE_CELLS, ids=MODE_IDS)
+    def test_cell_survives_the_worker_round_trip(self, cell):
+        """Pool workers and cache entries see a cell only as its JSON dict."""
+        restored = SweepCell.from_dict(json.loads(json.dumps(cell.to_dict())))
+        assert restored == cell
+        assert restored.cache_key() == cell.cache_key()
+
+    def test_characterization_cell_has_no_scenario(self):
+        with pytest.raises(ConfigurationError, match="no policy"):
+            SweepCell(model="bert", policy=None, scale="ci").scenario()
+
 
 class TestSweepSpecGrid:
     def test_grid_is_model_major(self):
@@ -159,11 +240,10 @@ class TestSweepRunner:
         "unit", models=("bert",), policies=("g10", "base_uvm"), scale="ci"
     )
 
-    def test_negative_jobs_rejected(self):
-        for jobs in (None, 0, 1):  # all run serially, as documented
+    @pytest.mark.parametrize("jobs", (-1, -2, -64))
+    def test_negative_jobs_rejected(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs must be >= 0"):
             SweepRunner(jobs=jobs)
-        with pytest.raises(ConfigurationError, match="jobs"):
-            SweepRunner(jobs=-2)
 
     def test_parallel_matches_serial_bit_for_bit(self):
         serial = SweepRunner().run(self.SPEC)
@@ -227,6 +307,151 @@ class TestSweepRunner:
         assert cache.clear() == 2
         assert cache.stats()["entries"] == 0
 
+    def test_accepts_a_one_shot_iterable_of_cells(self):
+        cells = self.SPEC.cells
+        from_generator = SweepRunner().run(cell for cell in cells)
+        assert [out.cell for out in from_generator] == list(cells)
+        assert [out.payload for out in from_generator] == [
+            out.payload for out in SweepRunner().run(self.SPEC)
+        ]
+
+
+@pytest.fixture(scope="module")
+def serial_modes():
+    return SweepRunner().run(MODE_CELLS)
+
+
+@pytest.fixture(scope="module", params=(2, 4), ids=lambda jobs: f"jobs{jobs}")
+def pooled_modes(request):
+    """A cold pooled run of MODE_CELLS and the runner's stats. 18 cells over
+    2 workers go in two chunks of 9; over 4 workers, in chunks of 4,4,4,4,2."""
+    runner = SweepRunner(jobs=request.param)
+    outs = runner.run(MODE_CELLS)
+    return outs, runner.last_stats
+
+
+class TestJobsMatchSerial:
+    @pytest.mark.parametrize("index", range(len(MODE_CELLS)), ids=MODE_IDS)
+    def test_cell_is_bit_identical_to_serial(self, serial_modes, pooled_modes, index):
+        pooled = pooled_modes[0][index]
+        serial = serial_modes[index]
+        assert pooled.cell == serial.cell == MODE_CELLS[index]
+        assert not pooled.cached
+        assert pooled.payload == serial.payload
+
+    def test_pooled_stats_count_cells_but_not_worker_planning(self, pooled_modes):
+        """Workers plan in their own processes, so this process's
+        plan-cache counters must not move."""
+        _, stats = pooled_modes
+        assert (stats["cells"], stats["cache_hits"], stats["executed"]) == (18, 0, 18)
+        assert (stats["plan_full_hits"], stats["plan_fragment_hits"], stats["plan_misses"]) == (0, 0, 0)
+
+
+class _RecordingPool:
+    """In-process stand-in for ``ProcessPoolExecutor`` that records how the
+    runner sized and chunked its pool."""
+
+    def __init__(self, created: list, max_workers: int):
+        self.max_workers = max_workers
+        self.chunksize = None
+        self.submitted: list[dict] = []
+        created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        self.chunksize = chunksize
+        self.submitted = list(items)
+        return map(fn, self.submitted)
+
+
+def _stub_payload(cell: SweepCell) -> dict:
+    return {"kind": "simulation", "seed": cell.seed}
+
+
+def _noisy_cells(count: int) -> list[SweepCell]:
+    """``count`` cells with distinct cache keys (one noise seed each)."""
+    return [
+        SweepCell(model="bert", policy="g10", scale="ci", profiling_error=0.1, seed=seed)
+        for seed in range(1, count + 1)
+    ]
+
+
+class TestPoolDispatch:
+    """How ``run`` chooses between in-process execution and the pool, and
+    what it hands the pool. Cells execute through stubs, so no simulation
+    or worker process runs."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        created: list[_RecordingPool] = []
+        monkeypatch.setattr(
+            sweep_module, "ProcessPoolExecutor",
+            lambda max_workers: _RecordingPool(created, max_workers),
+        )
+        monkeypatch.setattr(
+            sweep_module, "_execute_cell_dict",
+            lambda data: _stub_payload(SweepCell.from_dict(data)),
+        )
+        monkeypatch.setattr(sweep_module, "execute_cell", _stub_payload)
+        return created
+
+    @pytest.mark.parametrize("jobs", (None, 0, 1))
+    def test_serial_values_never_start_a_pool(self, pools, jobs):
+        cells = _noisy_cells(4)
+        outs = SweepRunner(jobs=jobs).run(cells)
+        assert pools == []
+        assert [out.payload["seed"] for out in outs] == [1, 2, 3, 4]
+
+    def test_a_single_miss_runs_in_process(self, pools):
+        cell = _noisy_cells(1)[0]
+        runner = SweepRunner(jobs=4)
+        outs = runner.run([cell, cell, cell])
+        assert pools == []
+        assert runner.last_stats["executed"] == 1
+        assert len(outs) == 3
+
+    def test_a_warm_grid_never_starts_a_pool(self, pools, tmp_path):
+        cache = ResultCache(tmp_path)
+        cells = _noisy_cells(5)
+        for cell in cells:
+            cache.put(cell.cache_key(), _stub_payload(cell))
+        runner = SweepRunner(jobs=4, cache=cache)
+        outs = runner.run(cells)
+        assert pools == []
+        assert runner.last_stats["cache_hits"] == 5
+        assert all(out.cached for out in outs)
+
+    @pytest.mark.parametrize(
+        "jobs,misses,workers,chunksize",
+        [(2, 6, 2, 3), (4, 6, 4, 1), (8, 6, 6, 1), (3, 10, 3, 3), (4, 18, 4, 4)],
+    )
+    def test_pool_size_and_chunking(self, pools, jobs, misses, workers, chunksize):
+        """Never more workers than misses; consecutive cells chunked onto
+        one worker so cells that share a workload share its memo."""
+        SweepRunner(jobs=jobs).run(_noisy_cells(misses))
+        (pool,) = pools
+        assert (pool.max_workers, pool.chunksize) == (workers, chunksize)
+        assert len(pool.submitted) == misses
+
+    def test_pool_gets_distinct_misses_and_results_keep_spec_order(self, pools, tmp_path):
+        cache = ResultCache(tmp_path)
+        a, b, c, d = _noisy_cells(4)
+        cache.put(b.cache_key(), _stub_payload(b))
+        spec = [d, a, b, d, c, a]
+        runner = SweepRunner(jobs=2, cache=cache)
+        outs = runner.run(spec)
+        (pool,) = pools
+        assert [SweepCell.from_dict(data) for data in pool.submitted] == [d, a, c]
+        assert [out.cell for out in outs] == spec
+        assert [out.payload["seed"] for out in outs] == [4, 1, 2, 4, 3, 1]
+        assert [out.cached for out in outs] == [False, False, True, False, False, False]
+        assert (runner.last_stats["cache_hits"], runner.last_stats["executed"]) == (1, 3)
+
 
 class TestCharacterizationCells:
     def test_characterization_cell_matches_direct_analysis(self, bert_ci_workload):
@@ -242,6 +467,11 @@ class TestCharacterizationCells:
         out = SweepRunner().run_one(SweepCell(model="bert", policy=None, scale="ci"))
         with pytest.raises(ConfigurationError):
             _ = out.result
+
+    def test_characterization_accessor_guards_kind(self):
+        out = SweepRunner().run_one(SweepCell(model="bert", policy="g10", scale="ci"))
+        with pytest.raises(ConfigurationError, match="not a characterization"):
+            _ = out.characterization
 
     def test_workload_metadata_present(self):
         out = SweepRunner().run_one(SweepCell(model="bert", policy="g10", scale="ci"))
@@ -299,6 +529,54 @@ class TestSweepPlan:
         stats = resumed.last_stats
         assert (stats["cells"], stats["cache_hits"], stats["executed"]) == (6, 3, 3)
         assert [out.cell for out in outs] == list(self.SPEC.cells)
+
+
+class TestExperimentGrids:
+    """The plan of every built-in experiment's grid, built without running
+    a cell."""
+
+    def test_table_lists_every_experiment_with_a_grid(self):
+        assert GRID_EXPERIMENTS == tuple(e.id for e in EXPERIMENTS if e.spec is not None)
+
+    @pytest.mark.parametrize("experiment_id", GRID_EXPERIMENTS)
+    def test_cache_key_is_injective_over_resolved_cells(self, experiment_id):
+        """Cells that would simulate differently never share a key, and
+        spellings of one cell never split it."""
+        cells = get_experiment(experiment_id).spec("ci").cells
+        distinct = len({cell.resolved() for cell in cells})
+        assert len({cell.cache_key() for cell in cells}) == distinct
+        assert SweepPlan.build(cells).counts()["distinct"] == distinct
+
+    @pytest.mark.parametrize("experiment_id", GRID_EXPERIMENTS)
+    def test_plan_marks_exactly_the_warm_keys(self, experiment_id, tmp_path):
+        spec = get_experiment(experiment_id).spec("ci")
+        keys = list(dict.fromkeys(cell.cache_key() for cell in spec.cells))
+        warm = set(keys[::2])
+        cache = ResultCache(tmp_path)
+        for key in warm:
+            cache.put(key, {"kind": "simulation"})
+        plan = SweepPlan.build(spec, cache=cache)
+        assert [entry.key for entry in plan.entries] == [cell.cache_key() for cell in spec.cells]
+        assert [entry.cached for entry in plan.entries] == [
+            entry.key in warm for entry in plan.entries
+        ]
+        assert plan.counts() == {
+            "cells": len(spec.cells), "distinct": len(keys),
+            "warm": len(warm), "to_execute": len(keys) - len(warm),
+        }
+
+    @pytest.mark.parametrize("experiment_id", GRID_EXPERIMENTS)
+    def test_models_subset_selects_that_models_cells(self, experiment_id):
+        """``repro figure ID --models bert`` plans exactly the full grid's
+        BERT cells, in order; fixed-workload experiments ignore it."""
+        experiment = get_experiment(experiment_id)
+        full = experiment.spec("ci").cells
+        subset = experiment.spec("ci", ("bert",)).cells
+        if experiment.supports_models:
+            assert subset == tuple(cell for cell in full if cell.resolved().model == "bert")
+            assert subset and len(subset) < len(full)
+        else:
+            assert subset == full
 
 
 class TestReportFromWarmCache:
