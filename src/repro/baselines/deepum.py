@@ -4,13 +4,16 @@ DeepUM records which kernel follows which during training and prefetches the
 pages the upcoming kernels touched last iteration. Because one training
 iteration repeats the same kernel sequence, the correlation prefetcher is well
 approximated by a fixed lookahead over the (deterministic) kernel trace: while
-kernel *k* runs, the tensors of kernels *k+1 .. k+L* are prefetched. Eviction
-remains LRU; the paper's DeepUM+ extension spills to the SSD when host memory
-is full, which the executor's host-capacity fallback provides.
+kernel *k* runs, the tensors of kernels *k+1 .. k+L* are prefetched. Whether
+the correlation table predicts a tensor is fixed per tensor, so setup tables
+the predicted tensors of every kernel once. Eviction remains LRU; the paper's
+DeepUM+ extension spills to the SSD when host memory is full, which the
+executor's host-capacity fallback provides.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from ..graph.kernel import Kernel
@@ -54,26 +57,37 @@ class DeepUMPolicy(MigrationPolicy):
         self._watermark = eviction_watermark
         self._hit_rate = correlation_hit_rate
         self._gpu_capacity = 0
+        #: The prefetch decision of every tensor the correlation table predicts.
+        self._decisions: dict[int, MigrationDecision] = {}
+        #: Per kernel, in trace order: the predicted tensors it touches.
+        self._predicted: list[tuple[int, ...]] = []
 
     def setup(self, context: PolicyContext) -> None:
         super().setup(context)
         self._gpu_capacity = context.config.gpu.memory_bytes
+        kernels = context.graph.kernels
+        touched = dict.fromkeys(chain.from_iterable(kernel.tensor_ids for kernel in kernels))
+        decisions = {
+            tensor_id: MigrationDecision(tensor_id)
+            for tensor_id in touched
+            if self._correlation_predicts(tensor_id)
+        }
+        self._decisions = decisions
+        self._predicted = [
+            tuple(tensor_id for tensor_id in kernel.tensor_ids if tensor_id in decisions)
+            for kernel in kernels
+        ]
 
     # -- hooks -------------------------------------------------------------------
 
     def prefetches_for(self, kernel: Kernel, now: float) -> list[MigrationDecision]:
-        kernels = self.context.graph.kernels
-        decisions: list[MigrationDecision] = []
-        seen: set[int] = set()
-        for upcoming in kernels[kernel.index + 1 : kernel.index + 1 + self._lookahead]:
-            for tensor_id in upcoming.tensor_ids:
-                if tensor_id in seen:
-                    continue
-                seen.add(tensor_id)
-                if not self._correlation_predicts(tensor_id):
-                    continue
-                decisions.append(MigrationDecision(tensor_id))
-        return decisions
+        # The predicted tensors of the next ``lookahead`` kernels, each once,
+        # in order of first occurrence.
+        upcoming = self._predicted[kernel.index + 1 : kernel.index + 1 + self._lookahead]
+        decisions = self._decisions
+        return [
+            decisions[tensor_id] for tensor_id in dict.fromkeys(chain.from_iterable(upcoming))
+        ]
 
     def _correlation_predicts(self, tensor_id: int) -> bool:
         """Deterministic stand-in for the correlation table's hit/miss behaviour."""

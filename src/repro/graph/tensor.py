@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 from ..config import FP32_BYTES, PAGE_SIZE
@@ -66,7 +67,10 @@ class TensorInfo:
         """Total number of elements."""
         return math.prod(self.shape)
 
-    @property
+    # Read per residency check and migration: computed once per tensor and
+    # stored in the instance ``__dict__``, which a frozen dataclass allows and
+    # equality ignores (as ``Kernel.tensor_ids``).
+    @cached_property
     def size_bytes(self) -> int:
         """Size of the tensor in bytes."""
         return self.num_elements * self.dtype_bytes

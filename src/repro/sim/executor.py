@@ -11,11 +11,9 @@ per phase.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Sequence
 
 from ..config import SystemConfig
 from ..core.plan_cache import snapshot_counters as plan_cache_snapshot
@@ -31,43 +29,15 @@ from ..uvm.page_table import MemoryLocation, UnifiedPageTable
 from .engine import EventQueue
 from .observer import SimObserver
 from .policy import MigrationPolicy, PolicyContext
+from .residency import ResidencyIndex
 from .results import KernelTiming, PerfCounters, SimulationResult
 
 #: Effectively unlimited capacity used by the Ideal policy's GPU pool.
 _UNLIMITED = 1 << 62
 
 
-def lru_victims(
-    gpu: MemoryPool, last_used: Mapping[int, float], unavailable: set[int]
-) -> Iterator[int]:
-    """Evictable GPU residents, least recently used first, one at a time.
-
-    Residents no kernel has used yet (initially placed globals, prefetches
-    still waiting for their kernel) come first, in allocation order, then used
-    residents from oldest to newest use; ``unavailable`` tensors are skipped.
-    Lazy, because victim selection stops as soon as enough bytes are chosen:
-    the policy consumes the stream before the executor changes any residency.
-    """
-    for tid in gpu.resident_tensors():
-        if tid not in unavailable and tid not in last_used:
-            yield tid
-    contains = gpu.contains
-    for tid in last_used:
-        if contains(tid) and tid not in unavailable:
-            yield tid
-
-
 class _WorkloadFailure(Exception):
     """Raised internally when a policy cannot execute the workload at all."""
-
-
-@dataclass
-class _PendingEviction:
-    """An eviction whose transfer is still draining; GPU space frees at completion."""
-
-    completion: float
-    tensor_id: int
-    size_bytes: int
 
 
 class ExecutionSimulator:
@@ -121,10 +91,12 @@ class ExecutionSimulator:
             per_request_overhead=policy.per_request_overhead(),
         )
 
-        #: tensor id -> completion time of an in-flight prefetch/fault.
+        #: tensor id -> completion time of an in-flight prefetch/fault (every
+        #: key is a GPU resident: evictions and deaths drop theirs).
         self._arrival_time: dict[int, float] = {}
-        #: tensor id -> pending eviction record (GPU space not yet released).
-        self._evicting: dict[int, _PendingEviction] = {}
+        #: tensor id -> completion time of a pending eviction (GPU space is
+        #: released when its event drains).
+        self._evicting: dict[int, float] = {}
         #: The single event loop: in-flight eviction completions, ordered by
         #: (time, tensor id) so same-timestamp drains are deterministic.
         self._events = EventQueue()
@@ -132,8 +104,9 @@ class ExecutionSimulator:
         #: retried at the next kernel boundaries (the migration handler keeps
         #: them queued rather than dropping them).
         self._deferred_prefetches: OrderedDict[int, None] = OrderedDict()
-        #: LRU recency: insertion-ordered map, oldest-used tensor first.
-        self._last_used: OrderedDict[int, float] = OrderedDict()
+        #: GPU residents in LRU victim order, updated at every GPU allocate,
+        #: GPU free and kernel use.
+        self._residency = ResidencyIndex()
         self._fault_events = 0
 
         self._deaths_by_slot: dict[int, list[int]] = {}
@@ -152,6 +125,7 @@ class ExecutionSimulator:
         self._fault_overheads: dict[int, float] = {
             tid: fault_model.fault_overhead(size) for tid, size in self._sizes.items()
         }
+        self._page_size = config.uvm.page_size
         #: GPU placements deferred within one kernel's residency loop and
         #: flushed as a single grouped page-table update (before observers and
         #: lifetime bookkeeping see the kernel boundary).
@@ -215,22 +189,48 @@ class ExecutionSimulator:
         self._place_global_tensors()
         timings: list[KernelTiming] = []
         now = 0.0
+        on_gpu = self._gpu.contains
+        evicting = self._evicting
+        deferred = self._deferred_prefetches
 
         for kernel in self._graph.kernels:
             self._drain_evictions(now)
 
-            for tensor_id in list(self._deferred_prefetches):
-                if self._issue_prefetch(tensor_id, now):
-                    self._deferred_prefetches.pop(tensor_id, None)
+            # A tensor already on the GPU needs no transfer: prefetching it
+            # only cancels its pending eviction, if any. The call sites decide
+            # this, so _issue_prefetch and _ensure_resident see only tensors
+            # that are off the GPU.
+            for tensor_id in list(deferred):
+                if on_gpu(tensor_id):
+                    evicting.pop(tensor_id, None)
+                    del deferred[tensor_id]
+                elif self._issue_prefetch(tensor_id, now):
+                    del deferred[tensor_id]
             for decision in self._policy.prefetches_for(kernel, now):
-                if not self._issue_prefetch(decision.tensor_id, now):
-                    self._deferred_prefetches[decision.tensor_id] = None
+                tensor_id = decision.tensor_id
+                if on_gpu(tensor_id):
+                    evicting.pop(tensor_id, None)
+                elif not self._issue_prefetch(tensor_id, now):
+                    deferred[tensor_id] = None
 
             tensor_ids = kernel.tensor_ids
             protected = set(tensor_ids)
             ready = now
             for tensor_id in tensor_ids:
-                ready = max(ready, self._ensure_resident(tensor_id, protected, now))
+                if on_gpu(tensor_id):
+                    if evicting.pop(tensor_id, None) is not None:
+                        # Needed again while being pre-evicted: it stays (the
+                        # outbound copy becomes wasted bandwidth). The host
+                        # copy's capacity releases now (victim evictions check
+                        # host headroom); the GPU placement joins the
+                        # kernel's grouped page-table flush.
+                        self._pending_gpu_places.append(tensor_id)
+                        self._host.free(tensor_id)
+                    usable = self._arrival_time.get(tensor_id, now)
+                else:
+                    usable = self._ensure_resident(tensor_id, protected, now)
+                if usable > ready:
+                    ready = usable
             self._flush_gpu_places()
 
             for observer in self._observers:
@@ -250,9 +250,7 @@ class ExecutionSimulator:
             for observer in self._observers:
                 observer.on_kernel_finish(kernel, timing, now)
 
-            for tensor_id in tensor_ids:
-                self._last_used[tensor_id] = now
-                self._last_used.move_to_end(tensor_id)
+            self._residency.used(tensor_ids)
             self._policy.on_kernel_finished(kernel, now)
             self._free_dead_tensors(kernel.index)
 
@@ -291,6 +289,7 @@ class ExecutionSimulator:
             self._page_table.register(tensor.tensor_id, tensor.size_bytes)
             if self._gpu.can_fit(tensor.size_bytes):
                 self._gpu.allocate(tensor.tensor_id, tensor.size_bytes)
+                self._residency.allocated(tensor.tensor_id)
                 self._page_table.place(tensor.tensor_id, MemoryLocation.GPU)
             elif self._host.can_fit(tensor.size_bytes):
                 self._host.allocate(tensor.tensor_id, tensor.size_bytes)
@@ -302,27 +301,18 @@ class ExecutionSimulator:
     # -- residency management --------------------------------------------------------------
 
     def _ensure_resident(self, tensor_id: int, protected: set[int], now: float) -> float:
-        """Make one tensor resident in GPU memory; return when it is usable."""
+        """Bring a kernel operand that is not on the GPU into GPU memory.
+
+        Returns when the tensor is usable.
+        """
         size = self._sizes[tensor_id]
-
-        if self._gpu.contains(tensor_id):
-            pending = self._evicting.pop(tensor_id, None)
-            if pending is not None:
-                # The tensor was being pre-evicted but is needed again; keep it
-                # resident (the outbound copy becomes wasted bandwidth). The
-                # host copy's capacity must release immediately (it interacts
-                # with victim-eviction headroom checks), but the GPU placement
-                # joins the kernel's grouped page-table flush.
-                self._pending_gpu_places.append(tensor_id)
-                self._host.free(tensor_id)
-            return max(now, self._arrival_time.get(tensor_id, now))
-
         if tensor_id not in self._page_table.address_space:
             self._page_table.register(tensor_id, size)
 
         location = self._page_table.location_of(tensor_id)
         space_ready = self._make_space(size, protected, now)
         self._gpu.allocate(tensor_id, size)
+        self._residency.allocated(tensor_id)
 
         if location is MemoryLocation.UNMAPPED:
             # Fresh allocation (kernel output or workspace): no data transfer.
@@ -357,26 +347,24 @@ class ExecutionSimulator:
             self._pending_gpu_places.clear()
 
     def _issue_prefetch(self, tensor_id: int, now: float) -> bool:
-        """Start fetching a tensor ahead of its use.
+        """Start fetching a tensor that is not on the GPU ahead of its use.
 
         Returns True when the prefetch was issued or is unnecessary, False when
         it must be retried later because the GPU has no headroom yet.
         """
-        if self._gpu.contains(tensor_id) or tensor_id in self._arrival_time:
-            if self._gpu.contains(tensor_id):
-                self._evicting.pop(tensor_id, None)
-            return True
         if tensor_id not in self._page_table.address_space:
             return True
         location = self._page_table.location_of(tensor_id)
         if location in (MemoryLocation.UNMAPPED, MemoryLocation.GPU):
             return True
         size = self._sizes[tensor_id]
-        self._drain_evictions(now)
+        # The kernel boundary drained every eviction due by ``now``, and
+        # prefetches schedule none, so the headroom check needs no drain.
         if not self._gpu.can_fit(size):
             # No headroom yet: keep the request queued and retry later.
             return False
         self._gpu.allocate(tensor_id, size)
+        self._residency.allocated(tensor_id)
         request = MigrationRequest(
             tensor_id=tensor_id,
             size_bytes=size,
@@ -421,7 +409,7 @@ class ExecutionSimulator:
         if target is MemoryLocation.HOST:
             self._host.allocate(tensor_id, size)
         self._page_table.place(tensor_id, target)
-        self._evicting[tensor_id] = _PendingEviction(completion, tensor_id, size)
+        self._evicting[tensor_id] = completion
         self._events.schedule(completion, "eviction-complete", tensor_id, priority=tensor_id)
         self._arrival_time.pop(tensor_id, None)
         return completion
@@ -429,9 +417,7 @@ class ExecutionSimulator:
     def _submit(self, request: MigrationRequest, when: float) -> float:
         """Submit a migration to the engine, notifying observers."""
         completion = self._engine.submit(request, when)
-        self._perf.pages_moved += max(
-            1, math.ceil(request.size_bytes / self._config.uvm.page_size)
-        )
+        self._perf.pages_moved += max(1, -(-request.size_bytes // self._page_size))
         for observer in self._observers:
             observer.on_migration(request, when, completion)
         return completion
@@ -451,6 +437,7 @@ class ExecutionSimulator:
             pending = self._evicting.pop(event.payload, None)
             if pending is not None:
                 self._gpu.free(event.payload)
+                self._residency.freed(event.payload)
 
     def _make_space(self, size_bytes: int, protected: set[int], now: float) -> float:
         """Ensure ``size_bytes`` can be allocated; returns when the space exists."""
@@ -464,7 +451,7 @@ class ExecutionSimulator:
         unavailable = protected | set(self._evicting)
         needed = size_bytes - self._gpu.free_bytes
         victims = self._policy.select_victims(
-            needed, unavailable, lru_victims(self._gpu, self._last_used, unavailable), current
+            needed, unavailable, self._residency.victims(unavailable), current
         )
         for decision in victims:
             self._issue_eviction(decision.tensor_id, decision.destination, current, protected)
@@ -482,6 +469,7 @@ class ExecutionSimulator:
             pending = self._evicting.pop(event.payload, None)
             if pending is not None:
                 self._gpu.free(event.payload)
+                self._residency.freed(event.payload)
         if current > now:
             self._perf.eviction_stalls += 1
             self._perf.eviction_stall_seconds += current - now
@@ -499,6 +487,7 @@ class ExecutionSimulator:
         flash_dead: list[int] = []
         for tensor_id in self._deaths_by_slot.pop(slot, ()):
             self._gpu.free(tensor_id)
+            self._residency.died(tensor_id)
             self._host.free(tensor_id)
             if tensor_id in self._page_table.address_space:
                 if self._page_table.location_of(tensor_id) is MemoryLocation.FLASH:
@@ -506,6 +495,5 @@ class ExecutionSimulator:
                 self._page_table.unmap(tensor_id)
             self._arrival_time.pop(tensor_id, None)
             self._evicting.pop(tensor_id, None)
-            self._last_used.pop(tensor_id, None)
         if flash_dead:
             self._engine.ssd.discard_objects(flash_dead)

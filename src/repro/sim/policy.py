@@ -13,7 +13,7 @@ from ..graph.training import TrainingGraph
 from ..uvm.page_table import MemoryLocation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MigrationDecision:
     """One policy decision: move a tensor toward or away from the GPU."""
 
@@ -94,10 +94,14 @@ class MigrationPolicy(ABC):
     ) -> list[MigrationDecision]:
         """Pick tensors to evict so that ``needed_bytes`` can be allocated.
 
-        ``resident`` yields the evictable tensors currently in GPU memory in
-        least-recently-used order (oldest first). It supports one pass only
-        and must be consumed before this method returns; stop iterating once
-        enough bytes are chosen, since later entries cost time to produce.
+        ``resident`` yields the evictable tensors currently in GPU memory,
+        least recently used first. Tensors no kernel has used yet come first,
+        in allocation order; they include tensors just prefetched for an
+        upcoming kernel. Used tensors follow, from the oldest last use to the
+        newest. A tensor that was used, evicted and brought back by a
+        prefetch or fault keeps the position of its use before the eviction.
+        The stream supports one pass only and must be consumed before this
+        method returns; stop iterating once enough bytes are chosen.
         ``protected`` tensors never appear in it (they are needed by the
         executing kernel or already in flight).
         """

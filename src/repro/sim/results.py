@@ -12,7 +12,7 @@ from ..errors import SimulationError
 from ..uvm.migration import TrafficCounters
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelTiming:
     """Timing of one kernel in the simulated execution."""
 

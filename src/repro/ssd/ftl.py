@@ -4,8 +4,10 @@ The mapping is page-granular (as in a real page-mapped FTL) but the write
 path is *extent-aware*: tensor-sized host writes arrive as contiguous logical
 runs, and :meth:`FlashTranslationLayer.write_run` programs each run into the
 open block chunk-at-a-time — one garbage-collection check and one block lookup
-per chunk instead of per page — while producing exactly the same mapping,
-counters and GC schedule as the equivalent sequence of single-page writes.
+per chunk instead of per page. Until garbage collection first runs, it
+produces exactly the mapping and counters of the equivalent single-page
+writes; after that, the GC schedules can differ, because a single-page
+write checks before every page.
 A per-block reverse index makes GC relocation O(pages in the victim block)
 instead of a scan over the whole device mapping.
 """
@@ -109,12 +111,13 @@ class FlashTranslationLayer:
     def write_run(self, start_logical: int, count: int) -> GCResult:
         """Write ``count`` consecutive logical pages starting at ``start_logical``.
 
-        Behaviour-preserving bulk path: the mapping, counters and garbage
-        collections are identical to ``count`` sequential :meth:`write` calls,
-        but fresh pages are programmed chunk-at-a-time into the open block (GC
-        is only re-checked when the block state can actually have changed —
-        at chunk boundaries — and overwrites fall back to the per-page path,
-        whose invalidation can change GC victim ranking mid-run).
+        Bulk path: fresh pages are programmed chunk-at-a-time into the open
+        block with one garbage-collection check per chunk, and overwrites fall
+        back to the per-page path (their invalidation can change GC victim
+        ranking mid-run). Until a collection runs, the mapping and counters
+        equal those of ``count`` sequential :meth:`write` calls. The GC
+        schedule can differ: :meth:`write` checks before every page, so it can
+        start a collection mid-chunk where this path waits for the next chunk.
         """
         if count <= 0:
             raise SSDError("write runs must cover at least one page")
@@ -130,13 +133,19 @@ class FlashTranslationLayer:
             block_id = self._writable_block()
             block = self.blocks[block_id]
             owners = self._block_pages.setdefault(block_id, {})
-            chunk_limit = min(end, page + block.free_pages)
-            while page < chunk_limit and page not in self._mapping:
-                offset = block.program()
-                self._mapping[page] = (block_id, offset)
+            mapping, valid = self._mapping, block.valid
+            # The chunk fits the block's free pages, so it is programmed in
+            # place: the same offsets, in order, as per-page program() calls.
+            first = offset = block.write_pointer
+            chunk_limit = min(end, page + block.pages_per_block - first)
+            while page < chunk_limit and page not in mapping:
+                valid[offset] = True
+                mapping[page] = (block_id, offset)
                 owners[page] = None
-                self.host_pages_written += 1
+                offset += 1
                 page += 1
+            block.write_pointer = offset
+            self.host_pages_written += offset - first
         return total
 
     def read(self, logical_page: int) -> tuple[int, int]:
@@ -145,15 +154,23 @@ class FlashTranslationLayer:
 
     def trim(self, logical_page: int) -> None:
         """Discard a logical page (the tensor was freed or migrated elsewhere)."""
-        self._invalidate_if_mapped(logical_page)
-        location = self._mapping.pop(logical_page, None)
-        if location is not None:
-            self._block_pages.get(location[0], {}).pop(logical_page, None)
+        self.trim_run(logical_page, 1)
 
     def trim_run(self, start_logical: int, count: int) -> None:
-        """Discard a contiguous run of logical pages."""
+        """Discard a contiguous run of logical pages.
+
+        Each mapped page is invalidated in its block and dropped from the
+        mapping and the block's reverse index; unmapped pages are skipped.
+        """
+        mapping, blocks, block_pages = self._mapping, self.blocks, self._block_pages
         for logical in range(start_logical, start_logical + count):
-            self.trim(logical)
+            location = mapping.pop(logical, None)
+            if location is not None:
+                block_id, offset = location
+                # A mapped page is always a programmed page of its block, and
+                # its block always has a reverse-index entry.
+                blocks[block_id].valid[offset] = False
+                block_pages[block_id].pop(logical, None)
 
     # -- internals ---------------------------------------------------------------
 

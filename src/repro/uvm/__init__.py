@@ -8,8 +8,8 @@ This package models the memory-system half of G10:
   or flash pages (the paper's UVM extension), plus a :class:`TLB` model;
 * :class:`MemoryPool` — byte/page accounted GPU and host memory pools;
 * :class:`PageFaultModel` — the cost of the GPU fault path (Table 2's 45 µs);
-* :class:`MigrationEngine` — migration metadata queues, the migration arbiter
-  and transfer-set batching of Figure 10.
+* :class:`MigrationEngine` — the timed transfers of Figure 10's runtime half,
+  one request at a time over the PCIe and SSD channels.
 """
 
 from .address_space import UnifiedAddressSpace, VirtualRange
@@ -17,7 +17,7 @@ from .page_table import MemoryLocation, PageTableEntry, UnifiedPageTable
 from .tlb import TLB
 from .memory import MemoryPool
 from .fault import PageFaultModel
-from .migration import MigrationEngine, MigrationRequest, MigrationKind, TransferSet
+from .migration import MigrationEngine, MigrationRequest, MigrationKind
 
 __all__ = [
     "UnifiedAddressSpace",
@@ -31,5 +31,4 @@ __all__ = [
     "MigrationEngine",
     "MigrationRequest",
     "MigrationKind",
-    "TransferSet",
 ]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -11,7 +10,7 @@ from ..core.extents import Extent
 from ..errors import AllocationError, TranslationError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VirtualRange:
     """A contiguous virtual allocation backing one tensor."""
 
@@ -29,7 +28,7 @@ class VirtualRange:
             raise AllocationError("virtual ranges must be page aligned")
         if self.size_bytes <= 0:
             raise AllocationError("virtual ranges must have positive size")
-        num_pages = math.ceil(self.size_bytes / self.page_size)
+        num_pages = -(-self.size_bytes // self.page_size)
         object.__setattr__(self, "num_pages", num_pages)
         object.__setattr__(self, "end", self.start + num_pages * self.page_size)
         object.__setattr__(self, "first_page", self.start // self.page_size)

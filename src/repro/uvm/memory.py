@@ -11,8 +11,6 @@ resident tensor.
 
 from __future__ import annotations
 
-import math
-
 from ..config import PAGE_SIZE
 from ..errors import AllocationError
 
@@ -42,7 +40,9 @@ class MemoryPool:
     # -- accounting -------------------------------------------------------
 
     def _page_bytes(self, size_bytes: int) -> int:
-        return max(1, math.ceil(size_bytes / self.page_size)) * self.page_size
+        # Integer ceiling division: equal to ``math.ceil(size_bytes /
+        # page_size)`` for every size below 2**53, without a float.
+        return max(1, -(-size_bytes // self.page_size)) * self.page_size
 
     @property
     def used_bytes(self) -> int:
@@ -67,7 +67,7 @@ class MemoryPool:
         return self._resident.get(tensor_id, 0)
 
     def can_fit(self, size_bytes: int) -> bool:
-        return self._page_bytes(size_bytes) <= self.free_bytes
+        return self._page_bytes(size_bytes) <= self.capacity_bytes - self._used_bytes
 
     # -- mutation -----------------------------------------------------------
 
@@ -76,7 +76,7 @@ class MemoryPool:
         if tensor_id in self._resident:
             return
         rounded = self._page_bytes(size_bytes)
-        if rounded > self.free_bytes:
+        if rounded > self.capacity_bytes - self._used_bytes:
             raise AllocationError(
                 f"pool {self.name!r} cannot fit tensor {tensor_id}: "
                 f"need {rounded} bytes, only {self.free_bytes} free"

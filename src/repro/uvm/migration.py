@@ -1,16 +1,15 @@
-"""Runtime migration engine: metadata queues, arbiter and transfer batching.
+"""Runtime migration engine: timed transfers over PCIe and the SSD.
 
-This is the runtime half of Figure 10. The executor enqueues migration
-requests (pre-evictions, prefetches, demand faults); the engine resolves each
-into a timed transfer over the shared PCIe link and, for flash-bound traffic,
-the SSD's internal read/write path, honouring priorities (faults first, then
-prefetches, then pre-evictions) within each batch.
+This is the runtime half of Figure 10. The executor submits migration
+requests (pre-evictions, prefetches, demand faults) one at a time; the engine
+resolves each into a timed transfer over the shared PCIe link and, for
+flash-bound traffic, the SSD's internal read/write path. Each channel serves
+its requests in submission order.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from ..config import SystemConfig
@@ -20,19 +19,18 @@ from .page_table import MemoryLocation
 
 
 class MigrationKind(Enum):
-    """Why a transfer is happening; determines its arbiter priority."""
+    """Why a transfer is happening; counted separately in the traffic totals."""
 
     FAULT = "fault"
     PREFETCH = "prefetch"
     EVICTION = "eviction"
 
-    @property
-    def priority(self) -> int:
-        order = {MigrationKind.FAULT: 0, MigrationKind.PREFETCH: 1, MigrationKind.EVICTION: 2}
-        return order[self]
+    # Members are singletons compared by identity, so they hash by identity
+    # too (Enum's default hashes the member name in Python code).
+    __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MigrationRequest:
     """One tensor-granularity migration between two levels of the hierarchy."""
 
@@ -50,29 +48,12 @@ class MigrationRequest:
 
     @property
     def involves_flash(self) -> bool:
-        return MemoryLocation.FLASH in (self.source, self.destination)
+        return self.source is MemoryLocation.FLASH or self.destination is MemoryLocation.FLASH
 
     @property
     def direction_in(self) -> bool:
         """True when data flows toward the GPU."""
         return self.destination is MemoryLocation.GPU
-
-
-@dataclass
-class TransferSet:
-    """A batch of migrations admitted together by the migration arbiter."""
-
-    requests: list[MigrationRequest] = field(default_factory=list)
-
-    def ordered(self) -> list[MigrationRequest]:
-        """Requests in arbiter priority order (faults, prefetches, evictions)."""
-        return sorted(
-            self.requests, key=lambda r: (r.kind.priority, -r.size_bytes)
-        )
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.size_bytes for r in self.requests)
 
 
 @dataclass
@@ -113,7 +94,12 @@ class MigrationEngine:
     ):
         self._config = config
         self._ssd = ssd if ssd is not None else SSDDevice(config.ssd)
-        self._overhead = per_request_overhead
+        pcie = config.interconnect
+        #: Fixed cost of every transfer: software overhead plus link latency.
+        self._setup_time = per_request_overhead + pcie.latency
+        self._pcie_bandwidth = pcie.bandwidth
+        #: Host transfers run at the slower of the PCIe link and host DRAM.
+        self._host_bandwidth = min(pcie.bandwidth, config.host_bandwidth)
         self._free_at = {
             "pcie_in": 0.0,
             "pcie_out": 0.0,
@@ -122,7 +108,6 @@ class MigrationEngine:
         }
         self._busy_time = dict.fromkeys(self._free_at, 0.0)
         self.traffic = TrafficCounters()
-        self._sequence = itertools.count()
 
     # -- properties -----------------------------------------------------------
 
@@ -144,33 +129,24 @@ class MigrationEngine:
 
     def submit(self, request: MigrationRequest, now: float) -> float:
         """Schedule one migration; returns its completion time."""
-        channels = self._channels_for(request)
+        inbound = request.direction_in
+        flash = request.involves_flash
+        channels = _channels(inbound, flash)
         start = self._start_time(channels, now)
-        duration = self._service_time(request)
+        duration = self._service_time(request, inbound, flash)
         completion = start + duration
+        busy_time, free_at = self._busy_time, self._free_at
         for channel in channels:
-            self._busy_time[channel] += duration
-            self._free_at[channel] = completion
-        self._account(request)
+            busy_time[channel] += duration
+            free_at[channel] = completion
+        self._account(request, inbound, flash)
         return completion
-
-    def submit_batch(self, batch: TransferSet, now: float) -> dict[int, float]:
-        """Schedule a transfer set; returns completion time per tensor id."""
-        completions: dict[int, float] = {}
-        for request in batch.ordered():
-            completions[request.tensor_id] = self.submit(request, now)
-        return completions
 
     def earliest_start(self, request: MigrationRequest, now: float) -> float:
         """When a request would begin service if submitted now (no side effects)."""
-        return self._start_time(self._channels_for(request), now)
+        return self._start_time(_channels(request.direction_in, request.involves_flash), now)
 
     # -- internals -----------------------------------------------------------------
-
-    def _channels_for(self, request: MigrationRequest) -> tuple[str, ...]:
-        if request.direction_in:
-            return ("pcie_in", "ssd_read") if request.involves_flash else ("pcie_in",)
-        return ("pcie_out", "ssd_write") if request.involves_flash else ("pcie_out",)
 
     def _start_time(self, channels: tuple[str, ...], now: float) -> float:
         """The later of ``now`` and the time every channel is free."""
@@ -181,21 +157,19 @@ class MigrationEngine:
                 start = free_at
         return start
 
-    def _service_time(self, request: MigrationRequest) -> float:
-        pcie = self._config.interconnect
-        time = self._overhead + pcie.latency
-        pcie_leg = request.size_bytes / pcie.bandwidth
-        if request.involves_flash:
+    def _service_time(self, request: MigrationRequest, inbound: bool, flash: bool) -> float:
+        time = self._setup_time
+        if flash:
             # Flash transfers are pipelined page-by-page through the PCIe link,
             # so the end-to-end time is governed by the slower of the two legs.
-            if request.direction_in:
+            pcie_leg = request.size_bytes / self._pcie_bandwidth
+            if inbound:
                 ssd_leg = self._ssd.read_object(request.tensor_id, request.size_bytes)
             else:
                 ssd_leg = self._ssd.write_object(request.tensor_id, request.size_bytes)
             time += max(ssd_leg, pcie_leg)
         else:
-            bandwidth = min(pcie.bandwidth, self._config.host_bandwidth)
-            time += request.size_bytes / bandwidth
+            time += request.size_bytes / self._host_bandwidth
         return time
 
     def preload_flash(self, tensor_id: int, size_bytes: int) -> None:
@@ -206,17 +180,17 @@ class MigrationEngine:
         """
         self._ssd.preload_object(tensor_id, size_bytes)
 
-    def _account(self, request: MigrationRequest) -> None:
+    def _account(self, request: MigrationRequest, inbound: bool, flash: bool) -> None:
         traffic = self.traffic
-        if request.involves_flash:
+        if flash:
             traffic.gpu_ssd_bytes += request.size_bytes
-            if request.direction_in:
+            if inbound:
                 traffic.ssd_read_bytes += request.size_bytes
             else:
                 traffic.ssd_write_bytes += request.size_bytes
         else:
             traffic.gpu_host_bytes += request.size_bytes
-            if request.direction_in:
+            if inbound:
                 traffic.host_read_bytes += request.size_bytes
             else:
                 traffic.host_write_bytes += request.size_bytes
@@ -226,3 +200,10 @@ class MigrationEngine:
             traffic.prefetch_count += 1
         else:
             traffic.eviction_count += 1
+
+
+def _channels(inbound: bool, flash: bool) -> tuple[str, ...]:
+    """The channels a transfer occupies, by direction and flash involvement."""
+    if inbound:
+        return ("pcie_in", "ssd_read") if flash else ("pcie_in",)
+    return ("pcie_out", "ssd_write") if flash else ("pcie_out",)

@@ -21,6 +21,10 @@ class MemoryLocation(Enum):
     SSD = "flash"
     UNMAPPED = "unmapped"
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too (Enum's default hashes the member name in Python code).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class PageTableEntry:

@@ -74,6 +74,17 @@ class TestTensorInfo:
         assert tensor.size_bytes == expected
         assert tensor.num_pages >= 1
 
+    def test_size_is_computed_once_and_ignored_by_equality(self):
+        read = make_tensor(0, "t", (2, 3), TensorKind.ACTIVATION)
+        unread = make_tensor(0, "t", (2, 3), TensorKind.ACTIVATION)
+        assert read.size_bytes == 24
+        assert "size_bytes" in vars(read) and "size_bytes" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread) and repr(read) == repr(unread)
+        # Copies with another shape or dtype must not inherit the cached size.
+        assert replace(read, shape=(5,)).size_bytes == 20
+        assert replace(read, dtype_bytes=2).size_bytes == 12
+        assert read.with_id(9).size_bytes == 24
+
 
 class TestTensorSet:
     def test_auto_ids_are_sequential(self):

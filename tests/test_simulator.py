@@ -16,7 +16,7 @@ from repro.baselines import (
 )
 from repro.config import MB, paper_config
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.harness import run_policies, run_policy
+from repro.experiments.harness import build_workload, run_policies, run_policy
 from repro.graph import expand_training
 from repro.sim import EventQueue, ExecutionSimulator
 from repro.sim.policy import MigrationDecision, PolicyContext
@@ -338,3 +338,58 @@ class TestFlashNeuronVictims:
         assert {d.tensor_id for d in decisions} == planned
         assert not any(graph.tensor(d.tensor_id).is_global for d in decisions)
         assert all(d.destination is MemoryLocation.SSD for d in decisions)
+
+
+def scanned_deepum_prefetches(kernels, kernel, lookahead, hit_rate):
+    """DeepUM's per-kernel rescan of the next ``lookahead`` kernels.
+
+    The reference its prediction table replaced: walk the upcoming kernels'
+    tensors in order, skip repeats, and keep those the correlation table
+    predicts.
+    """
+    decisions, seen = [], set()
+    for upcoming in kernels[kernel.index + 1 : kernel.index + 1 + lookahead]:
+        for tensor_id in upcoming.tensor_ids:
+            if tensor_id in seen:
+                continue
+            seen.add(tensor_id)
+            if (tensor_id * 2654435761) % 1000 < int(hit_rate * 1000):
+                decisions.append(MigrationDecision(tensor_id))
+    return decisions
+
+
+class TestDeepUMPredictionTable:
+    @pytest.mark.parametrize("model", ["bert", "vit"])
+    @pytest.mark.parametrize("hit_rate", [0.75, 0.3])
+    def test_table_matches_the_per_kernel_scan(self, model, hit_rate):
+        workload = build_workload(model, scale="ci")
+        context = PolicyContext(
+            config=workload.config, graph=workload.graph, report=workload.report
+        )
+        kernels = workload.graph.kernels
+        for lookahead in range(1, 17):
+            policy = DeepUMPolicy(lookahead=lookahead, correlation_hit_rate=hit_rate)
+            policy.setup(context)
+            for kernel in kernels:
+                expected = scanned_deepum_prefetches(kernels, kernel, lookahead, hit_rate)
+                assert policy.prefetches_for(kernel, 0.0) == expected, (
+                    lookahead,
+                    kernel.index,
+                )
+
+    def test_setup_rebuilds_the_table(
+        self, bert_ci_workload, tiny_training, tiny_report, paper_cfg
+    ):
+        # A policy set up twice predicts for the second graph only.
+        policy = DeepUMPolicy()
+        policy.setup(PolicyContext(
+            config=bert_ci_workload.config,
+            graph=bert_ci_workload.graph,
+            report=bert_ci_workload.report,
+        ))
+        policy.setup(PolicyContext(config=paper_cfg, graph=tiny_training, report=tiny_report))
+        kernels = tiny_training.kernels
+        for kernel in kernels:
+            assert policy.prefetches_for(kernel, 0.0) == scanned_deepum_prefetches(
+                kernels, kernel, 8, 0.75
+            )

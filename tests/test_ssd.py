@@ -109,6 +109,46 @@ class TestFTL:
             block, offset = ftl.read(page)
             assert ftl.blocks[block].valid[offset]
 
+    @given(
+        ops=st.lists(
+            st.tuples(st.booleans(), st.integers(0, 15), st.integers(1, 6)), max_size=60
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_runs_keep_the_mapping_and_match_single_pages(self, ops):
+        # write_run/trim_run against a page-set model, and against single-page
+        # write()/trim() calls, on a device small enough for garbage
+        # collection to run. The run path checks GC only per chunk, so the two
+        # devices agree exactly only until either one has collected.
+        runs, pages = self._ftl(blocks=8, pages=4), self._ftl(blocks=8, pages=4)
+        mapped: set[int] = set()
+        written = 0
+        for write, start, count in ops:
+            span = range(start, min(start + count, 16))
+            if write:
+                runs.write_run(span.start, len(span))
+                for page in span:
+                    pages.write(page)
+                mapped.update(span)
+                written += len(span)
+            else:
+                runs.trim_run(span.start, len(span))
+                for page in span:
+                    pages.trim(page)
+                mapped.difference_update(span)
+            assert all(runs.is_mapped(p) == (p in mapped) for p in range(16))
+            assert runs.host_pages_written == written
+            # Exactly the mapped pages are valid, each where the mapping says.
+            assert sum(b.valid_pages for b in runs.blocks) == len(mapped)
+            assert all(runs.blocks[b].valid[o] for b, o in map(runs.read, mapped))
+            if runs.blocks_erased == pages.blocks_erased == 0:
+                assert [runs.read(p) for p in sorted(mapped)] == [
+                    pages.read(p) for p in sorted(mapped)
+                ]
+                assert [(b.valid, b.write_pointer) for b in runs.blocks] == [
+                    (b.valid, b.write_pointer) for b in pages.blocks
+                ]
+
     def test_write_amplification_grows_with_gc(self):
         ftl = self._ftl(blocks=4, pages=4)
         for _ in range(10):

@@ -1,6 +1,8 @@
 """Tests for the unified memory substrate: address space, page table, pools, engine."""
 
-from dataclasses import FrozenInstanceError, replace
+import math
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,11 @@ from repro.uvm import (
     MigrationRequest,
     PageFaultModel,
     TLB,
-    TransferSet,
     UnifiedAddressSpace,
     UnifiedPageTable,
 )
+from repro.sim.policy import MigrationDecision
+from repro.sim.results import KernelTiming
 from repro.uvm.address_space import VirtualRange
 
 
@@ -66,7 +69,7 @@ class TestAddressSpace:
     def test_range_page_arithmetic(self, first_page, size, page_size):
         vrange = VirtualRange(first_page * page_size, size, page_size)
         assert vrange.first_page == first_page
-        assert vrange.num_pages == -(-size // page_size)
+        assert vrange.num_pages == math.ceil(size / page_size)
         assert vrange.end == (first_page + vrange.num_pages) * page_size
         assert vrange.end - vrange.start >= size > vrange.end - vrange.start - page_size
         assert list(vrange.pages()) == list(range(first_page, first_page + vrange.num_pages))
@@ -162,6 +165,20 @@ class TestMemoryPool:
         pool = MemoryPool("gpu", capacity_bytes=3 * 4096)
         pool.allocate(1, 5000)
         assert pool.used_bytes == 2 * 4096
+
+    @given(
+        size=st.integers(0, 2**53 - 1)
+        | st.sampled_from([0, 1, 4095, 4096, 4097, 2**53 - 1, 2**53 - 4096, 2**52 + 1]),
+        page_size=st.integers(1, 1 << 21) | st.sampled_from([1, 3, 4096, 65536]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rounding_matches_the_float_ceiling_below_2_53(self, size, page_size):
+        # The float formula the integer ceiling division replaced.
+        expected = max(1, math.ceil(size / page_size)) * page_size
+        pool = MemoryPool("gpu", capacity_bytes=1 << 62, page_size=page_size)
+        assert pool.can_fit(size) == (expected <= 1 << 62)
+        pool.allocate(1, size)
+        assert pool.resident_size(1) == pool.used_bytes == expected
 
     def test_capacity_enforced(self):
         pool = MemoryPool("gpu", capacity_bytes=4096)
@@ -275,18 +292,6 @@ class TestMigrationEngine:
         request = MigrationRequest(1, 1000, MemoryLocation.GPU, MemoryLocation.HOST, MigrationKind.EVICTION)
         assert slow.submit(request, 0.0) > fast.submit(request, 0.0)
 
-    def test_transfer_set_priorities(self):
-        batch = TransferSet(
-            requests=[
-                MigrationRequest(1, 100, MemoryLocation.GPU, MemoryLocation.HOST, MigrationKind.EVICTION),
-                MigrationRequest(2, 100, MemoryLocation.HOST, MemoryLocation.GPU, MigrationKind.FAULT),
-                MigrationRequest(3, 100, MemoryLocation.HOST, MemoryLocation.GPU, MigrationKind.PREFETCH),
-            ]
-        )
-        kinds = [r.kind for r in batch.ordered()]
-        assert kinds == [MigrationKind.FAULT, MigrationKind.PREFETCH, MigrationKind.EVICTION]
-        assert batch.total_bytes == 300
-
     @given(
         requests=st.lists(
             st.tuples(
@@ -347,3 +352,39 @@ class TestMigrationEngine:
             MigrationRequest(1, 0, MemoryLocation.GPU, MemoryLocation.HOST, MigrationKind.EVICTION)
         with pytest.raises(SimulationError):
             MigrationRequest(1, 10, MemoryLocation.GPU, MemoryLocation.GPU, MigrationKind.EVICTION)
+
+
+class TestPerMigrationObjects:
+    def test_location_and_kind_hash_by_identity(self):
+        for member in (*MemoryLocation, *MigrationKind):
+            assert hash(member) == object.__hash__(member)
+            assert pickle.loads(pickle.dumps(member)) is member
+        # The SSD alias is the FLASH member, so it finds FLASH's entries.
+        assert MemoryLocation("flash") is MemoryLocation.SSD
+        assert {MemoryLocation.FLASH: 1}[MemoryLocation.SSD] == 1
+
+    @pytest.mark.parametrize("source", list(MemoryLocation))
+    @pytest.mark.parametrize("destination", list(MemoryLocation))
+    def test_request_direction_and_flash_involvement(self, source, destination):
+        if source is destination:
+            return
+        request = MigrationRequest(1, 4096, source, destination, MigrationKind.FAULT)
+        assert request.direction_in == (destination is MemoryLocation.GPU)
+        assert request.involves_flash == (MemoryLocation.FLASH in (source, destination))
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            MigrationRequest(3, 4096, MemoryLocation.HOST, MemoryLocation.GPU, MigrationKind.PREFETCH),
+            MigrationDecision(3, MemoryLocation.HOST),
+            KernelTiming(index=2, ideal_duration=1.5, stall=0.25, start_time=4.0),
+            VirtualRange(8192, 5000),
+        ],
+        ids=lambda record: type(record).__name__,
+    )
+    def test_slotted_records_stay_frozen_values(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, fields(record)[0].name, 4)
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert replace(record) == record and hash(replace(record)) == hash(record)

@@ -1,13 +1,16 @@
-"""The executor's lazy LRU victim stream against the eager lists it replaced.
+"""The executor's LRU victim stream against the eager list it replaced.
 
-``_make_space`` used to build two list comprehensions over every GPU resident
-and every used tensor before asking the policy for victims. They stay here as
-the reference: the stream must yield exactly that list, and every in-tree
+Before each victim selection, ``_make_space`` used to list every GPU
+resident no kernel had used yet (in allocation order), then every used
+tensor still resident (in last-use order), from a GPU pool and an LRU
+recency map holding every tensor ever used. That list stays here as the
+reference: :class:`ResidencyIndex` must stream exactly it, and every in-tree
 policy must decide the same from the one-pass stream as from the list.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import OrderedDict
 
 import pytest
@@ -15,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.factory import POLICY_NAMES, make_policy
-from repro.sim.executor import lru_victims
 from repro.sim.policy import PolicyContext
+from repro.sim.residency import ResidencyIndex
 from repro.uvm.memory import MemoryPool
 
 PAGE = 4096
@@ -37,29 +40,139 @@ def reference_victims(
     return resident
 
 
-@given(
-    ops=st.lists(
-        st.tuples(st.sampled_from(["alloc", "free", "use"]), st.integers(0, 30)),
-        max_size=80,
+TENSORS = st.integers(0, 15)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["alloc", "free", "die"]), TENSORS),
+        st.tuples(st.just("use"), st.lists(TENSORS, unique=True, max_size=4)),
     ),
-    unavailable=st.sets(st.integers(0, 30), max_size=12),
+    max_size=120,
 )
-@settings(max_examples=200, deadline=None)
-def test_stream_yields_the_reference_list(ops, unavailable):
-    # Random residency (allocation order included), LRU recency over resident
-    # and non-resident tensors alike, and unavailable sets.
+
+
+@given(ops=OPS, unavailable=st.sets(TENSORS, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_index_streams_the_reference_list(ops, unavailable):
+    # The executor's bookkeeping before the index, driven alongside it: a GPU
+    # pool (allocation order) and an LRU recency map that keeps used tensors
+    # after they are evicted and forgets them when they die. Few tensor ids
+    # and many operations make re-allocation after use and death common.
     gpu = MemoryPool("gpu", 1 << 30)
     last_used: OrderedDict[int, float] = OrderedDict()
-    for clock, (op, tid) in enumerate(ops):
+    index = ResidencyIndex()
+    for clock, (op, arg) in enumerate(ops):
         if op == "alloc":
-            gpu.allocate(tid, PAGE)
+            if not gpu.contains(arg):
+                gpu.allocate(arg, PAGE)
+                index.allocated(arg)
         elif op == "free":
-            gpu.free(tid)
+            assert index.freed(arg) == (gpu.free(arg) > 0)
+        elif op == "die":
+            gpu.free(arg)
+            last_used.pop(arg, None)
+            index.died(arg)
         else:
-            last_used[tid] = float(clock)
-            last_used.move_to_end(tid)
-    expected = reference_victims(gpu, last_used, unavailable)
-    assert list(lru_victims(gpu, last_used, unavailable)) == expected
+            for tid in arg:
+                last_used[tid] = float(clock)
+                last_used.move_to_end(tid)
+            index.used(arg)
+        for subset in (set(), unavailable):
+            assert list(index.victims(subset)) == reference_victims(gpu, last_used, subset)
+
+
+def test_reallocated_tensor_keeps_its_old_last_use_position():
+    # 1 is used, evicted and fetched back after 2 and 3 were used: it still
+    # ranks by its old use. 4, fetched back but never used, ranks first.
+    index = ResidencyIndex()
+    for tid in (1, 2, 3):
+        index.allocated(tid)
+    index.used([1])
+    index.used([2])
+    index.freed(1)
+    index.used([3])
+    index.allocated(4)
+    index.allocated(1)
+    assert list(index.victims(set())) == [4, 1, 2, 3]
+    assert list(index.victims({1, 4})) == [2, 3]
+
+
+def test_dead_tensor_comes_back_as_never_used():
+    # 2 was used after 1 and then died. Allocated again, no kernel has used
+    # it since, so it ranks first instead of after 1.
+    index = ResidencyIndex()
+    index.allocated(1)
+    index.allocated(2)
+    index.used([1])
+    index.used([2])
+    index.died(2)
+    index.allocated(2)
+    assert list(index.victims(set())) == [2, 1]
+
+
+def _first_victim_and_lines(index: ResidencyIndex) -> tuple[int, int]:
+    """The first victim, and the Python lines run to produce it.
+
+    Lines executed is a measure of work that does not depend on host speed.
+    """
+    stream = index.victims(set())
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        first = next(stream)
+    finally:
+        sys.settrace(previous)
+    return first, lines
+
+
+def _evicted_then_one_used(evicted: int) -> tuple[ResidencyIndex, int]:
+    """``evicted`` tensors used and evicted, then one resident used after them."""
+    index = ResidencyIndex()
+    for tid in range(evicted):
+        index.allocated(tid)
+        index.used([tid])
+        index.freed(tid)
+    index.allocated(evicted)
+    index.used([evicted])
+    return index, evicted
+
+
+def _residents(count: int, used: bool) -> tuple[ResidencyIndex, int]:
+    index = ResidencyIndex()
+    for tid in range(count):
+        index.allocated(tid)
+    if used:
+        index.used(range(count))
+    return index, 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # Used-then-evicted tensors stay in the recency order but are never
+        # walked: the old stream checked every one of them for residency.
+        _evicted_then_one_used,
+        # The stream is lazy over residents, never-used and used alike.
+        lambda count: _residents(count, used=False),
+        lambda count: _residents(count, used=True),
+    ],
+    ids=["evicted", "unused-residents", "used-residents"],
+)
+def test_first_victim_costs_the_same_at_any_size(build):
+    lines = []
+    for size in (10, 5000):
+        index, expected = build(size)
+        first, cost = _first_victim_and_lines(index)
+        assert first == expected
+        lines.append(cost)
+    assert lines[0] == lines[1]
 
 
 @pytest.fixture(scope="module")
@@ -90,26 +203,3 @@ def test_policies_decide_the_same_from_a_one_shot_stream(
         from_list = policy.select_victims(needed, set(), list(order), 0.0)
         from_stream = policy.select_victims(needed, set(), iter(order), 0.0)
         assert from_stream == from_list, name
-
-
-class _CountingRecency(OrderedDict):
-    """An LRU recency map that counts full walks over its keys."""
-
-    walks = 0
-
-    def __iter__(self):
-        self.walks += 1
-        return super().__iter__()
-
-
-def test_stream_is_lazy():
-    gpu = MemoryPool("gpu", 1 << 30)
-    for tid in (1, 2, 3):
-        gpu.allocate(tid, PAGE)
-    last_used = _CountingRecency([(3, 0.0), (2, 1.0)])
-    stream = lru_victims(gpu, last_used, set())
-    # The never-used resident comes first, before the recency walk starts.
-    assert next(stream) == 1
-    assert last_used.walks == 0
-    assert list(stream) == [3, 2]
-    assert last_used.walks == 1
