@@ -166,6 +166,11 @@ class UVMConfig:
             raise ConfigurationError("fault latency cannot be negative")
 
 
+def _field_dict(config: GPUConfig | SSDConfig | InterconnectConfig | UVMConfig) -> dict:
+    """A sub-config's fields by name, in declaration order."""
+    return {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Complete configuration of the simulated GPU + host + SSD system."""
@@ -221,8 +226,19 @@ class SystemConfig:
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> dict:
-        """All configuration fields as a plain (JSON-safe) nested dictionary."""
-        return dataclasses.asdict(self)
+        """All configuration fields as a plain (JSON-safe) nested dictionary.
+
+        Equal to ``dataclasses.asdict(self)``, keys and their order included,
+        without its deep copy: every leaf is an immutable scalar.
+        """
+        return {
+            "gpu": _field_dict(self.gpu),
+            "ssd": _field_dict(self.ssd),
+            "interconnect": _field_dict(self.interconnect),
+            "uvm": _field_dict(self.uvm),
+            "host_memory_bytes": self.host_memory_bytes,
+            "host_bandwidth": self.host_bandwidth,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SystemConfig":

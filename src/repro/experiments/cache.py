@@ -63,7 +63,8 @@ def _size_or_zero(path: Path) -> int:
 
 
 #: Bump when the stored payload layout changes; mismatched entries are misses.
-CACHE_SCHEMA_VERSION = 1
+#: Version 2 stores kernel timings as columns (``SimulationResult.to_dict``).
+CACHE_SCHEMA_VERSION = 2
 
 #: Default cache directory name (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -101,8 +102,9 @@ class ResultCache:
         """Whether ``key`` would be a hit, without parsing the whole payload.
 
         Sniffs the entry's schema header (and that the file ends like a JSON
-        object) instead of decoding megabytes of kernel timings; anything
-        inconclusive falls back to a full :meth:`get`. Used by
+        object) instead of decoding the whole payload, tens of kilobytes of
+        kernel-timing columns for a simulation cell; anything inconclusive
+        falls back to a full :meth:`get`. Used by
         :class:`~repro.experiments.sweep.SweepPlan` to classify every cell of
         a paper-scale grid cheaply. :meth:`get` stays authoritative: in the
         rare case of an entry corrupted *after* a valid header, ``has`` may
@@ -128,19 +130,25 @@ class ResultCache:
     def put(self, key: str, payload: dict, cell: dict | None = None) -> Path:
         """Persist a payload atomically (write to a temp file, then rename).
 
-        On any write failure the temp file is removed before re-raising, so a
-        crashed *in-process* writer cannot leak ``*.tmp.*`` files; only a
-        killed process can, and those are reclaimed by :meth:`clear`.
+        The file holds ``json.dumps(entry, separators=(",", ":"))``, written
+        with one ``write``; its ``{"schema":N,`` header is what :meth:`has`
+        sniffs. On any write failure the temp file is removed before
+        re-raising, so a crashed *in-process* writer cannot leak ``*.tmp.*``
+        files; only a killed process can, and those are reclaimed by
+        :meth:`clear`.
         Concurrent writers of the same key each get a unique temp file (see
         :func:`_tmp_path`), so the write is last-writer-wins at the rename.
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "cell": cell, "payload": payload}
+        # json.dumps runs the C encoder; json.dump on a file runs the
+        # pure-Python one, which writes the same bytes over twice as slowly.
+        text = json.dumps(entry, separators=(",", ":"))
         tmp = _tmp_path(path)
         try:
             with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(entry, fh, separators=(",", ":"))
+                fh.write(text)
             tmp.replace(path)
         except BaseException:
             tmp.unlink(missing_ok=True)

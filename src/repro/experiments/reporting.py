@@ -300,39 +300,24 @@ def _provenance(plan: SweepPlan) -> list[dict[str, object]]:
 _PERF_FIELDS = ("events_processed", "pages_moved", "fault_events", "eviction_stalls")
 
 
-def _perf_totals(
-    plan: SweepPlan, cache, memo: dict[str, dict] | None = None
-) -> dict[str, int]:
+def _perf_totals(plan: SweepPlan, counters: Mapping[str, Mapping]) -> dict[str, int]:
     """Aggregate the simulator's :class:`~repro.sim.results.PerfCounters`
-    over a figure's distinct cached cells.
+    over a figure's distinct cells.
 
-    The counters are deterministic, so they serialize into the cached payloads
-    and the report can attribute simulation work (events processed, pages
-    moved, faults, eviction stalls) per figure without re-running anything.
-    ``memo`` caches extracted counters per cache key across figures — the
-    report figures share most of their cells (12-14 are subsets of 11's
-    grid), so one payload parse per distinct key serves the whole report.
+    The counters are deterministic, so the report can attribute simulation
+    work (events processed, pages moved, faults, eviction stalls) per figure
+    whether each cell was served from the cache or recomputed, and with no
+    cache at all. ``counters`` is the runner's
+    :attr:`~repro.experiments.sweep.SweepRunner.perf_counters`: the perf
+    dict of every payload it served or executed, so no cache entry is
+    decoded again here. A cell the runner never saw, or one without a
+    simulation result, counts zero.
     """
     totals = dict.fromkeys(_PERF_FIELDS, 0)
-    if cache is None:
-        return totals
-    memo = {} if memo is None else memo
-    seen: set[str] = set()
-    for entry in plan.entries:
-        if entry.key in seen:
-            continue
-        seen.add(entry.key)
-        perf = memo.get(entry.key)
-        if perf is None:
-            payload = cache.get(entry.key)
-            if payload is None or payload.get("kind") != "simulation":
-                perf = dict.fromkeys(_PERF_FIELDS, 0)
-            else:
-                raw = payload.get("result", {}).get("perf", {})
-                perf = {field: int(raw.get(field, 0)) for field in _PERF_FIELDS}
-            memo[entry.key] = perf
+    for key in dict.fromkeys(entry.key for entry in plan.entries):
+        perf = counters.get(key, {})
         for field in _PERF_FIELDS:
-            totals[field] += perf[field]
+            totals[field] += int(perf.get(field, 0))
     return totals
 
 
@@ -364,7 +349,6 @@ def generate_report(
     manifest: dict = {"scale": scale, "figures": []}
     if runner.cache is not None:
         manifest["cache_root"] = str(runner.cache.root)
-    perf_memo: dict[str, dict] = {}
 
     for experiment in _resolve(figures):
         entry: dict = {"id": experiment.id, "title": experiment.title}
@@ -378,10 +362,11 @@ def generate_report(
             entry["provenance"] = []
         payload = jsonify(experiment.render(scale=scale, runner=runner))
         if plan is not None:
-            # After rendering, every cell is in the cache; attribute the
-            # simulator's perf counters to this figure (the plan's cache keys
-            # are render-invariant, so the pre-render plan serves).
-            entry["perf"] = _perf_totals(plan, runner.cache, memo=perf_memo)
+            # After rendering, the runner has served or executed every cell;
+            # attribute the simulator's perf counters to this figure (the
+            # plan's cache keys are render-invariant, so the pre-render plan
+            # serves).
+            entry["perf"] = _perf_totals(plan, runner.perf_counters)
         else:
             entry["perf"] = dict.fromkeys(_PERF_FIELDS, 0)
         artifact = output_dir / f"{artifact_name(experiment.id)}.json"

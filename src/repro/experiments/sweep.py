@@ -383,6 +383,11 @@ class SweepRunner:
         self.cache = cache
         #: (hits, executed) counters of the most recent :meth:`run`.
         self.last_stats: dict[str, int] = {"cells": 0, "cache_hits": 0, "executed": 0}
+        #: The deterministic ``PerfCounters`` dict of every payload any
+        #: :meth:`run` served or executed, by cache key (``{}`` for a payload
+        #: without a simulation result), so a report can total simulator work
+        #: without decoding cache entries again.
+        self.perf_counters: dict[str, dict] = {}
 
     def plan(self, spec: SweepSpec | Iterable[SweepCell]) -> SweepPlan:
         """Manifest of a spec against this runner's cache (no execution)."""
@@ -436,6 +441,8 @@ class SweepRunner:
                 if self.cache is not None:
                     self.cache.put(key, payload, cell=cell.to_dict())
 
+        for key, payload in payloads.items():
+            self.perf_counters[key] = payload.get("result", {}).get("perf", {})
         self.last_stats = {
             "cells": len(cells),
             "cache_hits": sum(1 for key in keys if key in cached_keys),

@@ -32,20 +32,6 @@ class KernelTiming:
             return 1.0
         return self.actual_duration / self.ideal_duration
 
-    def to_dict(self) -> dict:
-        """All fields as a JSON-safe dictionary."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelTiming":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            index=data["index"],
-            ideal_duration=data["ideal_duration"],
-            stall=data["stall"],
-            start_time=data["start_time"],
-        )
-
 
 @dataclass
 class PerfCounters:
@@ -107,6 +93,14 @@ class PerfCounters:
             eviction_stalls=data.get("eviction_stalls", 0),
             eviction_stall_seconds=data.get("eviction_stall_seconds", 0.0),
         )
+
+
+def _timing_column(columns: dict, name: str) -> list:
+    """One serialized kernel-timing column, checked to be a list."""
+    column = columns.get(name)
+    if not isinstance(column, list):
+        raise SimulationError(f"kernel timing column {name!r} is missing or not a list")
+    return column
 
 
 @dataclass
@@ -203,17 +197,37 @@ class SimulationResult:
         (including per-kernel timings and traffic counters) is preserved, so
         derived metrics computed on a deserialized result are bit-identical to
         the original. This is the on-disk format of the sweep result cache.
-        An infinite execution time (failed runs) is stored as ``None`` so the
-        output is strict RFC-8259 JSON rather than the ``Infinity`` literal.
+
+        ``kernel_timings`` is stored as columns: three equal-length lists
+        ``ideal_duration``, ``stall`` and ``start_time``, where a kernel's
+        index is its list position. A timing whose ``index`` differs from its
+        position raises :class:`~repro.errors.SimulationError`; executor
+        results always pass, because
+        :class:`~repro.graph.kernel.KernelTrace` only accepts kernel indices
+        consecutive from zero. An infinite execution time (failed runs) is
+        stored as ``None`` so the output is strict RFC-8259 JSON rather than
+        the ``Infinity`` literal.
         """
+        timings = self.kernel_timings
+        for position, timing in enumerate(timings):
+            if timing.index != position:
+                raise SimulationError(
+                    f"kernel timing at position {position} has index {timing.index}; "
+                    "serialized timings are indexed by their list position"
+                )
+        traffic = self.traffic
         return {
             "model_name": self.model_name,
             "batch_size": self.batch_size,
             "policy_name": self.policy_name,
             "ideal_time": self.ideal_time,
             "execution_time": self.execution_time if math.isfinite(self.execution_time) else None,
-            "kernel_timings": [t.to_dict() for t in self.kernel_timings],
-            "traffic": dataclasses.asdict(self.traffic),
+            "kernel_timings": {
+                "ideal_duration": [t.ideal_duration for t in timings],
+                "stall": [t.stall for t in timings],
+                "start_time": [t.start_time for t in timings],
+            },
+            "traffic": {f.name: getattr(traffic, f.name) for f in dataclasses.fields(traffic)},
             "ssd_bytes_written": self.ssd_bytes_written,
             "ssd_bytes_read": self.ssd_bytes_read,
             "ssd_write_amplification": self.ssd_write_amplification,
@@ -227,17 +241,32 @@ class SimulationResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Raises :class:`~repro.errors.SimulationError` when a kernel-timing
+        column is missing or not a list, or the columns differ in length.
+        """
         execution_time = data["execution_time"]
         if execution_time is None:  # JSON stores inf as null
             execution_time = float("inf")
+        columns = data.get("kernel_timings")
+        if not isinstance(columns, dict):
+            raise SimulationError("kernel_timings must be a dict of columns")
+        ideal, stall, start = (
+            _timing_column(columns, name) for name in ("ideal_duration", "stall", "start_time")
+        )
+        if not len(ideal) == len(stall) == len(start):
+            raise SimulationError(
+                "kernel timing columns differ in length: "
+                f"ideal_duration {len(ideal)}, stall {len(stall)}, start_time {len(start)}"
+            )
         return cls(
             model_name=data["model_name"],
             batch_size=data["batch_size"],
             policy_name=data["policy_name"],
             ideal_time=data["ideal_time"],
             execution_time=execution_time,
-            kernel_timings=[KernelTiming.from_dict(t) for t in data["kernel_timings"]],
+            kernel_timings=list(map(KernelTiming, range(len(ideal)), ideal, stall, start)),
             traffic=TrafficCounters(**data["traffic"]),
             ssd_bytes_written=data["ssd_bytes_written"],
             ssd_bytes_read=data["ssd_bytes_read"],

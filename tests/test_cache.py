@@ -114,6 +114,51 @@ class TestCorruptionTolerance:
         assert not cache.has(key)
 
 
+class TestWriteFormat:
+    @relaxed
+    @given(key=keys, payload=payloads, cell=st.none() | payloads)
+    def test_put_writes_one_compact_json_document(self, tmp_path, key, payload, cell):
+        """The file is exactly ``json.dumps(entry, separators=(",", ":"))``,
+        whose header ``has`` sniffs without decoding the payload."""
+        cache = ResultCache(tmp_path / "c")
+        path = cache.put(key, payload, cell=cell)
+        entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "cell": cell, "payload": payload}
+        assert path.read_bytes() == json.dumps(entry, separators=(",", ":")).encode("utf-8")
+        assert cache.has(key)
+
+    def test_schema_1_entry_is_a_miss_and_cleared(self, tmp_path):
+        """An entry in the row layout of schema 1 is never served, and
+        ``clear`` removes it."""
+        cache = ResultCache(tmp_path / "c")
+        key = "ab" + "1" * 62
+        rows = [{"index": 0, "ideal_duration": 0.5, "stall": 0.0, "start_time": 0.0}]
+        entry = {
+            "schema": 1, "key": key, "cell": None,
+            "payload": {"kind": "simulation", "result": {"kernel_timings": rows}},
+        }
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry, separators=(",", ":")), encoding="utf-8")
+        assert cache.get(key) is None
+        assert not cache.has(key)
+        assert cache.stats()["entries"] == 1
+        assert cache.clear() == 1
+        assert not path.exists()
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "c")
+
+        def refuse(self, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(type(tmp_path), "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            cache.put("ab12cd", {"v": 1})
+        monkeypatch.undo()
+        assert list(cache.root.rglob("*.tmp*")) == []
+        assert cache.get("ab12cd") is None
+
+
 def _entry(key: str, **overrides) -> dict:
     entry = {"schema": CACHE_SCHEMA_VERSION, "key": key, "cell": None, "payload": {"v": [1, 2]}}
     entry.update(overrides)

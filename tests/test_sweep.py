@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.characterization import characterize_workload
-from repro.config import GB, SystemConfig, paper_config
-from repro.errors import ConfigurationError, ReproError
+from repro.config import GB, SystemConfig, ci_config, paper_config, pcie4_config
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.experiments import (
     EXPERIMENTS,
     CellResult,
@@ -28,8 +31,10 @@ from repro.experiments import (
     resolve_batch_size,
     run_policy,
 )
+from repro.experiments import reporting
 from repro.experiments import sweep as sweep_module
-from repro.sim.results import KernelTiming, SimulationResult
+from repro.sim.results import KernelTiming, PerfCounters, SimulationResult
+from repro.uvm.migration import TrafficCounters
 
 #: One cell down every path a cell can take: a characterization cell and
 #: every built-in policy on two models, plus profiling noise and a patch.
@@ -54,7 +59,21 @@ GRID_EXPERIMENTS = (
 )
 
 
+def assert_matches_asdict(config: SystemConfig) -> None:
+    """``to_dict`` is ``dataclasses.asdict`` (the reference kept here), key
+    order and value types included: the JSON text of the two is identical."""
+    reference = dataclasses.asdict(config)
+    assert config.to_dict() == reference
+    assert json.dumps(config.to_dict()) == json.dumps(reference)
+
+
 class TestConfigSerialization:
+    @pytest.mark.parametrize(
+        "config", [paper_config(), ci_config(), pcie4_config()], ids=["paper", "ci", "pcie4"]
+    )
+    def test_to_dict_matches_asdict(self, config):
+        assert_matches_asdict(config)
+
     def test_round_trip(self):
         config = paper_config().with_host_memory(7 * GB).with_ssd_bandwidth(1.5 * GB)
         restored = SystemConfig.from_dict(config.to_dict())
@@ -70,7 +89,129 @@ class TestConfigSerialization:
         assert base.with_ssd_bandwidth(1 * GB).fingerprint() != base.fingerprint()
 
 
+#: Finite floats, with the ones JSON must carry bit for bit drawn often:
+#: signed zeros, subnormals and the largest magnitudes.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-300, 1.7976931348623157e308,
+         -1.7976931348623157e308, 1e300]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+COUNTS = st.integers(min_value=0, max_value=2**53)
+
+
+@st.composite
+def simulation_results(draw) -> SimulationResult:
+    """Arbitrary results: zero or more timings, and failed runs whose
+    execution time may be infinite."""
+    timings = [
+        KernelTiming(index, draw(EDGE_FLOATS), draw(EDGE_FLOATS), draw(EDGE_FLOATS))
+        for index in range(draw(st.integers(min_value=0, max_value=12)))
+    ]
+    failed = draw(st.booleans())
+    low, high = sorted((draw(EDGE_FLOATS), draw(EDGE_FLOATS)))
+    execution_time = float("inf") if failed and draw(st.booleans()) else high
+    return SimulationResult(
+        model_name=draw(st.text(max_size=8)),
+        batch_size=draw(COUNTS),
+        policy_name=draw(st.text(max_size=8)),
+        ideal_time=low,
+        execution_time=execution_time,
+        kernel_timings=timings,
+        traffic=TrafficCounters(
+            *(draw(EDGE_FLOATS) for _ in range(6)), *(draw(COUNTS) for _ in range(3))
+        ),
+        ssd_bytes_written=draw(EDGE_FLOATS),
+        ssd_bytes_read=draw(EDGE_FLOATS),
+        ssd_write_amplification=draw(EDGE_FLOATS),
+        fault_events=draw(COUNTS),
+        peak_gpu_bytes=draw(COUNTS),
+        peak_host_bytes=draw(COUNTS),
+        failed=failed,
+        failure_reason=draw(st.text(max_size=8)),
+        perf=PerfCounters(*(draw(COUNTS) for _ in range(6)), draw(EDGE_FLOATS)),
+    )
+
+
+def bits(value):
+    """``value`` with every float as its IEEE-754 bit pattern, so equality
+    tells -0.0 from 0.0; fields excluded from dataclass equality are skipped."""
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            bits(getattr(value, f.name)) for f in dataclasses.fields(value) if f.compare
+        )
+    if isinstance(value, list):
+        return tuple(bits(item) for item in value)
+    return (type(value).__name__, value)
+
+
+def three_kernel_payload() -> dict:
+    timings = [KernelTiming(index, 0.5, 0.25 * index, float(index)) for index in range(3)]
+    return SimulationResult(
+        model_name="m", batch_size=1, policy_name="p", ideal_time=1.5,
+        execution_time=3.0, kernel_timings=timings,
+    ).to_dict()
+
+
+#: Malformed kernel-timing columns ``from_dict`` must reject with a
+#: ``SimulationError`` rather than a ``KeyError`` or a silently short result.
+MALFORMED_COLUMNS = {
+    "missing-column": lambda columns: columns.pop("stall"),
+    "column-is-a-string": lambda columns: columns.update(stall="abc"),
+    "column-is-a-tuple": lambda columns: columns.update(stall=(0.0, 0.25, 0.5)),
+    "column-is-null": lambda columns: columns.update(start_time=None),
+    "column-is-a-dict": lambda columns: columns.update(ideal_duration={"0": 0.5}),
+    "short-column": lambda columns: columns["start_time"].pop(),
+    "long-column": lambda columns: columns["ideal_duration"].append(1.0),
+}
+
+
 class TestResultSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(result=simulation_results())
+    def test_json_round_trip_is_bit_exact(self, result):
+        data = result.to_dict()
+        assert list(data["kernel_timings"]) == ["ideal_duration", "stall", "start_time"]
+        assert all(
+            len(column) == len(result.kernel_timings) for column in data["kernel_timings"].values()
+        )
+        # allow_nan=False: strict RFC-8259 JSON, an infinite time stored as null.
+        restored = SimulationResult.from_dict(json.loads(json.dumps(data, allow_nan=False)))
+        assert bits(restored) == bits(result)
+
+    @pytest.mark.parametrize("indices", [(1,), (0, 2), (0, 0), (1, 0), (0, 1, 3)])
+    def test_a_timing_off_its_position_is_rejected(self, indices):
+        result = SimulationResult(
+            model_name="m", batch_size=1, policy_name="p", ideal_time=1.0, execution_time=1.0,
+            kernel_timings=[KernelTiming(index, 0.5, 0.0, 0.0) for index in indices],
+        )
+        with pytest.raises(SimulationError, match="position"):
+            result.to_dict()
+
+    @pytest.mark.parametrize("mangle", sorted(MALFORMED_COLUMNS))
+    def test_malformed_columns_are_rejected(self, mangle):
+        data = three_kernel_payload()
+        MALFORMED_COLUMNS[mangle](data["kernel_timings"])
+        with pytest.raises(SimulationError, match="kernel timing"):
+            SimulationResult.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "timings",
+        [None, [], [{"index": 0, "ideal_duration": 0.5, "stall": 0.0, "start_time": 0.0}]],
+        ids=["missing", "empty-rows", "row-layout"],
+    )
+    def test_timings_not_stored_as_columns_are_rejected(self, timings):
+        data = three_kernel_payload()
+        if timings is None:
+            del data["kernel_timings"]
+        else:
+            data["kernel_timings"] = timings
+        with pytest.raises(SimulationError, match="kernel_timings"):
+            SimulationResult.from_dict(data)
+
     def test_simulation_result_round_trip(self, bert_ci_workload):
         result = run_policy(bert_ci_workload, "g10")
         restored = SimulationResult.from_dict(result.to_dict())
@@ -79,10 +220,6 @@ class TestResultSerialization:
         assert np.array_equal(restored.kernel_slowdowns(), result.kernel_slowdowns())
         # The dict must be pure JSON: a full dump/load cycle preserves it.
         assert SimulationResult.from_dict(json.loads(json.dumps(result.to_dict()))) == result
-
-    def test_kernel_timing_round_trip(self):
-        timing = KernelTiming(index=3, ideal_duration=0.5, stall=0.1, start_time=2.0)
-        assert KernelTiming.from_dict(timing.to_dict()) == timing
 
     def test_failed_result_round_trip(self):
         failed = SimulationResult(
@@ -174,6 +311,13 @@ class TestConfigPatchAxes:
         config = SweepCell(model="bert", scale="ci", patch=ConfigPatch(**{axis: value})).config()
         assert read(config) == value
         assert config.fingerprint() != base.fingerprint()
+
+    @pytest.mark.parametrize(
+        "base", [paper_config(), default_config("bert", "ci")], ids=["paper", "ci"]
+    )
+    def test_axis_config_dict_matches_asdict(self, axis, base):
+        value, _ = PATCH_AXES[axis]
+        assert_matches_asdict(ConfigPatch(**{axis: value}).apply(base))
 
     def test_axis_changes_the_cache_key(self, axis):
         value, _ = PATCH_AXES[axis]
@@ -426,6 +570,14 @@ class TestPoolDispatch:
         assert runner.last_stats["cache_hits"] == 5
         assert all(out.cached for out in outs)
 
+    def test_payloads_without_a_result_record_empty_counters(self, pools, tmp_path):
+        cache = ResultCache(tmp_path)
+        a, b, c = _noisy_cells(3)
+        cache.put(a.cache_key(), _stub_payload(a))
+        runner = SweepRunner(jobs=2, cache=cache)
+        runner.run([a, b, c])
+        assert runner.perf_counters == {cell.cache_key(): {} for cell in (a, b, c)}
+
     @pytest.mark.parametrize(
         "jobs,misses,workers,chunksize",
         [(2, 6, 2, 3), (4, 6, 4, 1), (8, 6, 6, 1), (3, 10, 3, 3), (4, 18, 4, 4)],
@@ -577,6 +729,107 @@ class TestExperimentGrids:
             assert subset and len(subset) < len(full)
         else:
             assert subset == full
+
+
+#: Characterization cells, two figures over the same 20 simulation cells,
+#: a patched grid, a static table and the tenancy sweep.
+PERF_FIGURES = ("2", "12", "13", "16", "table2", "tenancy")
+PERF_FIELDS = ("events_processed", "pages_moved", "fault_events", "eviction_stalls")
+
+
+def decoded_perf_totals(cache: ResultCache, figures) -> dict[str, dict[str, int]]:
+    """Reference per-figure totals: decode every distinct cell's cache entry."""
+    totals = {}
+    for experiment_id in figures:
+        experiment = get_experiment(experiment_id)
+        figure = dict.fromkeys(PERF_FIELDS, 0)
+        cells = experiment.spec("ci").cells if experiment.spec is not None else ()
+        for key in dict.fromkeys(cell.cache_key() for cell in cells):
+            payload = cache.get(key)
+            if payload is not None and payload["kind"] == "simulation":
+                for field in PERF_FIELDS:
+                    figure[field] += payload["result"]["perf"][field]
+        totals[experiment.id] = figure
+    return totals
+
+
+@pytest.fixture(scope="class")
+def perf_reports(tmp_path_factory):
+    """A cold report into an empty cache, then a warm one that records every
+    ``ResultCache.get`` made outside ``SweepRunner.run`` (which serves the
+    cells the figures render)."""
+    root = tmp_path_factory.mktemp("perf-reports")
+    cache = ResultCache(root / "cache")
+    cold = generate_report(
+        scale="ci", figures=PERF_FIGURES, runner=SweepRunner(cache=cache), output_dir=root / "cold"
+    )
+    real_get, real_run = ResultCache.get, SweepRunner.run
+    running, gets_outside_run = [False], []
+
+    def recording_get(self, key):
+        if not running[0]:
+            gets_outside_run.append(key)
+        return real_get(self, key)
+
+    def watched_run(self, spec):
+        running[0] = True
+        try:
+            return real_run(self, spec)
+        finally:
+            running[0] = False
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ResultCache, "get", recording_get)
+        patch.setattr(SweepRunner, "run", watched_run)
+        warm = generate_report(
+            scale="ci", figures=PERF_FIGURES, runner=SweepRunner(cache=cache),
+            output_dir=root / "warm", expect_warm=True,
+        )
+    return cache, cold, warm, gets_outside_run
+
+
+class TestReportPerfTotals:
+    """Per-figure simulator work comes from the payloads the runner served
+    or executed, so it is the same cold, warm and without a cache."""
+
+    @pytest.mark.parametrize("label", ["cold", "warm"])
+    def test_totals_equal_decoding_every_entry(self, perf_reports, label):
+        cache, cold, warm, _ = perf_reports
+        manifest = cold if label == "cold" else warm
+        reference = decoded_perf_totals(cache, PERF_FIGURES)
+        assert {figure["id"]: figure["perf"] for figure in manifest["figures"]} == reference
+        assert reference["12"]["events_processed"] > 0
+        assert reference["tenancy"]["eviction_stalls"] > 0
+        assert manifest["totals"]["perf"] == {
+            field: sum(figure[field] for figure in reference.values()) for field in PERF_FIELDS
+        }
+
+    def test_warm_totals_decode_no_entry(self, perf_reports):
+        *_, gets_outside_run = perf_reports
+        assert gets_outside_run == []
+
+    def test_report_without_a_cache_reports_the_same_work(self, perf_reports, tmp_path):
+        _, cold, _, _ = perf_reports
+        manifest = generate_report(
+            scale="ci", figures=("12",), runner=SweepRunner(), output_dir=tmp_path
+        )
+        assert manifest["totals"]["recomputed"] == 20
+        (cached,) = [figure for figure in cold["figures"] if figure["id"] == "12"]
+        assert manifest["figures"][0]["perf"] == cached["perf"]
+        assert cached["perf"]["events_processed"] > 0
+
+    def test_each_distinct_cell_counts_once_and_unknown_cells_zero(self):
+        counters = {"a": {}, "b": {"events_processed": 3, "pages_moved": 5}}
+        plan = SweepPlan(
+            name="p",
+            entries=tuple(
+                sweep_module.PlanEntry(cell=SweepCell(model="bert"), key=key, cached=True)
+                for key in ("a", "b", "b", "c")
+            ),
+        )
+        assert reporting._perf_totals(plan, counters) == {
+            "events_processed": 3, "pages_moved": 5, "fault_events": 0, "eviction_stalls": 0,
+        }
 
 
 class TestReportFromWarmCache:
