@@ -49,6 +49,11 @@ class Direction(Enum):
     OUT = "out"  # eviction: GPU -> SSD/host
     IN = "in"  # prefetch: SSD/host -> GPU
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too (Enum's default hashes the member name in Python code, and every
+    # channel walk looks up a (to_ssd, direction) key).
+    __hash__ = object.__hash__
+
 
 _Combo = tuple[bool, Direction]
 
@@ -146,9 +151,12 @@ class ChannelSchedule:
             raise SchedulingError(f"unknown channel {channel!r}")
         capacity = self._capacities[channel][start:stop]
         available = np.asarray(self._available[channel][start:stop], dtype=np.float64)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            used = 1.0 - np.where(capacity > 0, available / capacity, 1.0)
-        return np.clip(used, 0.0, 1.0)
+        # 1 - available / capacity clamped to [0, 1], a slot without capacity
+        # counting as idle: the values of np.where + np.clip, computed with
+        # the ufuncs directly (the saturation test calls this per attempt).
+        ratio = np.divide(available, capacity, out=np.ones_like(available), where=capacity > 0)
+        used = np.subtract(1.0, ratio, out=ratio)
+        return np.minimum(np.maximum(used, 0.0, out=used), 1.0, out=used)
 
     def available_bytes(self, to_ssd: bool, direction: Direction, slots: np.ndarray) -> np.ndarray:
         """Per-slot bytes still schedulable for a transfer of the given kind."""

@@ -9,9 +9,17 @@ candidate is beneficial.
 
 Because evictions only ever *reduce* the over-capacity region, each candidate's
 benefit is monotonically non-increasing as the schedule grows; the scheduler
-therefore uses a lazy-greedy priority queue (re-evaluating a candidate only
-when it reaches the top of the heap), which keeps the search fast without
-changing the result of the paper's iterative argmax.
+therefore uses a lazy-greedy priority queue that re-scores a candidate only
+when it reaches the top of the heap. Heap keys are ``(-score, counter,
+period)``. A popped candidate whose fresh score falls more than ``1e-12``
+below the next entry's stored score is stale: it is re-queued under a new
+counter value. Otherwise it is the pick. Equal scores are therefore broken by
+the order of insertion and re-queueing, which is heap history rather than a
+documented key, and many scores do tie exactly (same-size tensors with
+same-length windows wholly above capacity). The loop stops when the pressure
+fits, when the pick's benefit is ``<= 0`` or after ``20 × len(candidates)``
+pops, stale re-queues included. Pinning ties to a documented total order is
+planned work (ROADMAP.md, "Specify Algorithm 1's tie-break").
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ class EvictionPolicyConfig:
             host memory (the "to_ssd_traffic is full" test of Algorithm 1).
         ranking: Candidate ordering — ``"benefit_cost"`` (the paper),
             ``"largest_tensor"`` or ``"longest_period"`` (ablations).
-        max_iterations: Safety bound on scheduling iterations.
+        max_iterations: Cap on heap pops, stale re-queues included; ``None``
+            means ``20 * len(candidates)`` (at least 20).
     """
 
     allow_ssd: bool = True
@@ -67,10 +76,8 @@ class _ScheduledMigration:
 
     period: InactivePeriod
     destination: MigrationDestination
-    eviction_issue: int
     eviction_complete: int
     prefetch_issue: int
-    prefetch_deadline: int
 
 
 def saturation_end_slot(
@@ -113,8 +120,12 @@ class SmartEvictionScheduler:
         self._host_capacity = float(config.host_memory_bytes)
         # The cost term depends only on the tensor size (channel latencies and
         # bandwidths are fixed for a run), and the lazy-greedy heap re-scores
-        # candidates constantly — memoize it per size.
-        self._cost_cache: dict[int, float] = {}
+        # candidates constantly — tabulate it per size.
+        self._costs = {
+            size: self._channels.transfer_time(size, to_ssd=True, direction=Direction.OUT)
+            + self._channels.transfer_time(size, to_ssd=True, direction=Direction.IN)
+            for size in dict.fromkeys(period.size_bytes for period in report.periods)
+        }
 
     # -- public API ----------------------------------------------------------
 
@@ -128,58 +139,55 @@ class SmartEvictionScheduler:
 
     def schedule(self) -> MigrationPlan:
         """Run Algorithm 1 and return the migration plan."""
+        pressure = self._pressure
         candidates = [p for p in self._report.periods if p.num_free_slots > 0]
-        heap: list[tuple[float, int, InactivePeriod]] = []
-        counter = itertools.count()
-        for period in candidates:
-            score = self._score(period)
-            heapq.heappush(heap, (-score, next(counter), period))
+        heap = [
+            (-self._score(period, pressure.eviction_benefit(period)), index, period)
+            for index, period in enumerate(candidates)
+        ]
+        # Counters are unique, so the pop order is the key order whether the
+        # heap was built by pushes or by one heapify.
+        heapq.heapify(heap)
+        counter = itertools.count(len(heap))
 
         accepted: list[_ScheduledMigration] = []
         max_iterations = self._policy.max_iterations or 20 * max(len(candidates), 1)
         iterations = 0
+        fits = pressure.fits()
 
-        while heap and not self._pressure.fits() and iterations < max_iterations:
+        while heap and not fits and iterations < max_iterations:
             iterations += 1
-            neg_score, _, period = heapq.heappop(heap)
-            fresh_score = self._score(period)
-            if heap and fresh_score < -heap[0][0] - 1e-12:
+            _, _, period = heapq.heappop(heap)
+            benefit = pressure.eviction_benefit(period)
+            score = self._score(period, benefit)
+            if heap and score < -heap[0][0] - 1e-12:
                 # Stale entry: benefit shrank since it was pushed; re-queue.
-                heapq.heappush(heap, (-fresh_score, next(counter), period))
+                heapq.heappush(heap, (-score, next(counter), period))
                 continue
-            if self._benefit(period) <= 0.0:
+            if benefit <= 0.0:
                 # The best remaining candidate no longer reduces any excess.
                 break
             migration = self._try_schedule(period)
             if migration is not None:
                 accepted.append(migration)
+                # Only an accepted migration changes the pressure curve.
+                fits = pressure.fits()
 
         return self._build_plan(accepted)
 
     # -- candidate evaluation ---------------------------------------------------
 
-    def _benefit(self, period: InactivePeriod) -> float:
-        return self._pressure.eviction_benefit(period)
-
-    def _cost(self, period: InactivePeriod) -> float:
-        cost = self._cost_cache.get(period.size_bytes)
-        if cost is None:
-            evict = self._channels.transfer_time(period.size_bytes, to_ssd=True, direction=Direction.OUT)
-            fetch = self._channels.transfer_time(period.size_bytes, to_ssd=True, direction=Direction.IN)
-            cost = evict + fetch
-            self._cost_cache[period.size_bytes] = cost
-        return cost
-
-    def _score(self, period: InactivePeriod) -> float:
+    def _score(self, period: InactivePeriod, benefit: float) -> float:
+        """Ranking key of a candidate whose current benefit is ``benefit``."""
         ranking = self._policy.ranking
+        if ranking == "benefit_cost":
+            cost = self._costs[period.size_bytes]
+            if cost <= 0:
+                return float("inf")
+            return benefit / cost
         if ranking == "largest_tensor":
             return float(period.size_bytes)
-        if ranking == "longest_period":
-            return float(period.num_free_slots)
-        cost = self._cost(period)
-        if cost <= 0:
-            return float("inf")
-        return self._benefit(period) / cost
+        return float(period.num_free_slots)
 
     # -- scheduling of one candidate ---------------------------------------------
 
@@ -204,11 +212,13 @@ class SmartEvictionScheduler:
             self._durations, start_slot, ideal_seconds, self._num_slots
         )
         utilization = self._channels.utilization_window("ssd_write", start_slot, end_slot + 1)
-        return bool(utilization.mean() >= self._policy.ssd_saturation_threshold)
+        # The arithmetic of ``utilization.mean()`` without its Python wrapper.
+        mean = np.add.reduce(utilization) / len(utilization)
+        return bool(mean >= self._policy.ssd_saturation_threshold)
 
     def _host_has_room(self, period: InactivePeriod) -> bool:
-        # Period slots are contiguous (two contiguous pieces when wrapping),
-        # so slices replace the index-array lookup — identical values.
+        # Period slots are contiguous (two contiguous pieces when wrapping).
+        # Float addition is monotonic, so the largest slot decides for all.
         if period.wraps_around:
             pieces = (
                 self._host_used[period.start_slot + 1 :],
@@ -216,27 +226,18 @@ class SmartEvictionScheduler:
             )
         else:
             pieces = (self._host_used[period.start_slot + 1 : max(period.end_slot, 0)],)
-        if not any(piece.size for piece in pieces):
+        peaks = [float(piece.max()) for piece in pieces if piece.size]
+        if not peaks:
             return False
-        return all(
-            bool((piece + period.size_bytes <= self._host_capacity).all())
-            for piece in pieces
-        )
+        return max(peaks) + period.size_bytes <= self._host_capacity
 
     def _probe_destination(
-        self, period: InactivePeriod, to_ssd: bool
-    ) -> tuple[int, int, int] | None:
-        """Check feasibility of one destination; return (evict_complete, prefetch_issue, deadline)."""
-        windows = self._windows(period)
-        if windows is None:
-            return None
+        self, period: InactivePeriod, windows: tuple[range, range], to_ssd: bool
+    ) -> tuple[int, int] | None:
+        """Check feasibility of one destination; return (evict_complete, prefetch_issue)."""
         evict_window, fetch_window = windows
-        evict_start = evict_window.start
-        n = self._num_slots
-        deadline = period.end_slot if not period.wraps_around else period.end_slot - n
-
         complete = self._channels.probe_forward(
-            period.size_bytes, evict_start, evict_window.stop, to_ssd, Direction.OUT
+            period.size_bytes, evict_window.start, evict_window.stop, to_ssd, Direction.OUT
         )
         if complete is None:
             return None
@@ -250,7 +251,7 @@ class SmartEvictionScheduler:
             # The tensor would need to start coming back before it finished
             # leaving; the migration would not reduce pressure at all.
             return None
-        return complete, prefetch_issue, deadline
+        return complete, prefetch_issue
 
     def _try_schedule(self, period: InactivePeriod) -> _ScheduledMigration | None:
         policy = self._policy
@@ -259,11 +260,11 @@ class SmartEvictionScheduler:
             return None
         evict_window, fetch_window = windows
 
-        ssd_probe = self._probe_destination(period, to_ssd=True) if policy.allow_ssd else None
-        host_probe = self._probe_destination(period, to_ssd=False) if policy.allow_host else None
+        ssd_probe = self._probe_destination(period, windows, True) if policy.allow_ssd else None
+        host_probe = self._probe_destination(period, windows, False) if policy.allow_host else None
 
         destination: MigrationDestination | None = None
-        probe: tuple[int, int, int] | None = None
+        probe: tuple[int, int] | None = None
         host_ok = host_probe is not None and self._host_has_room(period)
         if ssd_probe is not None:
             saturated = self._ssd_saturated(evict_window.start, period.size_bytes)
@@ -278,7 +279,7 @@ class SmartEvictionScheduler:
             return None
 
         to_ssd = destination is MigrationDestination.SSD
-        complete, prefetch_issue, deadline = probe
+        complete, prefetch_issue = probe
 
         # Reserve bandwidth for both legs of the migration.
         self._channels.reserve(
@@ -297,10 +298,8 @@ class SmartEvictionScheduler:
         return _ScheduledMigration(
             period=period,
             destination=destination,
-            eviction_issue=period.start_slot,
             eviction_complete=complete,
             prefetch_issue=prefetch_issue,
-            prefetch_deadline=deadline,
         )
 
     def _absent_slots(
@@ -326,24 +325,23 @@ class SmartEvictionScheduler:
                     tensor_id=period.tensor_id,
                     size_bytes=period.size_bytes,
                     destination=migration.destination,
-                    issue_slot=migration.eviction_issue,
+                    issue_slot=period.start_slot,
                     expected_completion_slot=migration.eviction_complete,
                     period=period,
                 )
             )
-            deadline = period.end_slot if not period.wraps_around else period.end_slot
+            # A wrap-around prefetch is issued in the next iteration.
+            issue = migration.prefetch_issue
+            if period.wraps_around:
+                issue += n
             prefetches.append(
                 PlannedPrefetch(
                     tensor_id=period.tensor_id,
                     size_bytes=period.size_bytes,
                     source=migration.destination,
-                    issue_slot=migration.prefetch_issue
-                    if not period.wraps_around
-                    else migration.prefetch_issue + n,
-                    latest_safe_slot=migration.prefetch_issue
-                    if not period.wraps_around
-                    else migration.prefetch_issue + n,
-                    deadline_slot=deadline,
+                    issue_slot=issue,
+                    latest_safe_slot=issue,
+                    deadline_slot=period.end_slot,
                     period=period,
                 )
             )

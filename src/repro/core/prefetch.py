@@ -66,12 +66,14 @@ class SmartPrefetcher:
         ``earliest_allowed``.
         """
         pressure = self._pressure.pressure_view()
-        capacity = self._pressure.capacity
-        size_bytes = prefetch.size_bytes
+        # Whole bytes: ``pressure + size > capacity`` exactly when
+        # ``pressure > capacity - size``. ``item`` yields Python ints, which
+        # compare faster than int64 scalars.
+        limit = int(self._pressure.capacity) - prefetch.size_bytes
         candidate = prefetch.issue_slot
         slot = candidate - 1
         while slot >= earliest_allowed:
-            if pressure[slot % num_slots] + size_bytes > capacity:
+            if pressure.item(slot % num_slots) > limit:
                 break
             candidate = slot
             slot -= 1

@@ -7,6 +7,11 @@ import numpy as np
 from ..errors import SchedulingError
 from .vitality import InactivePeriod
 
+#: Byte counts must stay below this bound: every integer below 2**53 is a
+#: float64, so the float views of the timeline (``peak``, the benefit) are
+#: exact, and so are float64 sums of its terms while they stay below it.
+EXACT_BYTES_BOUND = 2**53
+
 
 def period_slot_indices(period: InactivePeriod, num_slots: int) -> np.ndarray:
     """Kernel-slot indices covered by a period's free interval.
@@ -21,40 +26,77 @@ def period_slot_indices(period: InactivePeriod, num_slots: int) -> np.ndarray:
     return np.concatenate([tail, head])
 
 
+def _whole_bytes(value: float, what: str) -> int:
+    """``value`` as an int, or a :class:`SchedulingError` if it is not a
+    whole number of bytes (NaN, infinite and fractional values are not)."""
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise SchedulingError(f"{what} must be a number of bytes, got {value!r}") from None
+    if not number.is_integer():
+        raise SchedulingError(f"{what} must be a whole number of bytes, got {value!r}")
+    return int(number)
+
+
+def _whole_byte_curve(values: np.ndarray) -> np.ndarray:
+    """A pressure curve as int64 bytes, or a :class:`SchedulingError`."""
+    if values.ndim != 1 or len(values) == 0:
+        raise SchedulingError("baseline pressure must be a non-empty 1-D array")
+    if values.dtype.kind not in "biuf":
+        raise SchedulingError(f"baseline pressure must be numeric, not {values.dtype}")
+    if values.dtype.kind == "f":
+        if not np.isfinite(values).all():
+            raise SchedulingError("baseline pressure must be finite (no NaN or infinity)")
+        if (values != np.trunc(values)).any():
+            raise SchedulingError("baseline pressure must be whole bytes")
+    if (values < 0).any():
+        raise SchedulingError("baseline pressure cannot be negative")
+    if values.max() >= EXACT_BYTES_BOUND:
+        raise SchedulingError("baseline pressure must stay below 2**53 bytes")
+    return values.astype(np.int64)
+
+
 class MemoryPressureTimeline:
     """Tracks estimated GPU memory pressure per kernel slot.
 
     The scheduler evaluates eviction candidates against this curve: the
     *benefit* of evicting a tensor during a period is the amount by which the
     over-capacity region shrinks (the shaded area in Figure 7).
+
+    The pressure curve and the capacity must be whole bytes below 2**53
+    (:data:`EXACT_BYTES_BOUND`): a NaN, infinite, negative, fractional or
+    larger value raises :class:`SchedulingError`, and so does a fractional
+    amount passed to :meth:`add_bytes`. The curve is kept as int64, so every
+    benefit is an exact integer sum, equal to a float64 sum of the same terms
+    while that sum stays below 2**53.
     """
 
     def __init__(self, baseline_pressure: np.ndarray, capacity_bytes: float):
-        if capacity_bytes <= 0:
+        capacity = _whole_bytes(capacity_bytes, "GPU capacity")
+        if capacity <= 0:
             raise SchedulingError("GPU capacity must be positive")
-        self._pressure = np.asarray(baseline_pressure, dtype=np.float64).copy()
-        if self._pressure.ndim != 1 or len(self._pressure) == 0:
-            raise SchedulingError("baseline pressure must be a non-empty 1-D array")
-        self._capacity = float(capacity_bytes)
-        # Incrementally maintained over-capacity curve: benefit evaluation is
-        # the scheduler's hottest call, and keeping the excess array current
-        # (mutations touch few slots) turns each call into one slice + min +
-        # sum instead of a full subtract/clamp over the window. The touched
-        # slots are recomputed with the exact same elementwise formula, so the
-        # values are bit-identical to recomputing from scratch.
-        self._excess = np.maximum(self._pressure - self._capacity, 0.0)
-        # The scheduler re-evaluates the same periods' benefit thousands of
-        # times, but the benefit only changes when the curve does — cache it
-        # per mutation epoch (bumped by apply_eviction/add_bytes).
-        self._benefit_cache: dict[tuple[int, int, bool, int], tuple[int, float]] = {}
-        self._epoch = 0
-        self._peak_cache: tuple[int, float] | None = None
+        if capacity >= EXACT_BYTES_BOUND:
+            raise SchedulingError("GPU capacity must stay below 2**53 bytes")
+        self._pressure = _whole_byte_curve(np.asarray(baseline_pressure))
+        self._capacity = capacity
+        # The over-capacity curve, kept current by the mutations (they touch
+        # few slots).
+        self._excess = np.maximum(self._pressure - capacity, 0)
+        # size -> prefix sums of min(excess, size): entry i sums slots
+        # [0, i). The scheduler scores the same sizes many times between two
+        # mutations, and with a prefix every score is two lookups. Mutations
+        # drop the prefixes and the cached span of over-capacity slots.
+        self._prefix: dict[int, np.ndarray] = {}
+        self._excess_span: tuple[int, int] | None = None
+        self._peak: float | None = None
 
     # -- views -------------------------------------------------------------
 
     @property
     def capacity(self) -> float:
-        return self._capacity
+        return float(self._capacity)
 
     @property
     def num_slots(self) -> int:
@@ -62,7 +104,7 @@ class MemoryPressureTimeline:
 
     @property
     def pressure(self) -> np.ndarray:
-        """A read-only copy of the current pressure curve."""
+        """A copy of the current pressure curve (int64 bytes)."""
         return self._pressure.copy()
 
     def pressure_view(self) -> np.ndarray:
@@ -75,12 +117,9 @@ class MemoryPressureTimeline:
 
     @property
     def peak(self) -> float:
-        cached = self._peak_cache
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1]
-        peak = float(self._pressure.max())
-        self._peak_cache = (self._epoch, peak)
-        return peak
+        if self._peak is None:
+            self._peak = float(self._pressure.max())
+        return self._peak
 
     @property
     def excess(self) -> np.ndarray:
@@ -94,7 +133,7 @@ class MemoryPressureTimeline:
 
     def fits(self) -> bool:
         """True once the projected pressure never exceeds GPU capacity."""
-        return bool(self.peak <= self._capacity)
+        return self.peak <= self._capacity
 
     def slot_pressure(self, slot: int) -> float:
         return float(self._pressure[slot])
@@ -109,33 +148,44 @@ class MemoryPressureTimeline:
         """Critical memory-pressure reduction of evicting a tensor during ``period``.
 
         Matches the paper's definition: the area of the over-capacity region
-        removed if the tensor is absent during its inactive period.
+        removed if the tensor is absent during its inactive period, i.e. the
+        sum of ``min(excess, size)`` over the period's slots. A wrap-around
+        period covers the tail of the iteration and the head of the next.
         """
-        key = (period.start_slot, period.end_slot, period.wraps_around, period.size_bytes)
-        cached = self._benefit_cache.get(key)
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1]
-        # A period's slots are contiguous (wrap-around ones are two contiguous
-        # pieces), so slicing replaces fancy indexing — same values, same
-        # summation order, no index array. The pre-clamped excess curve makes
-        # each evaluation one slice + min + sum; a Hypothesis test in
-        # tests/test_scheduler.py pins it byte-equal to recomputing the clamp
-        # from the raw pressure curve on every call.
+        prefix = self._prefix.get(period.size_bytes)
+        if prefix is None:
+            prefix = self._build_prefix(period.size_bytes)
+        n = len(prefix) - 1
+        start = period.start_slot + 1
+        if start > n:
+            start = n
+        stop = period.end_slot
         if period.wraps_around:
-            excess = np.concatenate(
-                [
-                    self._excess[period.start_slot + 1 :],
-                    self._excess[: max(period.end_slot - self.num_slots, 0)],
-                ]
-            )
-        else:
-            excess = self._excess[period.start_slot + 1 : max(period.end_slot, 0)]
-        if excess.size == 0:
-            benefit = 0.0
-        else:
-            benefit = float(np.minimum(excess, period.size_bytes).sum())
-        self._benefit_cache[key] = (self._epoch, benefit)
-        return benefit
+            head = stop - n
+            if head < 0:
+                head = 0
+            elif head > n:
+                head = n
+            return float(prefix.item(n) - prefix.item(start) + prefix.item(head))
+        if stop > n:
+            stop = n
+        return float(prefix.item(stop) - prefix.item(start))
+
+    def _build_prefix(self, size: int) -> np.ndarray:
+        # Outside the span [lo, hi) of over-capacity slots the terms are 0,
+        # so only the span is summed (under a third of the slots, typically).
+        if self._excess_span is None:
+            over = np.flatnonzero(self._excess)
+            self._excess_span = (int(over[0]), int(over[-1]) + 1) if over.size else (0, 0)
+        lo, hi = self._excess_span
+        prefix = np.empty(len(self._excess) + 1, dtype=np.int64)
+        prefix[: lo + 1] = 0
+        span = prefix[lo + 1 : hi + 1]
+        np.minimum(self._excess[lo:hi], size, out=span)
+        np.add.accumulate(span, out=span)
+        prefix[hi + 1 :] = prefix[hi]
+        self._prefix[size] = prefix
+        return prefix
 
     # -- mutation --------------------------------------------------------------
 
@@ -143,18 +193,21 @@ class MemoryPressureTimeline:
         """Reduce pressure for the slots during which the tensor is actually absent."""
         if absent_slots.size == 0:
             return
-        self._epoch += 1
-        self._pressure[absent_slots] -= period.size_bytes
-        if (self._pressure[absent_slots] < -1e-6).any():
+        reduced = self._pressure[absent_slots] - period.size_bytes
+        if (reduced < 0).any():
             raise SchedulingError("pressure became negative; eviction applied twice?")
-        self._excess[absent_slots] = np.maximum(
-            self._pressure[absent_slots] - self._capacity, 0.0
-        )
+        self._set(absent_slots, reduced)
 
     def add_bytes(self, slots: np.ndarray, nbytes: float) -> None:
         """Add ``nbytes`` of residency for the given slots (prefetch moved earlier)."""
+        amount = _whole_bytes(nbytes, "added residency")
         if slots.size == 0:
             return
-        self._epoch += 1
-        self._pressure[slots] += nbytes
-        self._excess[slots] = np.maximum(self._pressure[slots] - self._capacity, 0.0)
+        self._set(slots, self._pressure[slots] + amount)
+
+    def _set(self, slots: np.ndarray, values: np.ndarray) -> None:
+        self._pressure[slots] = values
+        self._excess[slots] = np.maximum(values - self._capacity, 0)
+        self._prefix.clear()
+        self._excess_span = None
+        self._peak = None

@@ -77,8 +77,6 @@ class InactivePeriod:
     @property
     def free_slots(self) -> range:
         """Kernel slots during which the tensor could be absent from GPU memory."""
-        if self.wraps_around:
-            return range(self.start_slot + 1, self.end_slot)
         return range(self.start_slot + 1, self.end_slot)
 
     @property

@@ -1,6 +1,8 @@
 """Tests for the smart eviction scheduler, prefetcher and migration plan (§4.3-4.4)."""
 
+import heapq
 import itertools
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +25,10 @@ from repro.core import (
 from repro.core.eviction import saturation_end_slot
 from repro.core.plan import MigrationPlan, PlannedEviction, PlannedPrefetch
 from repro.core.pressure import period_slot_indices
-from repro.core.vitality import InactivePeriod, TensorVitalityAnalyzer
+from repro.core.vitality import InactivePeriod, TensorVitalityAnalyzer, VitalityReport
 from repro.errors import SchedulingError
+from repro.experiments.figures import _scaled_host_memory
+from repro.experiments.harness import build_workload, perturb_trace
 from repro.uvm.fault import PageFaultModel
 
 
@@ -53,8 +57,61 @@ def _scalar_eviction_benefit(
     return float(np.minimum(excess, period.size_bytes).sum())
 
 
+def _reference_schedule(
+    scheduler: SmartEvictionScheduler, report: VitalityReport, policy: EvictionPolicyConfig
+) -> tuple[MigrationPlan, int]:
+    """A plain copy of Algorithm 1's loop, the oracle for ``schedule()``;
+    returns the plan and the number of heap pops.
+
+    It pushes the initial scores one by one, re-checks ``fits()`` on every
+    pop and scores with a float64 window sum of the raw curve, twice for a
+    pick. It drives the scheduler's own ``_try_schedule`` and ``_build_plan``,
+    so a plan that differs from ``schedule()`` points at the loop or the
+    benefit.
+    """
+    timeline, channels = scheduler.pressure, scheduler.channels
+
+    def benefit(period: InactivePeriod) -> float:
+        curve = timeline.pressure_view().astype(np.float64)
+        return _scalar_eviction_benefit(curve, timeline.capacity, period, timeline.num_slots)
+
+    def score(period: InactivePeriod) -> float:
+        if policy.ranking == "largest_tensor":
+            return float(period.size_bytes)
+        if policy.ranking == "longest_period":
+            return float(period.num_free_slots)
+        cost = channels.transfer_time(period.size_bytes, True, Direction.OUT) + (
+            channels.transfer_time(period.size_bytes, True, Direction.IN)
+        )
+        return float("inf") if cost <= 0 else benefit(period) / cost
+
+    candidates = [p for p in report.periods if p.num_free_slots > 0]
+    heap: list = []
+    counter = itertools.count()
+    for period in candidates:
+        heapq.heappush(heap, (-score(period), next(counter), period))
+    accepted = []
+    max_iterations = policy.max_iterations or 20 * max(len(candidates), 1)
+    iterations = 0
+    while heap and not timeline.fits() and iterations < max_iterations:
+        iterations += 1
+        _, _, period = heapq.heappop(heap)
+        fresh = score(period)
+        if heap and fresh < -heap[0][0] - 1e-12:
+            heapq.heappush(heap, (-fresh, next(counter), period))
+            continue
+        if benefit(period) <= 0.0:
+            break
+        migration = scheduler._try_schedule(period)
+        if migration is not None:
+            accepted.append(migration)
+    return scheduler._build_plan(accepted), iterations
+
+
+# Whole-byte curves, as the vitality report builds them (float64 sums of
+# integer tensor sizes).
 pressure_curves = st.lists(
-    st.floats(min_value=0.0, max_value=1e9, allow_nan=False), min_size=2, max_size=24
+    st.integers(min_value=0, max_value=10**9), min_size=2, max_size=24
 ).map(lambda values: np.asarray(values, dtype=np.float64))
 
 # Slot durations spanning several orders of magnitude, so per-slot capacities
@@ -137,7 +194,7 @@ class TestMemoryPressureTimeline:
     @settings(max_examples=200, deadline=None)
     @given(
         pressure_curves,
-        st.floats(min_value=1.0, max_value=1e9),
+        st.integers(min_value=1, max_value=10**9),
         st.integers(min_value=1, max_value=10**9),
         st.data(),
     )
@@ -156,6 +213,94 @@ class TestMemoryPressureTimeline:
         assert timeline.eviction_benefit(period) == _scalar_eviction_benefit(
             curve, capacity, period, n
         )
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            [1.0, np.nan], [1.0, np.inf], [1.0, -np.inf], [1.0, -2.0], [-1, 3], [1.0, 2.5],
+            [2.0**53, 1.0],
+        ],
+        ids=["nan", "inf", "-inf", "negative", "negative-int", "fractional", "beyond-2**53"],
+    )
+    def test_non_whole_byte_pressure_rejected(self, curve):
+        with pytest.raises(SchedulingError):
+            MemoryPressureTimeline(np.array(curve), 20)
+
+    @pytest.mark.parametrize("capacity", [np.nan, np.inf, 20.5, 2**53])
+    def test_non_whole_byte_capacity_rejected(self, capacity):
+        with pytest.raises(SchedulingError):
+            MemoryPressureTimeline(np.array([10.0, 30.0]), capacity)
+
+    def test_whole_byte_floats_are_accepted_exactly(self):
+        top = float(2**53 - 1)
+        timeline = MemoryPressureTimeline(np.array([top, 0.0]), 20.0)
+        assert timeline.pressure.tolist() == [2**53 - 1, 0]
+        assert timeline.peak == top
+        period = InactivePeriod(1, size_bytes=2**52, start_slot=1, end_slot=3, wraps_around=True)
+        assert timeline.eviction_benefit(period) == 2**52
+
+    def test_fractional_added_bytes_rejected(self):
+        timeline = MemoryPressureTimeline(np.array([10.0, 30.0]), 20)
+        for amount in (1.5, np.nan, np.inf):
+            with pytest.raises(SchedulingError):
+                timeline.add_bytes(np.array([0]), amount)
+        timeline.add_bytes(np.array([0]), 4.0)
+        assert timeline.pressure.tolist() == [14, 30]
+
+    def test_rejected_eviction_leaves_the_curve_unchanged(self):
+        timeline = MemoryPressureTimeline(np.array([10.0, 30.0, 5.0]), 20)
+        period = InactivePeriod(tensor_id=1, size_bytes=8, start_slot=0, end_slot=3)
+        with pytest.raises(SchedulingError):
+            timeline.apply_eviction(period, np.array([1, 2]))
+        assert timeline.pressure.tolist() == [10, 30, 5]
+        assert timeline.eviction_benefit(period) == 8.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=2**42), min_size=1, max_size=64),
+        st.integers(min_value=1, max_value=2**42),
+        st.lists(st.integers(min_value=1, max_value=2**40), min_size=1, max_size=3),
+        st.data(),
+    )
+    def test_benefit_tracks_every_mutation(self, curve, capacity, sizes, data):
+        """Interleaved mutations and benefits against a Python-int model of
+        the curve: a prefix sum that outlives a mutation returns a stale sum.
+        Few distinct sizes, so prefixes are reused across mutations."""
+        n = len(curve)
+        model = list(curve)
+        timeline = MemoryPressureTimeline(np.asarray(curve, dtype=np.int64), capacity)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=24))):
+            size = data.draw(st.sampled_from(sizes))
+            start = data.draw(st.integers(min_value=0, max_value=n - 1))
+            action = data.draw(st.sampled_from(["benefit", "evict", "add"]))
+            if action == "benefit":
+                wraps = data.draw(st.booleans())
+                end = data.draw(
+                    st.integers(min_value=n, max_value=2 * n - 1) if wraps
+                    else st.integers(min_value=start + 1, max_value=n)
+                )
+                period = InactivePeriod(1, size, start, end, wraps_around=wraps)
+                window = range(start + 1, end)
+                expected = sum(min(max(model[s % n] - capacity, 0), size) for s in window)
+                assert timeline.eviction_benefit(period) == expected
+                continue
+            stop = data.draw(st.integers(min_value=start, max_value=start + n))
+            slots = [s % n for s in range(start, stop)]
+            if action == "add":
+                timeline.add_bytes(np.asarray(slots, dtype=np.int64), size)
+                for s in set(slots):
+                    model[s] += size
+                continue
+            period = InactivePeriod(1, size, 0, n + 1)
+            slots = sorted(set(slots))
+            if any(model[s] < size for s in slots):
+                with pytest.raises(SchedulingError):
+                    timeline.apply_eviction(period, np.asarray(slots, dtype=np.int64))
+            else:
+                timeline.apply_eviction(period, np.asarray(slots, dtype=np.int64))
+                for s in slots:
+                    model[s] -= size
+        assert timeline.pressure.tolist() == model
 
 
 class TestChannelSchedule:
@@ -203,6 +348,20 @@ class TestChannelSchedule:
         schedule.reserve(config.interconnect.bandwidth * 1.0, 0, to_ssd=False, direction=Direction.OUT)
         remaining = schedule.available_bytes(True, Direction.OUT, np.arange(10)).sum()
         assert remaining == pytest.approx(0.0, abs=1e-3)
+
+    def test_direction_hashes_by_identity(self):
+        for member in Direction:
+            assert hash(member) == object.__hash__(member)
+            assert pickle.loads(pickle.dumps(member)) is member
+        table = {(True, Direction.OUT): "evict", (True, Direction.IN): "fetch"}
+        assert table[(True, Direction("in"))] == "fetch"
+        assert {Direction.OUT: 1, Direction.IN: 2}[Direction("out")] == 1
+
+    def test_utilization_counts_an_exhausted_slot_as_fully_used(self):
+        schedule = ChannelSchedule(np.full(4, 0.01), paper_config())
+        first = float(schedule.available_bytes(True, Direction.OUT, np.arange(1))[0])
+        schedule.reserve(first + first / 4, 0, True, Direction.OUT)
+        assert schedule.utilization_window("ssd_write", 0, 4).tolist() == [1.0, 0.25, 0.0, 0.0]
 
     def test_invalid_durations_rejected(self):
         with pytest.raises(SchedulingError):
@@ -337,7 +496,7 @@ class TestEagerPrefetchSearch:
     @settings(max_examples=200, deadline=None)
     @given(
         pressure_curves,
-        st.floats(min_value=1.0, max_value=1e9),
+        st.integers(min_value=1, max_value=10**9),
         st.integers(min_value=1, max_value=10**9),
         st.data(),
     )
@@ -546,3 +705,72 @@ class TestSchedulerProperties:
         evicted = sorted(e.tensor_id for e in plan.evictions)
         prefetched = sorted(p.tensor_id for p in plan.prefetches)
         assert evicted == prefetched
+
+
+_ORACLE_POLICIES = {
+    "g10": EvictionPolicyConfig(),
+    "g10_gds": EvictionPolicyConfig(allow_host=False),
+    "largest_tensor": EvictionPolicyConfig(ranking="largest_tensor"),
+    "longest_period": EvictionPolicyConfig(ranking="longest_period"),
+}
+
+
+def _assert_matches_reference(report, config, policy) -> int:
+    """``schedule()`` and the reference loop give equal plans and final
+    pressure curves; returns the reference's pop count."""
+    scheduler = SmartEvictionScheduler(report, config, policy)
+    plan = scheduler.schedule()
+    reference = SmartEvictionScheduler(report, config, policy)
+    expected, pops = _reference_schedule(reference, report, policy)
+    assert plan.evictions == expected.evictions
+    assert plan.prefetches == expected.prefetches
+    assert repr(plan.planned_peak_pressure) == repr(expected.planned_peak_pressure)
+    assert plan.fits_in_gpu == expected.fits_in_gpu
+    assert plan == expected
+    assert scheduler.pressure.pressure.tolist() == reference.pressure.pressure.tolist()
+    return pops
+
+
+class TestAlgorithmOneOracle:
+    """``schedule()`` against the reference loop on real workloads."""
+
+    @pytest.mark.parametrize("policy", sorted(_ORACLE_POLICIES))
+    @pytest.mark.parametrize("model", ["bert", "inceptionv3", "resnet152", "senet154", "vit"])
+    def test_ci_models(self, model, policy):
+        workload = build_workload(model, scale="ci")
+        _assert_matches_reference(workload.report, workload.config, _ORACLE_POLICIES[policy])
+
+    @pytest.mark.parametrize(
+        "batch_size, host_gb",
+        [(256, None), (320, None), (320, 32), (320, 64), (320, 256)],
+    )
+    def test_ci_inception_schedules_that_stop_at_the_pop_cap(self, batch_size, host_gb):
+        """The CI report's five schedules that end after 20 × candidates pops
+        (Figure 15's batch sweep and Figure 16/17's host-memory sweep), where
+        the plan depends on the heap's whole history, not only on ties."""
+        workload = build_workload("inceptionv3", batch_size=batch_size, scale="ci")
+        config = workload.config
+        if host_gb is not None:
+            config = config.with_host_memory(_scaled_host_memory(host_gb, "inceptionv3", "ci"))
+        pops = _assert_matches_reference(workload.report, config, EvictionPolicyConfig())
+        candidates = sum(1 for p in workload.report.periods if p.num_free_slots > 0)
+        assert pops == 20 * candidates
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "model, batch_size, policy, noise",
+        [
+            ("resnet152", 1536, "g10", 0.0),
+            ("resnet152", 1536, "g10_gds", 0.0),
+            ("senet154", None, "g10", 0.0),
+            ("vit", None, "g10", 0.0),
+            ("resnet152", 1536, "g10", 0.1),
+        ],
+    )
+    def test_paper_scale_planner_cells(self, model, batch_size, policy, noise):
+        """perfbench's ``planner_cells`` schedules (the noisy one at seed 0)."""
+        workload = build_workload(model, batch_size=batch_size, scale="paper")
+        report = workload.report
+        if noise:
+            report = TensorVitalityAnalyzer(perturb_trace(workload.graph, noise, 0)).analyze()
+        _assert_matches_reference(report, workload.config, _ORACLE_POLICIES[policy])
