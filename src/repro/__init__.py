@@ -35,7 +35,6 @@ from .config import (
     SSDConfig,
     SystemConfig,
     UVMConfig,
-    ci_config,
     paper_config,
 )
 from .core import MigrationPlanner, TensorVitalityAnalyzer
@@ -80,7 +79,6 @@ __all__ = [
     "UVMConfig",
     "SystemConfig",
     "paper_config",
-    "ci_config",
     "MigrationPlanner",
     "TensorVitalityAnalyzer",
     "Scenario",

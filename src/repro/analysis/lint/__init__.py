@@ -21,13 +21,11 @@ from .framework import (
     LintFinding,
     LintRule,
     ModuleSource,
-    ProjectRule,
     active_rules,
     dotted_name,
     import_aliases,
     iter_python_files,
     lint_paths,
-    lint_project_sources,
     lint_source,
     package_path_of,
     register_rule,
@@ -43,13 +41,11 @@ __all__ = [
     "LintFinding",
     "LintRule",
     "ModuleSource",
-    "ProjectRule",
     "active_rules",
     "dotted_name",
     "import_aliases",
     "iter_python_files",
     "lint_paths",
-    "lint_project_sources",
     "lint_source",
     "package_path_of",
     "register_rule",

@@ -92,14 +92,7 @@ def package_path_of(path: Path) -> str:
 
 @dataclass(frozen=True)
 class LintFinding:
-    """One rule violation at one source location.
-
-    Interprocedural rules additionally carry ``evidence``: the call chain
-    proving the finding, one human-readable hop per entry, ending at the root
-    cause. Evidence is diagnostic only — it is not
-    part of the :attr:`fingerprint`, so a finding's baseline identity survives
-    refactors that merely reroute the chain.
-    """
+    """One rule violation at one source location."""
 
     rule: str
     path: str
@@ -108,7 +101,6 @@ class LintFinding:
     col: int
     message: str
     snippet: str
-    evidence: tuple[str, ...] = ()
 
     @property
     def fingerprint(self) -> str:
@@ -130,7 +122,6 @@ class LintFinding:
             "message": self.message,
             "snippet": self.snippet,
             "fingerprint": self.fingerprint,
-            "evidence": list(self.evidence),
         }
 
     def render(self) -> str:
@@ -325,34 +316,6 @@ class LintRule(ast.NodeVisitor):
         return findings
 
 
-class ProjectRule(LintRule):
-    """Base class for interprocedural rules needing whole-program context.
-
-    A project rule sees the entire lint run at once — every parsed module,
-    the project symbol table and the call graph — instead of one module at a
-    time, so it can follow a value across files (``DET005``) or intersect
-    propagated raise-sets with except-handlers (``EXC001``). Because its
-    verdicts depend on files *not* currently being edited, it only activates
-    under ``repro lint --project`` (selecting one explicitly without
-    ``--project`` is an error: a partial file list would silently weaken the
-    analysis).
-
-    Subclasses implement :meth:`check_project` and receive a
-    :class:`repro.analysis.dataflow.ProjectContext`; they report through
-    ``context.finding(...)``, which applies the same inline-suppression and
-    fingerprint semantics as per-module rules. ``applies_to`` is pinned
-    ``False`` so the per-module pass skips project rules entirely.
-    """
-
-    project_only = True
-
-    def applies_to(self, module: ModuleSource) -> bool:
-        return False
-
-    def check_project(self, project: Any) -> list[LintFinding]:
-        raise NotImplementedError  # pragma: no cover - interface
-
-
 #: Open registry of lint rules. Rule classes self-register on import of
 #: :mod:`repro.analysis.lint.rules` (the bootstrap); plugins add their own
 #: through ``@register_rule("XYZ123", title=..., rationale=...)``.
@@ -416,31 +379,6 @@ def lint_modules(
     return findings
 
 
-def _split_rules(
-    rules: Sequence[LintRule],
-    select: Iterable[str] | None,
-    project: bool,
-) -> tuple[list[LintRule], list[LintRule]]:
-    """Partition into (per-module, project) rules, policing ``--project``.
-
-    Explicitly selecting an interprocedural rule without project mode is an
-    error — running DET005 over two files out of eighty would silently miss
-    every cross-module path and report a false clean. With no explicit
-    selection the project rules are just skipped outside project mode.
-    """
-    module_rules = [r for r in rules if not getattr(r, "project_only", False)]
-    project_rules = [r for r in rules if getattr(r, "project_only", False)]
-    if not project:
-        if select is not None and project_rules:
-            names = ", ".join(r.code for r in project_rules)
-            raise LintError(
-                f"rule(s) {names} are interprocedural and need whole-program "
-                "context; re-run with --project"
-            )
-        return module_rules, []
-    return module_rules, project_rules
-
-
 def _collect_files(
     paths: Sequence[Path | str],
 ) -> tuple[list[Path], list[LintFinding]]:
@@ -494,39 +432,18 @@ def _parse_error(path: Path, exc: SyntaxError) -> LintFinding:
     )
 
 
-def _lint_project(
-    modules: Sequence[ModuleSource], rules: Sequence[LintRule]
-) -> list[LintFinding]:
-    """Run the interprocedural rules over the whole parsed module set."""
-    if not rules:
-        return []
-    from ..dataflow import ProjectContext  # deferred: dataflow imports this module
-
-    context = ProjectContext.build(modules)
-    findings: list[LintFinding] = []
-    for rule in rules:
-        findings.extend(rule.check_project(context))
-    return findings
-
-
 def lint_paths(
     paths: Sequence[Path | str],
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    project: bool = False,
 ) -> list[LintFinding]:
     """Lint files/directories.
 
     Parse failures become :data:`PARSE_ERROR_CODE` findings and unusable
     paths become :data:`UNREADABLE_CODE` findings — structured output rather
     than exceptions, so CI artifacts capture them alongside rule findings.
-    With ``project=True`` the interprocedural rules (DET005/EXC001 and
-    any registered :class:`ProjectRule`) also run, over a symbol table and
-    call graph built from *all* the given files.
     """
-    module_rules, project_rules = _split_rules(
-        active_rules(select, ignore), select, project
-    )
+    rules = active_rules(select, ignore)
     files, error_findings = _collect_files(paths)
     modules: list[ModuleSource] = []
     for path in files:
@@ -546,8 +463,7 @@ def lint_paths(
                     snippet="",
                 )
             )
-    findings = lint_modules(modules, module_rules)
-    findings += _lint_project(modules, project_rules)
+    findings = lint_modules(modules, rules)
     findings += error_findings
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
@@ -567,33 +483,7 @@ def lint_source(
     module = ModuleSource.parse(
         Path(package_path), text=text, package_path=package_path
     )
-    module_rules, _ = _split_rules(active_rules(select, ignore), select, project=False)
-    return lint_modules([module], module_rules)
-
-
-def lint_project_sources(
-    sources: Sequence[tuple[str, str]],
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> list[LintFinding]:
-    """Lint a set of in-memory modules in project mode.
-
-    ``sources`` is ``[(package_path, text), ...]`` — the fixture entry point
-    for interprocedural rules, letting tests assemble a miniature project
-    ("sim/engine.py calls a helper in experiments/helper.py") without
-    touching disk. Per-module rules run too, exactly as ``--project`` does.
-    """
-    modules = [
-        ModuleSource.parse(Path(package_path), text=text, package_path=package_path)
-        for package_path, text in sources
-    ]
-    module_rules, project_rules = _split_rules(
-        active_rules(select, ignore), select, project=True
-    )
-    findings = lint_modules(modules, module_rules)
-    findings += _lint_project(modules, project_rules)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return lint_modules([module], active_rules(select, ignore))
 
 
 # -- baseline -----------------------------------------------------------------
@@ -615,7 +505,10 @@ class Baseline:
 
     @classmethod
     def load(cls, path: Path | str | None) -> "Baseline":
-        """Read a baseline file; a missing path (or ``None``) means empty."""
+        """Read a baseline file; a missing path (or ``None``) means empty.
+
+        An unreadable or malformed file raises :class:`~repro.errors.LintError`.
+        """
         if path is None:
             return cls()
         path = Path(path)
@@ -623,6 +516,8 @@ class Baseline:
             return cls()
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise LintError(f"cannot read lint baseline {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise LintError(f"cannot parse lint baseline {path}: {exc}")
         if not isinstance(data, dict) or "findings" not in data:
@@ -642,6 +537,7 @@ class Baseline:
         )
 
     def write(self, path: Path | str) -> None:
+        """Write the baseline; an unwritable path raises :class:`~repro.errors.LintError`."""
         document = {
             "version": self.VERSION,
             "findings": sorted(
@@ -649,9 +545,12 @@ class Baseline:
                 key=lambda e: (e.get("package_path", ""), e.get("rule", ""), e.get("fingerprint", "")),
             ),
         }
-        Path(path).write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(path).write_text(
+                json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise LintError(f"cannot write lint baseline {path}: {exc}") from exc
 
     def partition(
         self, findings: Sequence[LintFinding]

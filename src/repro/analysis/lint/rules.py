@@ -102,11 +102,7 @@ class NoEntropyRule(LintRule):
 
     @classmethod
     def matches(cls, dotted: str) -> bool:
-        """Whether a resolved dotted path names a banned entropy source.
-
-        Shared with the interprocedural DET005 rule, which seeds its taint
-        from exactly this predicate applied to call-graph externals.
-        """
+        """Whether a resolved dotted path names a banned entropy source."""
         if dotted in cls.BANNED:
             return True
         if dotted.startswith("random.") and dotted.split(".", 1)[1] in cls.RANDOM_FUNCS:
@@ -585,10 +581,3 @@ class NoScalarArrayLoopRule(LintRule):
     visit_ListComp = _visit_ordered_comp
     visit_GeneratorExp = _visit_ordered_comp
     visit_DictComp = _visit_ordered_comp
-
-
-# The interprocedural rules (DET005/EXC001) live in
-# repro.analysis.dataflow and register themselves on import; pulling the
-# module in here makes registry bootstrap (which imports this module) load
-# them too, so `repro lint --list`/`--project` see the full rule set.
-from .. import dataflow  # noqa: E402,F401

@@ -51,7 +51,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .experiments.tenancy import ArrivalProcess, MultiTenantScenario
 
-from .config import SystemConfig
+from .config import SystemConfig, whole_bytes
 from .errors import ConfigurationError
 from .registry import MODEL_REGISTRY, POLICY_REGISTRY
 from .sim import SimulationResult
@@ -149,11 +149,11 @@ class Scenario:
 
     def with_gpu_memory(self, nbytes: int) -> "Scenario":
         """A copy with a different GPU memory capacity (bytes)."""
-        return self._patched(gpu_memory_bytes=int(nbytes))
+        return self._patched(gpu_memory_bytes=whole_bytes(nbytes, "GPU memory"))
 
     def with_host_memory(self, nbytes: int) -> "Scenario":
         """A copy with a different host DRAM capacity (Figures 16/17)."""
-        return self._patched(host_memory_bytes=int(nbytes))
+        return self._patched(host_memory_bytes=whole_bytes(nbytes, "host memory"))
 
     def with_ssd_bandwidth(self, read_bw: float, write_bw: float | None = None) -> "Scenario":
         """A copy with a different SSD bandwidth (Figure 18); write bandwidth

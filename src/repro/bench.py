@@ -172,11 +172,18 @@ def run_bench(
 
 
 def write_bench(payload: dict, path: str | Path = DEFAULT_BENCH_PATH) -> Path:
-    """Write a benchmark payload as pretty, stable JSON."""
+    """Write a benchmark payload as pretty, stable JSON.
+
+    An unwritable ``path`` (a missing directory, a directory, a read-only
+    file) raises :class:`~repro.errors.ConfigurationError`.
+    """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with path.open("w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write bench payload {path}: {exc}") from exc
     return path
 
 
@@ -241,7 +248,7 @@ def check_regressions(
     at least ``min_seconds`` — sub-noise-floor cells carry more host jitter
     than signal and are reported in the table but never fail the check.
     """
-    if threshold <= 1.0:
+    if not threshold > 1.0:
         raise ConfigurationError(f"threshold must be > 1.0, got {threshold}")
     messages = []
     baseline_cells = baseline.get("cells", {})

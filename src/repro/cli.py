@@ -13,11 +13,16 @@ Subcommands:
   ``BENCH_core.json`` (the repo's recorded perf trajectory); ``--check``
   gates CI against >2x regressions of the committed baseline;
 * ``lint``   — run the project's AST-based static analyzer (determinism
-  rules, DET001.. PERF001) over source trees; ``--project`` adds the
-  interprocedural rules (DET005 entropy taint over the call graph, EXC001
-  exception contracts); findings not in the committed baseline fail the run
-  (``--update-baseline`` refreshes it, ``--list-rules`` documents every rule);
+  rules DET001-DET004, PERF001) over source trees, one file at a time;
+  findings not in the committed baseline fail the run (``--update-baseline``
+  refreshes it, ``--list-rules`` documents every rule);
 * ``cache``  — inspect or clear the on-disk result cache.
+
+Malformed input fails with exit code 2 and one ``error:`` line on stderr,
+never a traceback: argparse rejects malformed option values (every float
+option must be finite), and every other failure surfaces as a
+:class:`~repro.errors.ReproError`, including an unusable output, cache or
+report path.
 
 Every experiment runs serially in-process by default, or over ``--jobs N``
 worker processes on one machine (bit-identical to serial), and honours the
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -57,13 +63,58 @@ from .experiments import (
     table2_configuration,
 )
 from .experiments.reporting import experiment_ids
-from .config import GB
+from .config import GB, whole_bytes
 from .errors import ConfigurationError, ReproError
 from .registry import MODEL_REGISTRY, POLICY_REGISTRY, load_plugins
 
 
 def _csv(text: str) -> list[str]:
     return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _selection(text: str | None, option: str) -> list[str] | None:
+    """A comma-separated subset: absent means the default set, empty is an error."""
+    if text is None:
+        return None
+    items = _csv(text)
+    if not items:
+        raise ConfigurationError(f"{option} is empty; omit it to select the default set")
+    return items
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _csv_numbers(text: str, parse, option: str) -> list:
+    """A comma-separated list of finite numbers (``sweep --batches/--errors``)."""
+    values = []
+    for item in _csv(text):
+        try:
+            value = parse(item)
+        except ValueError:
+            raise ConfigurationError(f"{option}: {item!r} is not a number") from None
+        if not -math.inf < value < math.inf:
+            raise ConfigurationError(f"{option}: {item!r} is not a finite number")
+        values.append(value)
+    return values
+
+
+def _write_json(path: str, payload, sort_keys: bool = False) -> None:
+    """Write a JSON artifact; an unwritable path is a :class:`ConfigurationError`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=sort_keys)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
 def _make_runner(args: argparse.Namespace) -> SweepRunner:
@@ -79,9 +130,7 @@ def _require_cache_for_resume(args: argparse.Namespace) -> None:
 def _emit(args: argparse.Namespace, results, as_table: bool = False) -> None:
     payload = jsonify(results)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
+        _write_json(args.output, payload, sort_keys=True)
     elif as_table:
         print(format_table(results))
     else:
@@ -138,7 +187,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     runner = _make_runner(args)
     patch = ConfigPatch(
-        host_memory_bytes=None if args.host_memory_gb is None else int(args.host_memory_gb * GB),
+        host_memory_bytes=(
+            None if args.host_memory_gb is None
+            else whole_bytes(args.host_memory_gb * GB, f"--host-memory-gb {args.host_memory_gb}")
+        ),
         ssd_read_bandwidth=None if args.ssd_bandwidth_gbs is None else args.ssd_bandwidth_gbs * GB,
     )
     if args.tenants is not None:
@@ -168,9 +220,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "cached": outcome.cached,
             },
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.output}")
+        _write_json(args.output, payload)
     return 1 if result.failed else 0
 
 
@@ -209,20 +259,19 @@ def _run_tenants(args: argparse.Namespace, runner: SweepRunner, patch: ConfigPat
         file=sys.stderr,
     )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(jsonify(result.to_dict()), fh, indent=2, sort_keys=True)
-        print(f"wrote {args.output}")
+        _write_json(args.output, jsonify(result.to_dict()), sort_keys=True)
     return 0
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     experiment = get_experiment(args.id)
     models = None
-    if args.models:
+    selected = _selection(args.models, "--models")
+    if selected is not None:
         if not experiment.supports_models:
             print(f"figure {args.id} has a fixed workload set; --models ignored", file=sys.stderr)
         else:
-            models = tuple(_csv(args.models))
+            models = tuple(selected)
 
     if experiment.id == "table2":
         _emit(args, [{"parameter": k, "value": v} for k, v in table2_configuration().items()],
@@ -249,9 +298,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "cli-sweep",
         models=_csv(args.models),
         policies=_csv(args.policies),
-        batch_sizes=[int(b) for b in _csv(args.batches)] if args.batches else (None,),
+        batch_sizes=(
+            _csv_numbers(args.batches, int, "--batches") if args.batches else (None,)
+        ),
         scale=args.scale,
-        profiling_errors=[float(e) for e in _csv(args.errors)] if args.errors else (0.0,),
+        profiling_errors=(
+            _csv_numbers(args.errors, float, "--errors") if args.errors else (0.0,)
+        ),
     )
     _require_cache_for_resume(args)
     if args.resume:
@@ -266,15 +319,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             {"cell": out.cell.to_dict(), "summary": jsonify(row)}
             for out, row in zip(outs, rows)
         ]
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-        print(f"wrote {args.output}")
+        _write_json(args.output, payload)
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     runner = _make_runner(args)
-    figures = _csv(args.figures) if args.figures else None
+    figures = _selection(args.figures, "--figures")
     _require_cache_for_resume(args)
     if args.resume:
         _print_plan("report", runner, combined_spec(args.scale, figures))
@@ -395,7 +446,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         paths,
         select=_csv(args.rule) if args.rule else None,
         ignore=_csv(args.ignore) if args.ignore else None,
-        project=args.project,
     )
     # Analysis errors (E001 unparseable, E002 unreadable) are never rule
     # findings: they cannot be baselined away and force exit 2 below.
@@ -410,7 +460,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             for finding in errors:
                 print(finding.render(), file=sys.stderr)
             print(
-                "refusing to update the baseline: the analysis is incomplete",
+                "error: refusing to update the baseline: the analysis is incomplete",
                 file=sys.stderr,
             )
             return 2
@@ -430,7 +480,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                 "summary": {
                     "checked_paths": [str(p) for p in paths],
                     "baseline": str(baseline_path) if baseline_path else None,
-                    "project": bool(args.project),
                     "new": len(new),
                     "baselined": len(baselined),
                     "errors": len(errors),
@@ -457,6 +506,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             )
         print(summary, file=sys.stderr)
     if errors:
+        print(
+            f"error: the analysis is incomplete: {len(errors)} path(s) could not be "
+            "read or parsed",
+            file=sys.stderr,
+        )
         return 2
     return 1 if new else 0
 
@@ -513,16 +567,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--list-models", action="store_true",
                      help="list every registered model (with aliases) and exit")
     run.add_argument("--batch", type=int, default=None, help="batch size (default: Figure 11's)")
-    run.add_argument("--error", type=float, default=0.0, help="profiling error fraction (§7.6)")
+    run.add_argument("--error", type=_finite_float, default=0.0,
+                     help="profiling error fraction (§7.6)")
     run.add_argument("--seed", type=int, default=0, help="profiling-error noise seed")
-    run.add_argument("--host-memory-gb", type=float, default=None,
+    run.add_argument("--host-memory-gb", type=_finite_float, default=None,
                      help="override host memory capacity (GB)")
-    run.add_argument("--ssd-bandwidth-gbs", type=float, default=None,
+    run.add_argument("--ssd-bandwidth-gbs", type=_finite_float, default=None,
                      help="override SSD read bandwidth (GB/s, write scaled proportionally)")
     run.add_argument("--tenants", type=int, default=None, metavar="N",
                      help="co-locate N sessions of this model on one shared "
                           "GPU+SSD and report per-tenant SLO/fairness metrics")
-    run.add_argument("--arrival-load", type=float, default=1.0, metavar="RHO",
+    run.add_argument("--arrival-load", type=_finite_float, default=1.0, metavar="RHO",
                      help="tenants: total offered load (requests per solo "
                           "latency) split evenly across tenants (default: 1.0)")
     run.add_argument("--requests", type=int, default=4, metavar="K",
@@ -580,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--check", default=None, metavar="BASELINE",
                        help="compare against a committed BENCH_core.json and exit "
                             "non-zero if any timed cell regressed beyond --threshold")
-    bench.add_argument("--threshold", type=float, default=2.0, metavar="X",
+    bench.add_argument("--threshold", type=_finite_float, default=2.0, metavar="X",
                        help="regression gate for --check (default: 2.0x)")
     bench.add_argument("--profile", action="store_true",
                        help="print the per-cell, per-phase time breakdown "
@@ -591,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
-        "lint", help="run the determinism static analyzer over source trees"
+        "lint", help="run the per-file determinism static analyzer over source trees"
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to lint (default: src/repro)")
@@ -601,10 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated rule codes to run (default: all)")
     lint.add_argument("--ignore", default=None, metavar="CODES",
                       help="comma-separated rule codes to skip")
-    lint.add_argument("--project", action="store_true",
-                      help="also run the interprocedural rules "
-                           "(DET005/EXC001) over a whole-program "
-                           "symbol table and call graph built from PATHs")
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       help="grandfather file for pre-existing findings "
                            f"(default: {DEFAULT_LINT_BASELINE} when present)")

@@ -2,9 +2,16 @@
 
 The values in :func:`paper_config` mirror Table 2 of the paper (A100 GPU with
 40 GB HBM2e, 128 GB host DRAM, a Samsung Z-NAND class SSD, PCIe Gen3 x16).
-:func:`ci_config` provides a proportionally scaled-down system so that the
-test-suite and the benchmark harness run in seconds while preserving the
-capacity/bandwidth ratios that drive every result in the paper.
+The CI-scale system is ``default_config(model, "ci")``
+(:mod:`repro.experiments.harness`): it shrinks GPU and host capacity by the
+model's ``ci_capacity_scale`` and keeps every bandwidth and latency of
+Table 2.
+
+Every float field and every capacity is range-checked at construction with
+a chained comparison (``not 0 < x < math.inf``), which also rejects NaN and
+infinities. A malformed value therefore raises
+:class:`~repro.errors.ConfigurationError` wherever it enters: a constructor,
+a ``with_*`` copy or :meth:`SystemConfig.from_dict`.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigurationError
@@ -26,6 +34,13 @@ FP32_BYTES = 4
 
 #: Page size used by the unified memory system (Table 2).
 PAGE_SIZE = 4 * KB
+
+
+def whole_bytes(nbytes: float, what: str) -> int:
+    """``nbytes`` as an int; NaN and infinities raise :class:`ConfigurationError`."""
+    if not -math.inf < nbytes < math.inf:
+        raise ConfigurationError(f"{what} must be a finite number of bytes, got {nbytes}")
+    return int(nbytes)
 
 
 @dataclass(frozen=True)
@@ -55,14 +70,16 @@ class GPUConfig:
     kernel_launch_overhead: float = 4e-6
 
     def __post_init__(self) -> None:
-        if self.memory_bytes <= 0:
-            raise ConfigurationError("GPU memory must be positive")
-        if self.peak_flops <= 0 or self.memory_bandwidth <= 0:
-            raise ConfigurationError("GPU throughput parameters must be positive")
+        if not 0 < self.memory_bytes < math.inf:
+            raise ConfigurationError("GPU memory must be positive and finite")
+        if not (0 < self.peak_flops < math.inf and 0 < self.memory_bandwidth < math.inf):
+            raise ConfigurationError("GPU throughput parameters must be positive and finite")
         for name in ("compute_efficiency", "conv_efficiency", "grouped_conv_efficiency", "gemm_efficiency"):
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ConfigurationError(f"{name} must be in (0, 1]")
+        if not 0 <= self.kernel_launch_overhead < math.inf:
+            raise ConfigurationError("kernel launch overhead must be non-negative and finite")
 
     def efficiency_for(self, compute_class: str) -> float:
         """Achieved fraction of peak FLOPs for one kernel compute class."""
@@ -106,12 +123,22 @@ class SSDConfig:
     endurance_days: int = 1825
 
     def __post_init__(self) -> None:
-        if self.read_bandwidth <= 0 or self.write_bandwidth <= 0:
-            raise ConfigurationError("SSD bandwidth must be positive")
-        if self.capacity_bytes <= 0:
-            raise ConfigurationError("SSD capacity must be positive")
+        if not (0 < self.read_bandwidth < math.inf and 0 < self.write_bandwidth < math.inf):
+            raise ConfigurationError("SSD bandwidth must be positive and finite")
+        if not (
+            0 <= self.read_latency < math.inf
+            and 0 <= self.write_latency < math.inf
+            and 0 <= self.erase_latency < math.inf
+        ):
+            raise ConfigurationError("SSD latencies must be non-negative and finite")
+        if not 0 < self.capacity_bytes < math.inf:
+            raise ConfigurationError("SSD capacity must be positive and finite")
         if not 0 <= self.overprovisioning < 1:
             raise ConfigurationError("overprovisioning must be in [0, 1)")
+        if not 0 <= self.gc_threshold < 1:
+            raise ConfigurationError("gc_threshold must be in [0, 1)")
+        if not 0 < self.endurance_dwpd < math.inf:
+            raise ConfigurationError("endurance_dwpd must be positive and finite")
 
     def scaled_bandwidth(self, factor: float) -> "SSDConfig":
         """Return a copy whose read/write bandwidth is multiplied by ``factor``.
@@ -135,8 +162,10 @@ class InterconnectConfig:
     latency: float = 5e-6
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ConfigurationError("interconnect bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ConfigurationError("interconnect bandwidth must be positive and finite")
+        if not 0 <= self.latency < math.inf:
+            raise ConfigurationError("interconnect latency must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -160,10 +189,15 @@ class UVMConfig:
     page_walk_latency: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.page_size <= 0 or self.fault_batch_bytes <= 0:
-            raise ConfigurationError("page size and fault batch must be positive")
-        if self.fault_latency < 0:
-            raise ConfigurationError("fault latency cannot be negative")
+        if not (0 < self.page_size < math.inf and 0 < self.fault_batch_bytes < math.inf):
+            raise ConfigurationError("page size and fault batch must be positive and finite")
+        if not (
+            0 <= self.fault_latency < math.inf
+            and 0 <= self.software_migration_overhead < math.inf
+            and 0 <= self.extended_uvm_overhead < math.inf
+            and 0 <= self.page_walk_latency < math.inf
+        ):
+            raise ConfigurationError("UVM latencies and overheads must be non-negative and finite")
 
 
 def _field_dict(config: GPUConfig | SSDConfig | InterconnectConfig | UVMConfig) -> dict:
@@ -185,10 +219,10 @@ class SystemConfig:
     host_bandwidth: float = 15.754 * GB
 
     def __post_init__(self) -> None:
-        if self.host_memory_bytes < 0:
-            raise ConfigurationError("host memory cannot be negative")
-        if self.host_bandwidth <= 0:
-            raise ConfigurationError("host bandwidth must be positive")
+        if not 0 <= self.host_memory_bytes < math.inf:
+            raise ConfigurationError("host memory must be non-negative and finite")
+        if not 0 < self.host_bandwidth < math.inf:
+            raise ConfigurationError("host bandwidth must be positive and finite")
 
     # -- convenience ----------------------------------------------------
 
@@ -267,42 +301,3 @@ class SystemConfig:
 def paper_config() -> SystemConfig:
     """The configuration used throughout the paper's evaluation (Table 2)."""
     return SystemConfig()
-
-
-def pcie4_config() -> SystemConfig:
-    """Paper configuration with a PCIe 4.0 x16 interconnect (Figure 18)."""
-    return paper_config().with_interconnect_bandwidth(32 * GB)
-
-
-def ci_config(scale: float = 1 / 64) -> SystemConfig:
-    """A scaled-down configuration preserving the paper's capacity/bandwidth ratios.
-
-    ``scale`` shrinks capacities; bandwidths are shrunk by the same factor so
-    that transfer-time/compute-time ratios (the quantity every experiment
-    depends on) stay the same while the simulated working set becomes small
-    enough for CI.
-    """
-    if scale <= 0 or scale > 1:
-        raise ConfigurationError("scale must be in (0, 1]")
-    base = paper_config()
-    gpu = dataclasses.replace(
-        base.gpu,
-        memory_bytes=max(int(base.gpu.memory_bytes * scale), 16 * MB),
-        peak_flops=base.gpu.peak_flops * scale,
-        memory_bandwidth=base.gpu.memory_bandwidth * scale,
-    )
-    ssd = dataclasses.replace(
-        base.ssd,
-        read_bandwidth=base.ssd.read_bandwidth * scale,
-        write_bandwidth=base.ssd.write_bandwidth * scale,
-        capacity_bytes=max(int(base.ssd.capacity_bytes * scale), 256 * MB),
-    )
-    ic = dataclasses.replace(base.interconnect, bandwidth=base.interconnect.bandwidth * scale)
-    return SystemConfig(
-        gpu=gpu,
-        ssd=ssd,
-        interconnect=ic,
-        uvm=base.uvm,
-        host_memory_bytes=max(int(base.host_memory_bytes * scale), 64 * MB),
-        host_bandwidth=base.host_bandwidth * scale,
-    )

@@ -30,7 +30,10 @@ import json
 import os
 import re
 import shutil
+import stat
 from pathlib import Path
+
+from ..errors import ConfigurationError
 
 # Per-process counter making temp names unique across concurrent writers in
 # one process (threads); writers in other processes are distinct by pid.
@@ -80,6 +83,17 @@ class ResultCache:
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_cache_root()
+        # One stat: a missing root is created by the first put; anything else
+        # that is not a directory (a regular file, /dev/null, a path through
+        # a file) can never hold entries.
+        try:
+            is_dir = stat.S_ISDIR(self.root.stat().st_mode)
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            raise ConfigurationError(f"unusable cache directory {self.root}: {exc}") from exc
+        if not is_dir:
+            raise ConfigurationError(f"cache directory {self.root} is not a directory")
 
     def path_for(self, key: str) -> Path:
         """Where a cell with this content hash is (or would be) stored."""

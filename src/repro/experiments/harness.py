@@ -184,17 +184,13 @@ def validate_noise(profiling_error: float, seed: int) -> None:
     """Reject out-of-range profiling-noise parameters.
 
     Negative errors used to be silently treated as "no noise"; they are now a
-    :class:`~repro.errors.ConfigurationError`, as are errors >= 1 (the noise
-    model is multiplicative in ``[1 - e, 1 + e]``) and seeds outside the
-    32-bit range the cache key serializes.
+    :class:`~repro.errors.ConfigurationError`, as are NaN, errors >= 1 (the
+    noise model is multiplicative in ``[1 - e, 1 + e]``) and seeds outside
+    the 32-bit range the cache key serializes.
     """
-    if profiling_error < 0:
+    if not 0 <= profiling_error < 1:
         raise ConfigurationError(
-            f"profiling_error must be >= 0, got {profiling_error}"
-        )
-    if profiling_error >= 1:
-        raise ConfigurationError(
-            f"profiling_error must be < 1 (got {profiling_error}): "
+            f"profiling_error must be in [0, 1) (got {profiling_error}): "
             "noise is multiplicative in [1 - e, 1 + e]"
         )
     if (

@@ -340,11 +340,16 @@ def generate_report(
     With ``expect_warm=True`` a :class:`~repro.errors.ReproError` is raised
     (after all artifacts are written, so the report can be inspected) if any
     cell had to be recomputed — the CI contract that incremental figure
-    regeneration really was served by the cache a cold run warmed.
+    regeneration really was served by the cache a cold run warmed. An
+    ``output_dir`` that cannot be created raises
+    :class:`~repro.errors.ConfigurationError` before any cell runs.
     """
     runner = runner or SweepRunner()
     output_dir = Path(output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create report directory {output_dir}: {exc}") from exc
 
     manifest: dict = {"scale": scale, "figures": []}
     if runner.cache is not None:

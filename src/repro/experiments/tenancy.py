@@ -20,6 +20,7 @@ stable across versions, which keeps the committed goldens byte-identical).
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import dataclass, replace
@@ -80,6 +81,11 @@ class ArrivalProcess:
             raise ConfigurationError(f"unknown arrival process kind {self.kind!r}")
         validate_noise(0.0, self.seed)
         if self.kind == "poisson":
+            if not (0 <= self.load < math.inf and 0 <= self.rate < math.inf):
+                raise ConfigurationError(
+                    f"poisson load/rate must be finite and >= 0, got "
+                    f"load={self.load}, rate={self.rate}"
+                )
             if (self.load > 0) == (self.rate > 0):
                 raise ConfigurationError(
                     "poisson arrivals need exactly one of load/rate, both positive"
@@ -89,8 +95,8 @@ class ArrivalProcess:
         else:
             if not self.think_times:
                 raise ConfigurationError("trace arrivals need at least one think time")
-            if any(t < 0 for t in self.think_times):
-                raise ConfigurationError("trace think times must be >= 0")
+            if not all(0 <= t < math.inf for t in self.think_times):
+                raise ConfigurationError("trace think times must be finite and >= 0")
 
     @classmethod
     def poisson(
@@ -274,8 +280,8 @@ class MultiTenantScenario:
         names = [tenant.name for tenant in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"tenant names must be unique, got {names}")
-        if self.gc_alpha < 0:
-            raise ConfigurationError("gc_alpha must be >= 0")
+        if not 0 <= self.gc_alpha < math.inf:
+            raise ConfigurationError(f"gc_alpha must be finite and >= 0, got {self.gc_alpha}")
 
     def with_tenant(
         self,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import SystemConfig, ci_config, paper_config
+from repro.config import SystemConfig, paper_config
 from repro.core.vitality import TensorVitalityAnalyzer
 from repro.experiments import ResultCache, SweepRunner
 from repro.experiments.harness import build_workload
@@ -57,11 +57,6 @@ def small_config() -> SystemConfig:
 @pytest.fixture(scope="session")
 def paper_cfg() -> SystemConfig:
     return paper_config()
-
-
-@pytest.fixture(scope="session")
-def ci_cfg() -> SystemConfig:
-    return ci_config()
 
 
 @pytest.fixture(scope="session")

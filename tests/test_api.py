@@ -9,6 +9,7 @@ fingerprint, sweep cache key, policy metadata) and observer hooks.
 from __future__ import annotations
 
 import importlib
+import math
 
 import pytest
 
@@ -67,6 +68,26 @@ class TestScenarioValidation:
     def test_error_of_one_or_more_rejected(self):
         with pytest.raises(ConfigurationError, match="profiling_error"):
             Scenario("bert", profiling_error=1.0).resolved()
+
+    def test_nan_profiling_error_rejected(self):
+        # NaN used to pass both range checks and simulate without noise.
+        with pytest.raises(ConfigurationError, match="profiling_error"):
+            Scenario("bert", scale="ci", profiling_error=math.nan).resolved()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            lambda s: s.with_ssd_bandwidth(math.inf),
+            lambda s: s.with_interconnect_bandwidth(math.nan),
+            lambda s: s.with_host_memory(math.nan),
+            lambda s: s.with_gpu_memory(math.inf),
+            lambda s: s.with_config(paper_config().with_ssd_bandwidth(math.nan)),
+        ],
+        ids=["ssd-inf", "pcie-nan", "host-nan", "gpu-inf", "config-nan"],
+    )
+    def test_non_finite_override_rejected(self, override):
+        with pytest.raises(ConfigurationError):
+            override(Scenario("bert", scale="ci")).run()
 
     @pytest.mark.parametrize("seed", [-1, 2**32, 1.5])
     def test_out_of_range_seed_rejected(self, seed):
@@ -259,6 +280,25 @@ class TestPackageRoot:
                 main(argv)
             assert exit_info.value.code == 2, argv
         capsys.readouterr()
+
+    def test_removed_interprocedural_lint_stays_removed(self, capsys):
+        """The whole-program lint engine gave way to tests/test_determinism.py
+        and tests/test_cli_fuzz.py; ci_config/pcie4_config had no callers."""
+        from repro.analysis import lint
+        from repro.cli import main
+
+        for module in ("symbols", "callgraph", "dataflow"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.analysis.{module}")
+        for name in ("ProjectRule", "lint_project_sources"):
+            assert not hasattr(lint, name)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", "--project"])
+        assert exit_info.value.code == 2
+        assert main(["lint", "--rule", "DET005"]) == 2
+        assert "DET005" in capsys.readouterr().err
+        assert not hasattr(repro, "ci_config")
+        assert not hasattr(repro.config, "pcie4_config")
 
 
 class TestNumpySeeds:

@@ -62,6 +62,13 @@ class TestBenchEngine:
         assert check_regressions(baseline, baseline) == []
         with pytest.raises(ConfigurationError):
             check_regressions(current, baseline, threshold=1.0)
+        # NaN compares false against every ratio and would pass every cell.
+        with pytest.raises(ConfigurationError):
+            check_regressions(current, baseline, threshold=float("nan"))
+
+    def test_write_bench_to_an_unwritable_path_is_a_configuration_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot write bench payload"):
+            write_bench({"cells": {}}, tmp_path / "missing" / "bench.json")
 
     def test_cells_under_the_noise_floor_never_gate(self):
         baseline = {"cells": {"tiny": {"seconds": 0.004}, "big": {"seconds": 1.0}}}

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.experiments.cache import CACHE_SCHEMA_VERSION, ResultCache, _tmp_path
 
 # Cache keys are SHA-256 hex digests; any hex string >= 2 chars is layout-valid.
@@ -216,6 +217,23 @@ class TestHasAgreesWithGet:
         cache.path_for(key).mkdir(parents=True)
         assert cache.get(key) is None
         assert not cache.has(key)
+
+
+class TestUnusableRoot:
+    """A root that can never hold entries fails at construction."""
+
+    @pytest.mark.parametrize("kind", ["regular-file", "under-a-file", "dev-null"])
+    def test_non_directory_root_rejected(self, tmp_path, kind):
+        plain = tmp_path / "plain"
+        plain.write_text("not a cache")
+        root = {
+            "regular-file": plain,
+            "under-a-file": plain / "cache",
+            "dev-null": os.devnull,
+        }[kind]
+        with pytest.raises(ConfigurationError, match="cache directory"):
+            ResultCache(root)
+        assert plain.read_text() == "not a cache"
 
 
 class TestStatsClearAgreement:

@@ -253,6 +253,73 @@ class TestCacheCommand:
         assert cache.get("ab12") == {"v": 1}
 
 
+def exit_code(argv: list[str]) -> int:
+    """``main(argv)``, with an argparse usage error mapped to its exit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+#: Calls that once crashed with a traceback or accepted a malformed value.
+#: ``{file}`` is a regular file, ``{dir}`` a directory, ``{missing}`` a path
+#: under a missing directory and ``{bench}`` a copy of BENCH_core.json.
+MALFORMED_CALLS = [
+    "run --model bert --no-cache --host-memory-gb nan",
+    "run --model bert --no-cache --host-memory-gb inf",
+    "run --model bert --no-cache --host-memory-gb 1e300",
+    "run --model bert --no-cache --error nan",
+    "run --model bert --no-cache --ssd-bandwidth-gbs inf",
+    "run --model bert --no-cache --tenants 1 --arrival-load=inf",
+    "run --model bert --no-cache --output {missing}",
+    "run --model bert --no-cache --tenants 1 --requests 1 --output {missing}",
+    "run --model bert --cache-dir /dev/null",
+    "figure 11 --models bert --no-cache --output {missing}",
+    "figure 11 --models bert --cache-dir /dev/null",
+    "figure 11 --models= --no-cache",
+    "sweep --models bert --policies g10 --no-cache --batches abc",
+    "sweep --models bert --policies g10 --no-cache --errors abc",
+    "sweep --models bert --policies g10 --no-cache --errors nan",
+    "sweep --models bert --policies g10 --no-cache --output {missing}",
+    "report --figures 2 --no-cache --output-dir /dev/null/x",
+    "report --figures= --no-cache",
+    "cache info --cache-dir {file}",
+    "cache clear --cache-dir {file}",
+    "bench --from {bench} --output {missing}",
+    "bench --from {bench} --check {bench} --threshold=nan",
+    "lint {file} --baseline {dir}",
+    "lint {file} --update-baseline --baseline {missing}",
+    "lint {missing}",
+]
+
+
+class TestMalformedInput:
+    """Each call exits 2 with one ``error:`` line on stderr and no traceback."""
+
+    @pytest.mark.parametrize("template", MALFORMED_CALLS)
+    def test_exits_2_with_one_error_line(self, template, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        plain = tmp_path / "plain.py"
+        plain.write_text("x = 1\n")
+        bench = tmp_path / "bench.json"
+        bench.write_text((Path(__file__).resolve().parents[1] / "BENCH_core.json").read_text())
+        argv = template.format(
+            file=plain, dir=tmp_path, missing=tmp_path / "missing" / "x.json", bench=bench
+        ).split()
+        assert exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "error:" in err.strip().splitlines()[-1]
+        assert not (tmp_path / "missing").exists()
+
+    def test_cache_clear_leaves_a_regular_file_alone(self, tmp_path, capsys):
+        target = tmp_path / "results"
+        target.write_text("not a cache")
+        assert exit_code(["cache", "clear", "--cache-dir", str(target)]) == 2
+        assert target.read_text() == "not a cache"
+        capsys.readouterr()
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_repro(self, tmp_path):
         """The acceptance-criteria invocation, end to end in a fresh process."""

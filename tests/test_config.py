@@ -1,6 +1,7 @@
 """Tests for the system configuration (Table 2)."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -12,9 +13,7 @@ from repro.config import (
     SSDConfig,
     SystemConfig,
     UVMConfig,
-    ci_config,
     paper_config,
-    pcie4_config,
 )
 from repro.errors import ConfigurationError
 
@@ -44,9 +43,6 @@ class TestPaperConfig:
 
     def test_interconnect_is_pcie3_x16(self):
         assert paper_config().interconnect.bandwidth == pytest.approx(15.754 * GB)
-
-    def test_pcie4_config_doubles_bandwidth(self):
-        assert pcie4_config().interconnect.bandwidth == pytest.approx(32 * GB)
 
     def test_gpu_page_count(self):
         cfg = paper_config()
@@ -92,24 +88,6 @@ class TestConfigMutators:
         assert ssd.write_bandwidth == pytest.approx(6.0 * GB)
 
 
-class TestCIConfig:
-    def test_preserves_capacity_bandwidth_ratio(self):
-        paper = paper_config()
-        ci = ci_config(1 / 64)
-        paper_ratio = paper.gpu.memory_bytes / paper.interconnect.bandwidth
-        ci_ratio = ci.gpu.memory_bytes / ci.interconnect.bandwidth
-        assert ci_ratio == pytest.approx(paper_ratio, rel=0.05)
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ConfigurationError):
-            ci_config(0)
-        with pytest.raises(ConfigurationError):
-            ci_config(2.0)
-
-    def test_smaller_than_paper(self):
-        assert ci_config().gpu.memory_bytes < paper_config().gpu.memory_bytes
-
-
 class TestValidation:
     def test_negative_gpu_memory_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -146,6 +124,57 @@ class TestValidation:
     def test_negative_fault_latency_rejected(self):
         with pytest.raises(ConfigurationError):
             UVMConfig(fault_latency=-1.0)
+
+
+#: Every field whose check is a chained comparison: NaN and inf must fail.
+CHECKED_FIELDS = [
+    (GPUConfig, "memory_bytes"),
+    (GPUConfig, "peak_flops"),
+    (GPUConfig, "memory_bandwidth"),
+    (GPUConfig, "kernel_launch_overhead"),
+    (SSDConfig, "read_bandwidth"),
+    (SSDConfig, "write_bandwidth"),
+    (SSDConfig, "read_latency"),
+    (SSDConfig, "write_latency"),
+    (SSDConfig, "erase_latency"),
+    (SSDConfig, "capacity_bytes"),
+    (SSDConfig, "gc_threshold"),
+    (SSDConfig, "endurance_dwpd"),
+    (InterconnectConfig, "bandwidth"),
+    (InterconnectConfig, "latency"),
+    (UVMConfig, "page_size"),
+    (UVMConfig, "fault_batch_bytes"),
+    (UVMConfig, "fault_latency"),
+    (UVMConfig, "software_migration_overhead"),
+    (UVMConfig, "extended_uvm_overhead"),
+    (UVMConfig, "page_walk_latency"),
+    (SystemConfig, "host_memory_bytes"),
+    (SystemConfig, "host_bandwidth"),
+]
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "cls,name", CHECKED_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in CHECKED_FIELDS]
+    )
+    def test_rejected_at_construction(self, cls, name, value):
+        with pytest.raises(ConfigurationError):
+            cls(**{name: value})
+
+    def test_rejected_by_the_with_methods(self):
+        with pytest.raises(ConfigurationError):
+            paper_config().with_ssd_bandwidth(math.inf)
+        with pytest.raises(ConfigurationError):
+            paper_config().with_interconnect_bandwidth(math.nan)
+        with pytest.raises(ConfigurationError):
+            paper_config().with_host_memory(math.inf)
+
+    def test_rejected_by_from_dict(self):
+        data = paper_config().to_dict()
+        data["uvm"]["fault_latency"] = math.nan
+        with pytest.raises(ConfigurationError):
+            SystemConfig.from_dict(data)
 
 
 class TestEfficiencyLookup:

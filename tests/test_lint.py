@@ -611,6 +611,12 @@ class TestBaseline:
         with pytest.raises(LintError, match="not a baseline document"):
             Baseline.load(path)
 
+    def test_unreadable_and_unwritable_baselines_raise_lint_error(self, tmp_path):
+        with pytest.raises(LintError, match="cannot read lint baseline"):
+            Baseline.load(tmp_path)  # a directory
+        with pytest.raises(LintError, match="cannot write lint baseline"):
+            Baseline().write(tmp_path / "missing" / "baseline.json")
+
     def test_baseline_round_trips_through_disk(self, tmp_path):
         tree, _ = self._tree(tmp_path)
         findings = lint_paths([tree])

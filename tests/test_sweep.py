@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.characterization import characterize_workload
-from repro.config import GB, SystemConfig, ci_config, paper_config, pcie4_config
+from repro.config import GB, SystemConfig, paper_config
 from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.experiments import (
     EXPERIMENTS,
@@ -69,7 +69,13 @@ def assert_matches_asdict(config: SystemConfig) -> None:
 
 class TestConfigSerialization:
     @pytest.mark.parametrize(
-        "config", [paper_config(), ci_config(), pcie4_config()], ids=["paper", "ci", "pcie4"]
+        "config",
+        [
+            paper_config(),
+            default_config("bert", "ci"),
+            paper_config().with_interconnect_bandwidth(32 * GB),
+        ],
+        ids=["paper", "ci", "pcie4"],
     )
     def test_to_dict_matches_asdict(self, config):
         assert_matches_asdict(config)
@@ -830,6 +836,19 @@ class TestReportPerfTotals:
         assert reporting._perf_totals(plan, counters) == {
             "events_processed": 3, "pages_moved": 5, "fault_events": 0, "eviction_stalls": 0,
         }
+
+
+class TestReportOutputDirectory:
+    def test_unusable_output_dir_fails_before_any_cell(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_text("")
+        cache = ResultCache(tmp_path / "c")
+        with pytest.raises(ConfigurationError, match="cannot create report directory"):
+            generate_report(
+                scale="ci", figures=["2"], runner=SweepRunner(cache=cache),
+                output_dir=plain / "report",
+            )
+        assert cache.stats()["entries"] == 0
 
 
 class TestReportFromWarmCache:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -271,6 +272,12 @@ class TestArrivalProcess:
             ArrivalProcess.trace((-1.0,))
         with pytest.raises(ConfigurationError):
             ArrivalProcess.poisson(load=1.0, seed=-1)
+        for load, rate in ((math.inf, 0.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ConfigurationError):
+                ArrivalProcess.poisson(load=load, rate=rate)
+        for think_times in ((math.nan,), (1.0, math.inf)):
+            with pytest.raises(ConfigurationError):
+                ArrivalProcess.trace(think_times)
 
     def test_poisson_resolve_is_seeded_and_sorted(self):
         process = ArrivalProcess.poisson(load=1.0, requests=8, seed=7)
@@ -328,8 +335,9 @@ class TestMultiTenantScenario:
         tenant = Tenant(name="t0", scenario=scenario, arrivals=ArrivalProcess.trace((0.0,)))
         with pytest.raises(ConfigurationError):
             MultiTenantScenario(tenants=(tenant, tenant))
-        with pytest.raises(ConfigurationError):
-            MultiTenantScenario(tenants=(tenant,), gc_alpha=-1.0)
+        for gc_alpha in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                MultiTenantScenario(tenants=(tenant,), gc_alpha=gc_alpha)
         with pytest.raises(ConfigurationError):
             Tenant(name="", scenario=scenario, arrivals=ArrivalProcess.trace((0.0,)))
 
