@@ -1,20 +1,11 @@
-"""Shared helpers for the per-figure benchmark harness (importable module).
+"""Shared helpers for the benchmark suite (importable module).
 
-Every benchmark runs its experiment once (``rounds=1``) at CI scale by default
-so the whole suite finishes quickly; set ``REPRO_BENCH_SCALE=paper`` to
-regenerate the figures on the full paper-scale workloads instead.
-
-Benchmark modules import from here rather than from ``conftest`` so that the
-tests/ and benchmarks/ conftests cannot shadow each other when pytest collects
-from the repository root.
+Benchmark modules import from here rather than from a ``conftest`` so that
+the tests/ and benchmarks/ suites cannot shadow each other's helpers when
+pytest collects from the repository root.
 """
 
 from __future__ import annotations
-
-import os
-
-#: Workload scale used by every benchmark ("ci" or "paper").
-BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "ci")
 
 
 def run_once(benchmark, func, *args, **kwargs):

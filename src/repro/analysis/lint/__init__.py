@@ -24,7 +24,6 @@ from .framework import (
     active_rules,
     dotted_name,
     import_aliases,
-    iter_python_files,
     lint_paths,
     lint_source,
     package_path_of,
@@ -44,7 +43,6 @@ __all__ = [
     "active_rules",
     "dotted_name",
     "import_aliases",
-    "iter_python_files",
     "lint_paths",
     "lint_source",
     "package_path_of",

@@ -46,7 +46,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from ...errors import LintError
 from ...registry import Registry
@@ -346,25 +346,6 @@ def active_rules(
             continue
         rules.append(LINT_REGISTRY.create(key))
     return rules
-
-
-def iter_python_files(paths: Sequence[Path | str]) -> Iterator[Path]:
-    """Every ``.py`` file under the given files/directories, sorted, deduped."""
-    seen = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            candidates = sorted(
-                p for p in path.rglob("*.py") if "__pycache__" not in p.parts
-            )
-        elif path.exists():
-            candidates = [path]
-        else:
-            raise LintError(f"no such file or directory: {path}")
-        for candidate in candidates:
-            if candidate not in seen:
-                seen.add(candidate)
-                yield candidate
 
 
 def lint_modules(

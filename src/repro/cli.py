@@ -8,7 +8,8 @@ Subcommands:
   §7.7 lifetime study, optionally writing a JSON artifact;
 * ``sweep``  — run a custom (models x policies x batches) grid;
 * ``report`` — render *every* figure/table from the result cache into
-  Markdown + JSON artifacts;
+  Markdown + JSON artifacts, and print the Claims table of the paper's
+  comparative claims checked on them;
 * ``bench``  — time the simulation core on representative cells and write
   ``BENCH_core.json`` (the repo's recorded perf trajectory); ``--check``
   gates CI against >2x regressions of the committed baseline;
@@ -62,6 +63,7 @@ from .experiments import (
     jsonify,
     table2_configuration,
 )
+from .experiments import claims
 from .experiments.reporting import experiment_ids
 from .config import GB, whole_bytes
 from .errors import ConfigurationError, ReproError
@@ -337,6 +339,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         output_dir=args.output_dir,
         expect_warm=args.expect_warm,
     )
+    if manifest["claims"]:
+        print(format_table(claims.table_rows(manifest["claims"]), float_format="{:.4g}"))
     totals = manifest["totals"]
     print(
         f"report [{args.scale}]: {len(manifest['figures'])} artifacts, "
@@ -611,7 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=_cmd_sweep)
 
     report = sub.add_parser(
-        "report", help="render every figure/table from the cache (Markdown + JSON)"
+        "report", help="render every figure/table from the cache (Markdown + JSON) "
+        "and check the paper's claims on them"
     )
     report.add_argument("--figures", default=None, metavar="IDS",
                         help="comma-separated experiment ids (default: all)")

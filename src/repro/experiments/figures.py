@@ -46,6 +46,9 @@ CHARACTERIZATION_WORKLOADS: tuple[tuple[str, int], ...] = (
 #: The five headline workloads of Figure 11.
 FIGURE11_MODELS: tuple[str, ...] = ("bert", "vit", "inceptionv3", "resnet152", "senet154")
 
+#: Designs compared across batch sizes in Figure 15.
+FIGURE15_POLICIES: tuple[str, ...] = ("base_uvm", "flashneuron", "deepum", "g10", "ideal")
+
 #: Batch-size sweeps of Figure 15 (paper scale).
 FIGURE15_BATCHES: dict[str, tuple[int, ...]] = {
     "bert": (128, 256, 512, 768, 1024),
@@ -129,31 +132,27 @@ def figure14_spec(scale: str = "paper", models: Sequence[str] | None = None) -> 
     return _breakdown_spec("figure14", scale, models)
 
 
-def figure15_spec(
-    scale: str = "paper",
-    models: Sequence[str] | None = None,
-    policies: Sequence[str] = ("base_uvm", "flashneuron", "deepum", "g10", "ideal"),
-) -> SweepSpec:
-    return SweepSpec("figure15", _figure15_cells(scale, models or FIGURE11_MODELS, policies))
+def figure15_spec(scale: str = "paper", models: Sequence[str] | None = None) -> SweepSpec:
+    return SweepSpec("figure15", _figure15_cells(scale, models or FIGURE11_MODELS))
 
 
 def figure16_spec(scale: str = "paper", models: Sequence[str] | None = None) -> SweepSpec:
-    cells, _ = _figure16_cells(scale, models or FIGURE11_MODELS, FIGURE16_HOST_MEMORY_GB)
+    cells, _ = _figure16_cells(scale, models or FIGURE11_MODELS)
     return SweepSpec("figure16", cells)
 
 
 def figure17_spec(scale: str = "paper", models: Sequence[str] | None = None) -> SweepSpec:
-    cells, _ = _figure17_cells(scale, (0, 32, 64, 128, 256))
+    cells, _ = _figure17_cells(scale)
     return SweepSpec("figure17", cells)
 
 
 def figure18_spec(scale: str = "paper", models: Sequence[str] | None = None) -> SweepSpec:
-    cells, _ = _figure18_cells(scale, models or FIGURE11_MODELS, FIGURE18_SSD_BANDWIDTH_GBS)
+    cells, _ = _figure18_cells(scale, models or FIGURE11_MODELS)
     return SweepSpec("figure18", cells)
 
 
 def figure19_spec(scale: str = "paper", models: Sequence[str] | None = None) -> SweepSpec:
-    return SweepSpec("figure19", _figure19_cells(scale, models or FIGURE11_MODELS, FIGURE19_ERRORS))
+    return SweepSpec("figure19", _figure19_cells(scale, models or FIGURE11_MODELS))
 
 
 def section77_spec(scale: str = "paper", models: Sequence[str] | None = None) -> SweepSpec:
@@ -174,9 +173,7 @@ def _scaled_host_memory(capacity_gb: int, model: str, scale: str) -> int:
     return capacity
 
 
-def _figure15_cells(
-    scale: str, models: Sequence[str], policies: Sequence[str]
-) -> tuple[SweepCell, ...]:
+def _figure15_cells(scale: str, models: Sequence[str]) -> tuple[SweepCell, ...]:
     cells = []
     for model in models:
         try:
@@ -189,18 +186,18 @@ def _figure15_cells(
         for batch in (scale_batch(b, scale) for b in batches):
             cells.extend(
                 SweepCell(model=model, policy=policy, batch_size=batch, scale=scale)
-                for policy in policies
+                for policy in FIGURE15_POLICIES
             )
     return tuple(cells)
 
 
 def _figure16_cells(
-    scale: str, models: Sequence[str], host_memory_gb: Sequence[int]
+    scale: str, models: Sequence[str]
 ) -> tuple[tuple[SweepCell, ...], list[int]]:
     cells = []
     labels: list[int] = []
     for model in models:
-        for capacity_gb in host_memory_gb:
+        for capacity_gb in FIGURE16_HOST_MEMORY_GB:
             cells.append(
                 SweepCell(
                     model=model,
@@ -213,15 +210,13 @@ def _figure16_cells(
     return tuple(cells), labels
 
 
-def _figure17_cells(
-    scale: str, host_memory_gb: Sequence[int]
-) -> tuple[tuple[SweepCell, ...], list[tuple[int, str]]]:
+def _figure17_cells(scale: str) -> tuple[tuple[SweepCell, ...], list[tuple[int, str]]]:
     cases = {"vit": 1024, "inceptionv3": 1280}
     policies = ("deepum", "flashneuron", "g10")
     cells = []
     labels: list[tuple[int, str]] = []
     for model, batch in cases.items():
-        for capacity_gb in host_memory_gb:
+        for capacity_gb in FIGURE16_HOST_MEMORY_GB:
             patch = ConfigPatch(host_memory_bytes=_scaled_host_memory(capacity_gb, model, scale))
             for policy in policies:
                 cells.append(
@@ -238,12 +233,12 @@ def _figure17_cells(
 
 
 def _figure18_cells(
-    scale: str, models: Sequence[str], bandwidths_gbs: Sequence[float]
+    scale: str, models: Sequence[str]
 ) -> tuple[tuple[SweepCell, ...], list[tuple[float, str]]]:
     cells = []
     labels: list[tuple[float, str]] = []
     for model in models:
-        for bandwidth in bandwidths_gbs:
+        for bandwidth in FIGURE18_SSD_BANDWIDTH_GBS:
             patch = ConfigPatch(interconnect_bandwidth=32 * GB, ssd_read_bandwidth=bandwidth * GB)
             for policy in BREAKDOWN_POLICIES:
                 cells.append(SweepCell(model=model, policy=policy, scale=scale, patch=patch))
@@ -251,15 +246,13 @@ def _figure18_cells(
     return tuple(cells), labels
 
 
-def _figure19_cells(
-    scale: str, models: Sequence[str], errors: Sequence[float]
-) -> tuple[SweepCell, ...]:
+def _figure19_cells(scale: str, models: Sequence[str]) -> tuple[SweepCell, ...]:
     cells = []
     for model in models:
         cells.append(SweepCell(model=model, policy="g10", scale=scale))
         cells.extend(
             SweepCell(model=model, policy="g10", scale=scale, profiling_error=error, seed=17)
-            for error in errors
+            for error in FIGURE19_ERRORS
         )
     return tuple(cells)
 
@@ -376,12 +369,11 @@ def figure14_traffic(
 def figure15_batch_sweep(
     scale: str = "paper",
     models: Sequence[str] = FIGURE11_MODELS,
-    policies: Sequence[str] = ("base_uvm", "flashneuron", "deepum", "g10", "ideal"),
     runner: SweepRunner | None = None,
 ) -> dict[str, dict[int, dict[str, float]]]:
     """Figure 15: training throughput (samples/s) across batch sizes."""
     results: dict[str, dict[int, dict[str, float]]] = {}
-    for out in _run(figure15_spec(scale, models, policies), runner):
+    for out in _run(figure15_spec(scale, models), runner):
         per_model = results.setdefault(out.workload["model"], {})
         per_batch = per_model.setdefault(out.workload["batch_size"], {})
         per_batch[out.cell.policy] = out.result.throughput()
@@ -392,11 +384,10 @@ def figure15_batch_sweep(
 def figure16_host_memory(
     scale: str = "paper",
     models: Sequence[str] = FIGURE11_MODELS,
-    host_memory_gb: Sequence[int] = FIGURE16_HOST_MEMORY_GB,
     runner: SweepRunner | None = None,
 ) -> dict[str, dict[int, float]]:
     """Figure 16: G10 execution time as host memory capacity varies."""
-    cells, labels = _figure16_cells(scale, models, host_memory_gb)
+    cells, labels = _figure16_cells(scale, models)
     results: dict[str, dict[int, float]] = {}
     for out, capacity_gb in zip(_run(SweepSpec("figure16", cells), runner), labels):
         results.setdefault(out.workload["model"], {})[capacity_gb] = out.result.execution_time
@@ -404,12 +395,10 @@ def figure16_host_memory(
 
 
 def figure17_host_memory_compare(
-    scale: str = "paper",
-    host_memory_gb: Sequence[int] = (0, 32, 64, 128, 256),
-    runner: SweepRunner | None = None,
+    scale: str = "paper", runner: SweepRunner | None = None
 ) -> dict[str, dict[int, dict[str, float]]]:
     """Figure 17: G10 vs DeepUM+ vs FlashNeuron across host memory capacities."""
-    cells, labels = _figure17_cells(scale, host_memory_gb)
+    cells, labels = _figure17_cells(scale)
     results: dict[str, dict[int, dict[str, float]]] = {}
     for out, (capacity_gb, policy) in zip(_run(SweepSpec("figure17", cells), runner), labels):
         per_model = results.setdefault(out.workload["model"], {})
@@ -421,11 +410,10 @@ def figure17_host_memory_compare(
 def figure18_ssd_bandwidth(
     scale: str = "paper",
     models: Sequence[str] = FIGURE11_MODELS,
-    bandwidths_gbs: Sequence[float] = FIGURE18_SSD_BANDWIDTH_GBS,
     runner: SweepRunner | None = None,
 ) -> dict[str, dict[float, dict[str, float]]]:
     """Figure 18: normalised performance as SSD bandwidth scales (PCIe 4.0 host link)."""
-    cells, labels = _figure18_cells(scale, models, bandwidths_gbs)
+    cells, labels = _figure18_cells(scale, models)
     results: dict[str, dict[float, dict[str, float]]] = {}
     for out, (bandwidth, policy) in zip(_run(SweepSpec("figure18", cells), runner), labels):
         per_model = results.setdefault(out.workload["model"], {})
@@ -437,20 +425,19 @@ def figure18_ssd_bandwidth(
 def figure19_profiling_error(
     scale: str = "paper",
     models: Sequence[str] = FIGURE11_MODELS,
-    errors: Sequence[float] = FIGURE19_ERRORS,
     runner: SweepRunner | None = None,
 ) -> dict[str, dict[float, float]]:
     """Figure 19: G10 performance under kernel-timing prediction errors.
 
     Values are normalised to the error-free G10 run (1.0 means no degradation).
     """
-    outs = iter(_run(SweepSpec("figure19", _figure19_cells(scale, models, errors)), runner))
+    outs = iter(_run(SweepSpec("figure19", _figure19_cells(scale, models)), runner))
     results: dict[str, dict[float, float]] = {}
     for model in models:
         baseline_out = next(outs)
         baseline = baseline_out.result
         per_model: dict[float, float] = {}
-        for error in errors:
+        for error in FIGURE19_ERRORS:
             run = next(outs).result
             per_model[error] = (
                 baseline.execution_time / run.execution_time if run.execution_time else 0.0

@@ -6,7 +6,9 @@ This module owns the canonical registry of the paper's experiments
 :func:`generate_report`, which renders every figure and table from the
 (ideally warm) result cache into ``<output_dir>/<id>.json`` artifacts plus a
 ``report.md``/``report.json`` pair whose provenance tables say, cell by cell,
-which results were served warm and which had to be recomputed.
+which results were served warm and which had to be recomputed, and whose
+Claims table checks the paper's comparative claims
+(:mod:`~repro.experiments.claims`) on the payloads just rendered.
 
 Because each figure is planned against the cache *before* it is rendered, the
 report doubles as a determinism audit: after a cold run has warmed the cache,
@@ -25,6 +27,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ReproError
 from ..registry import EXPERIMENT_REGISTRY
+from . import claims
 from .sweep import SweepPlan, SweepRunner, SweepSpec
 from .figures import (
     figure2_memory_consumption,
@@ -236,11 +239,6 @@ class _ExperimentView(Sequence):
 #: Every registered figure/table, in registration (= paper) order.
 EXPERIMENTS = _ExperimentView()
 
-#: Import-time snapshot of the built-in alias table, kept for backward
-#: compatibility. For live data (including plugin registrations) use
-#: :func:`experiment_ids` or ``EXPERIMENT_REGISTRY.aliases()``.
-EXPERIMENT_ALIASES: dict[str, str] = EXPERIMENT_REGISTRY.aliases()
-
 
 def experiment_ids() -> list[str]:
     """Every accepted ``repro figure`` id: canonical ids plus aliases."""
@@ -335,7 +333,9 @@ def generate_report(
     and then rendered — executing only the misses — into
     ``<output_dir>/<id>.json``. The manifest of all plans is written to
     ``report.json`` and a human-readable ``report.md`` summarises warm vs
-    recomputed counts per figure, with per-cell provenance tables.
+    recomputed counts per figure, with per-cell provenance tables. Both carry
+    the claims rows (:func:`~repro.experiments.claims.evaluate`) of the
+    rendered payloads; a row that does not hold is reported, never raised.
 
     With ``expect_warm=True`` a :class:`~repro.errors.ReproError` is raised
     (after all artifacts are written, so the report can be inspected) if any
@@ -351,7 +351,7 @@ def generate_report(
     except OSError as exc:
         raise ConfigurationError(f"cannot create report directory {output_dir}: {exc}") from exc
 
-    manifest: dict = {"scale": scale, "figures": []}
+    manifest: dict = {"scale": scale, "figures": [], "claims": []}
     if runner.cache is not None:
         manifest["cache_root"] = str(runner.cache.root)
 
@@ -366,6 +366,7 @@ def generate_report(
             entry.update({"cells": 0, "distinct": 0, "warm": 0, "to_execute": 0})
             entry["provenance"] = []
         payload = jsonify(experiment.render(scale=scale, runner=runner))
+        manifest["claims"] += claims.evaluate({experiment.id: payload}, scale)
         if plan is not None:
             # After rendering, the runner has served or executed every cell;
             # attribute the simulator's perf counters to this figure (the
@@ -461,6 +462,13 @@ def render_report_markdown(manifest: dict) -> str:
                 for figure in manifest["figures"]
             ]
         ),
+        "",
+        "## Claims",
+        "",
+        f"{sum(row['holds'] for row in manifest['claims'])} of {len(manifest['claims'])} "
+        "rows hold on the artifacts above.",
+        "",
+        format_markdown_table(claims.table_rows(manifest["claims"]), float_format="{:.4g}"),
     ]
     for figure in manifest["figures"]:
         lines += ["", f"## {figure['title']}", ""]

@@ -31,8 +31,10 @@ class ModelBuilder:
     batch_size: int
 
     def __post_init__(self) -> None:
-        if self.batch_size <= 0:
-            raise ModelError("batch size must be positive")
+        # Kernel FLOP counts are floats of element counts, and the pressure
+        # timeline bounds byte counts at 2**53, so no larger batch can run.
+        if not 0 < self.batch_size < 2**53:
+            raise ModelError("batch size must be positive and below 2**53")
         self.graph = DataflowGraph(name=self.name, batch_size=self.batch_size)
         self._layer_counter = 0
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +300,32 @@ class TestPackageRoot:
         assert "DET005" in capsys.readouterr().err
         assert not hasattr(repro, "ci_config")
         assert not hasattr(repro.config, "pcie4_config")
+
+    def test_removed_figure_benchmark_surface_stays_removed(self):
+        """The claims table (repro.experiments.claims) replaced the per-figure
+        benchmarks, and with them the sweep overrides only they passed."""
+        from repro import experiments
+        from repro.analysis import lint
+        from repro.experiments import reporting
+
+        removed = [
+            (experiments.figure15_batch_sweep, {"policies": ("g10",)}),
+            (experiments.figure15_spec, {"policies": ("g10",)}),
+            (experiments.figure16_host_memory, {"host_memory_gb": (0,)}),
+            (experiments.figure17_host_memory_compare, {"host_memory_gb": (0,)}),
+            (experiments.figure18_ssd_bandwidth, {"bandwidths_gbs": (6.4,)}),
+            (experiments.figure19_profiling_error, {"errors": (0.0,)}),
+        ]
+        for renderer, kwargs in removed:
+            with pytest.raises(TypeError):
+                renderer(scale="ci", **kwargs)
+        assert not hasattr(reporting, "EXPERIMENT_ALIASES")
+        assert not hasattr(lint, "iter_python_files")
+        assert not hasattr(lint.framework, "iter_python_files")
+        benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+        for pattern in ("bench_fig*", "bench_ablations*", "bench_characterization*",
+                        "bench_sec77*", "bench_table1*"):
+            assert not list(benchmarks.glob(pattern)), pattern
 
 
 class TestNumpySeeds:

@@ -196,8 +196,12 @@ class TestReportCommand:
             "report", "--scale", "ci", "--figures", "2,table2",
             "--cache-dir", str(tmp_path / "c"), "--output-dir", str(out_dir),
         ) == 0
-        err = capsys.readouterr().err
-        assert "2 artifacts" in err
+        captured = capsys.readouterr()
+        assert "2 artifacts" in captured.err
+        # The Claims table goes to stdout, one line per Figure 2 row.
+        assert [line.split()[0] for line in captured.out.splitlines()[2:]] == [
+            row["id"] for row in json.loads((out_dir / "report.json").read_text())["claims"]
+        ]
         assert (out_dir / "figure2.json").exists()
         assert (out_dir / "table2.json").exists()
         manifest = json.loads((out_dir / "report.json").read_text())
@@ -263,7 +267,8 @@ def exit_code(argv: list[str]) -> int:
 
 #: Calls that once crashed with a traceback or accepted a malformed value.
 #: ``{file}`` is a regular file, ``{dir}`` a directory, ``{missing}`` a path
-#: under a missing directory and ``{bench}`` a copy of BENCH_core.json.
+#: under a missing directory, ``{bench}`` a copy of BENCH_core.json and
+#: ``{huge}`` an integer too large for a float.
 MALFORMED_CALLS = [
     "run --model bert --no-cache --host-memory-gb nan",
     "run --model bert --no-cache --host-memory-gb inf",
@@ -277,7 +282,9 @@ MALFORMED_CALLS = [
     "figure 11 --models bert --no-cache --output {missing}",
     "figure 11 --models bert --cache-dir /dev/null",
     "figure 11 --models= --no-cache",
+    "run --model bert --no-cache --batch={huge}",
     "sweep --models bert --policies g10 --no-cache --batches abc",
+    "sweep --models bert --policies g10 --no-cache --batches 1,{huge}",
     "sweep --models bert --policies g10 --no-cache --errors abc",
     "sweep --models bert --policies g10 --no-cache --errors nan",
     "sweep --models bert --policies g10 --no-cache --output {missing}",
@@ -304,7 +311,8 @@ class TestMalformedInput:
         bench = tmp_path / "bench.json"
         bench.write_text((Path(__file__).resolve().parents[1] / "BENCH_core.json").read_text())
         argv = template.format(
-            file=plain, dir=tmp_path, missing=tmp_path / "missing" / "x.json", bench=bench
+            file=plain, dir=tmp_path, missing=tmp_path / "missing" / "x.json", bench=bench,
+            huge=10**400,
         ).split()
         assert exit_code(argv) == 2
         err = capsys.readouterr().err

@@ -1,20 +1,10 @@
-"""Integration tests for the experiment harness, figures, tables and analysis."""
+"""Integration tests for the experiment harness, tables and analysis."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import estimate_ssd_lifetime, traffic_breakdown
-from repro.config import GB
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    figure2_memory_consumption,
-    figure11_end_to_end,
-    figure16_host_memory,
-    figure19_profiling_error,
-    format_table,
-    table1_models,
-    table2_configuration,
-)
+from repro.experiments import format_table, table1_models, table2_configuration
 from repro.experiments.harness import (
     build_workload,
     clear_workload_cache,
@@ -76,33 +66,6 @@ class TestTables:
         assert format_table([]) == "(no rows)"
         with pytest.raises(ConfigurationError):
             format_table([[1, 2]])
-
-
-class TestFigures:
-    """Each figure function must return the series the paper plots, at CI scale."""
-
-    def test_figure2_active_fraction_small(self):
-        results = figure2_memory_consumption(scale="ci")
-        assert len(results) == 4
-        for series in results.values():
-            assert float(series["mean_active_fraction"]) < 0.15
-            assert series["total"].max() == pytest.approx(1.0)
-
-    def test_figure11_shape(self):
-        results = figure11_end_to_end(scale="ci", models=("bert", "resnet152"))
-        for model, values in results.items():
-            assert values["g10"] > values["base_uvm"]
-            assert values["g10"] >= values["deepum"] - 0.02
-            assert 0.0 <= values["g10"] <= 1.0
-
-    def test_figure16_more_host_memory_never_hurts_much(self):
-        results = figure16_host_memory(scale="ci", models=("bert",), host_memory_gb=(0, 32, 128))
-        times = list(results["bert"].values())
-        assert times[-1] <= times[0] * 1.05
-
-    def test_figure19_profiling_error_is_tolerated(self):
-        results = figure19_profiling_error(scale="ci", models=("bert",), errors=(0.0, 0.2))
-        assert results["bert"][0.2] > 0.9
 
 
 class TestAnalysis:

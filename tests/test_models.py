@@ -199,5 +199,7 @@ class TestBuilderLayers:
         assert out.shape == (2, 10, 16)
 
     def test_nonpositive_batch_rejected(self):
-        with pytest.raises(ModelError):
-            ModelBuilder(name="t", batch_size=0)
+        # 2**53 is the pressure timeline's byte bound; 10**400 overflows a float.
+        for batch_size in (0, 2**53, 10**400):
+            with pytest.raises(ModelError):
+                ModelBuilder(name="t", batch_size=batch_size)
