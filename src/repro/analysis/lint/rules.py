@@ -18,7 +18,6 @@ when this module is imported (it is the registry's bootstrap module).
 from __future__ import annotations
 
 import ast
-from typing import Mapping
 
 from .framework import (
     DETERMINISTIC_LAYERS,
@@ -40,11 +39,8 @@ __all__ = ["dotted_name", "import_aliases"]  # re-exported for compatibility
 class NoEntropyRule(LintRule):
     """Bans wall-clock and entropy reads inside the deterministic layers.
 
-    The simulated clock is the only clock those layers may consult. The one
-    sanctioned exception is the :class:`~repro.sim.results.PerfCounters`
-    wall-time phase instrumentation in ``sim/executor.py`` (its readings are
-    deliberately excluded from serialized results), captured in
-    :attr:`ALLOWLIST`.
+    The simulated clock is the only clock those layers may consult; the rule
+    has no exception. Host time is measured from outside them (``perfbench/``).
     """
 
     code = "DET001"
@@ -89,12 +85,6 @@ class NoEntropyRule(LintRule):
         }
     )
 
-    #: package path -> dotted calls sanctioned there (the PerfCounters
-    #: wall-time phases; their readings never reach serialized results).
-    ALLOWLIST: Mapping[str, frozenset[str]] = {
-        "sim/executor.py": frozenset({"time.perf_counter"}),
-    }
-
     #: Modules whose ``from X import *`` would smuggle banned callables in as
     #: bare names; a star import of one expands the alias map with every
     #: banned member so ``from time import *; time()`` still resolves.
@@ -115,7 +105,6 @@ class NoEntropyRule(LintRule):
     def begin(self, module: ModuleSource) -> None:
         self._aliases = import_aliases(module.tree)
         self._expand_star_imports(module.tree)
-        self._allowed = self.ALLOWLIST.get(module.package_path, frozenset())
         # AST nodes hash by identity, so the set members are the func nodes
         # themselves (an id()-keyed set would trip DET002).
         self._call_funcs = {
@@ -147,7 +136,7 @@ class NoEntropyRule(LintRule):
 
     def visit_Call(self, node: ast.Call) -> None:
         name = dotted_name(node.func, self._aliases)
-        if name is not None and name not in self._allowed and self.matches(name):
+        if name is not None and self.matches(name):
             self.report(
                 node,
                 f"call to {name}() in a deterministic layer; the simulated "
@@ -165,7 +154,7 @@ class NoEntropyRule(LintRule):
         if node in self._call_funcs:
             return  # the call form is visit_Call's report
         name = dotted_name(node, self._aliases)
-        if name is not None and name not in self._allowed and self.matches(name):
+        if name is not None and self.matches(name):
             self.report(
                 node,
                 f"reference to {name} captured without a call; storing the "

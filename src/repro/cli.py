@@ -10,9 +10,6 @@ Subcommands:
 * ``report`` — render *every* figure/table from the result cache into
   Markdown + JSON artifacts, and print the Claims table of the paper's
   comparative claims checked on them;
-* ``bench``  — time the simulation core on representative cells and write
-  ``BENCH_core.json`` (the repo's recorded perf trajectory); ``--check``
-  gates CI against >2x regressions of the committed baseline;
 * ``lint``   — run the project's AST-based static analyzer (determinism
   rules DET001-DET004, PERF001) over source trees, one file at a time;
   findings not in the committed baseline fail the run (``--update-baseline``
@@ -351,73 +348,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from . import bench as bench_mod
-
-    start = time.monotonic()
-    if args.from_file is not None:
-        try:
-            payload = bench_mod.load_bench(args.from_file)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read bench payload {args.from_file}: {exc}")
-        bench_mod.validate_payload(payload, args.from_file)
-    else:
-        payload = bench_mod.run_bench(
-            quick=args.quick,
-            repeats=args.repeats,
-            progress=lambda message: print(message, file=sys.stderr),
-        )
-    print(format_table(bench_mod.bench_rows(payload)))
-    if args.profile:
-        rows = bench_mod.profile_rows(payload)
-        if rows:
-            print(format_table(rows))
-        else:
-            print("no per-phase timings recorded in this payload", file=sys.stderr)
-        cache_totals = bench_mod.plan_cache_summary(payload)
-        if any(cache_totals.values()):
-            lookups = sum(cache_totals.values())
-            hits = cache_totals["full_hits"] + cache_totals["fragment_hits"]
-            print(
-                f"plan cache: {cache_totals['full_hits']} full hits, "
-                f"{cache_totals['fragment_hits']} fragment hits, "
-                f"{cache_totals['misses']} misses "
-                f"(hit rate {hits / lookups:.0%})"
-            )
-    headline = payload.get("headline")
-    if headline is not None:
-        print(
-            f"headline {headline['cell']}: {headline['seconds']:.4f}s vs "
-            f"{headline['pre_refactor_seconds']:.4f}s pre-refactor "
-            f"({headline['speedup_vs_pre_refactor']:.2f}x)",
-            file=sys.stderr,
-        )
-    if args.from_file is None:
-        output = args.output or bench_mod.DEFAULT_BENCH_PATH
-        bench_mod.write_bench(payload, output)
-        print(f"wrote {output} ({time.monotonic() - start:.1f}s)", file=sys.stderr)
-    elif args.output is not None:
-        bench_mod.write_bench(payload, args.output)
-        print(f"wrote {args.output}", file=sys.stderr)
-    if args.check is not None:
-        try:
-            baseline = bench_mod.load_bench(args.check)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read bench baseline {args.check}: {exc}")
-        regressions = bench_mod.check_regressions(
-            payload, baseline, threshold=args.threshold
-        )
-        if regressions:
-            for message in regressions:
-                print(f"REGRESSION {message}", file=sys.stderr)
-            return 1
-        print(
-            f"no cell regressed beyond {args.threshold:.1f}x of {args.check}",
-            file=sys.stderr,
-        )
-    return 0
-
-
 #: Baseline consulted by ``repro lint`` when ``--baseline`` is not given.
 DEFAULT_LINT_BASELINE = "lint-baseline.json"
 
@@ -627,28 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(report)
     _add_resume(report)
     report.set_defaults(func=_cmd_report)
-
-    bench = sub.add_parser(
-        "bench", help="time the simulation core on representative cells"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="time only the small/medium tiers (the CI smoke set)")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="timed repetitions per cell; the minimum is recorded (default: 3)")
-    bench.add_argument("--output", default=None, metavar="FILE",
-                       help="benchmark artifact path (default: BENCH_core.json)")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="compare against a committed BENCH_core.json and exit "
-                            "non-zero if any timed cell regressed beyond --threshold")
-    bench.add_argument("--threshold", type=_finite_float, default=2.0, metavar="X",
-                       help="regression gate for --check (default: 2.0x)")
-    bench.add_argument("--profile", action="store_true",
-                       help="print the per-cell, per-phase time breakdown "
-                            "(planning vs. event-loop execution)")
-    bench.add_argument("--from", dest="from_file", default=None, metavar="FILE",
-                       help="report/check a previously measured payload instead "
-                            "of re-timing (nothing is written unless --output)")
-    bench.set_defaults(func=_cmd_bench)
 
     lint = sub.add_parser(
         "lint", help="run the per-file determinism static analyzer over source trees"

@@ -1,6 +1,6 @@
 """Cross-cell memoization of migration-plan fragments.
 
-Batch sweeps (figure grids, tenancy matrices, benchmark repeats) re-plan the
+Batch sweeps (figure grids, tenancy matrices) re-plan the
 same (graph, planner-config) pair over and over: figure 11 runs G10-FULL and
 G10-Host over identical planner inputs (the variants differ only in runtime
 per-request overhead), and every sweep cell that shares a model/batch/scale
@@ -33,8 +33,8 @@ footprints, phases, tensor kinds and weight topology — so perturbed
 
 The cache is process-global (each sweep worker process warms its own) and
 LRU-bounded. Hit/miss counters surface through
-:class:`~repro.sim.results.PerfCounters` (``plan_cache``), ``SweepRunner``
-statistics and ``repro bench --profile``.
+:class:`~repro.sim.results.PerfCounters` (``plan_cache``) and ``SweepRunner``
+statistics.
 """
 
 from __future__ import annotations

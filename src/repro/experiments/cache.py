@@ -25,11 +25,11 @@ path.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import re
-import shutil
 import stat
 from pathlib import Path
 
@@ -71,6 +71,10 @@ CACHE_SCHEMA_VERSION = 2
 
 #: Default cache directory name (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+#: The shard directories :meth:`ResultCache.put` creates: a key's first two
+#: hex characters.
+_SHARDS = "[0-9a-f][0-9a-f]"
 
 
 def default_cache_root() -> Path:
@@ -169,6 +173,22 @@ class ResultCache:
             raise
         return path
 
+    def _shards(self) -> list[Path]:
+        """The shard directories :meth:`put` creates; a symbolic link is none."""
+        return [d for d in self.root.glob(_SHARDS) if d.is_dir() and not d.is_symlink()]
+
+    def _files(self, pattern: str) -> list[Path]:
+        """Non-directories matching ``pattern`` inside the shard directories.
+
+        Nothing else under the root is the cache's: ``stats`` counts and
+        ``clear`` deletes only these, so a root that also holds other files
+        (``REPRO_CACHE_DIR=.``) keeps them.
+        """
+        # os.path.isdir never raises, so a file deleted mid-scan still counts.
+        return sorted(
+            p for shard in self._shards() for p in shard.glob(pattern) if not os.path.isdir(p)
+        )
+
     def _stale_tmp_files(self) -> list[Path]:
         """Temp files abandoned by killed writers.
 
@@ -177,18 +197,27 @@ class ResultCache:
         original ``<key>.tmp`` spellings, so temporaries leaked by older
         releases are still reported and swept.
         """
-        return sorted(self.root.glob("*/*.tmp*"))
+        return self._files("*.tmp*")
 
     def clear(self) -> int:
         """Delete every cache entry *and* sweep stale temp files.
 
-        Returns the number of real entries removed (stale temp files are
-        reclaimed too, but not counted as entries).
+        Then the shard directories left empty go, and the root too if it is
+        a real directory left empty; a symlinked root keeps its link and its
+        target. Returns the number of real entries removed (stale temp files
+        are reclaimed too, but not counted as entries).
         """
-        removed = len(list(self.root.glob("*/*.json")))
-        if self.root.exists():
-            shutil.rmtree(self.root)
-        return removed
+        entries = self._files("*.json")
+        try:
+            for path in entries + self._stale_tmp_files():
+                path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot clear cache directory {self.root}: {exc}") from exc
+        for directory in [*self._shards(), self.root]:
+            if not directory.is_symlink():
+                with contextlib.suppress(OSError):  # one that is not empty stays
+                    directory.rmdir()
+        return len(entries)
 
     def stats(self) -> dict[str, object]:
         """Entry count, total size, stale temp files, and the cache root.
@@ -198,7 +227,7 @@ class ResultCache:
         temp file, or ``clear`` racing ``info``) counts as zero bytes instead
         of raising.
         """
-        entries = list(self.root.glob("*/*.json"))
+        entries = self._files("*.json")
         stale = self._stale_tmp_files()
         return {
             "root": str(self.root),

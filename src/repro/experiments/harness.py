@@ -7,7 +7,7 @@ Workloads come in two scales:
 * ``"ci"`` — depth-reduced models whose GPU/host memory capacities are scaled
   by the same factor as the workload footprint, preserving every
   footprint-to-capacity and traffic-to-bandwidth ratio while running in a few
-  hundred milliseconds. The benchmark suite uses this scale by default.
+  hundred milliseconds. The goldens and the tier-1 tests use this scale.
 """
 
 from __future__ import annotations

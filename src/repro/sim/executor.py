@@ -5,13 +5,11 @@ The replay is a single event loop: transfer completions are events in one
 same-timestamp drains are deterministic) and kernel boundaries advance the
 clock, draining due events before each kernel starts. A
 :class:`~repro.sim.results.PerfCounters` layer records what the loop did —
-events processed, pages moved, faults, eviction stalls — plus host wall-time
-per phase.
+events processed, pages moved, faults, eviction stalls.
 """
 
 from __future__ import annotations
 
-import time as _time
 from collections import OrderedDict
 from typing import Sequence
 
@@ -78,9 +76,7 @@ class ExecutionSimulator:
         self._fault_model = PageFaultModel(config.uvm)
 
         cache_before = plan_cache_snapshot()
-        plan_start = _time.perf_counter()
         policy.setup(PolicyContext(config=config, graph=graph, report=self._report))
-        self._perf.phase_seconds["plan"] = _time.perf_counter() - plan_start
         self._perf.plan_cache = {
             name: count - cache_before[name]
             for name, count in plan_cache_snapshot().items()
@@ -156,17 +152,16 @@ class ExecutionSimulator:
 
     def run(self) -> SimulationResult:
         """Simulate one training iteration and return the result."""
-        execute_start = _time.perf_counter()
         try:
             result = self._run()
-            self._finalize_perf(execute_start)
+            self._finalize_perf()
             return result
         except _WorkloadFailure as failure:
             # Placements deferred by tensors that *did* fit before the failure
             # must still land, so the PTE accounting matches the sequential
             # reference behaviour.
             self._flush_gpu_places()
-            self._finalize_perf(execute_start)
+            self._finalize_perf()
             return SimulationResult(
                 model_name=self._graph.name,
                 batch_size=self._graph.batch_size,
@@ -178,8 +173,7 @@ class ExecutionSimulator:
                 perf=self._perf,
             )
 
-    def _finalize_perf(self, execute_start: float) -> None:
-        self._perf.phase_seconds["execute"] = _time.perf_counter() - execute_start
+    def _finalize_perf(self) -> None:
         self._perf.fault_events = self._fault_events
         self._perf.pte_updates = self._page_table.pte_updates
 

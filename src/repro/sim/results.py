@@ -37,12 +37,10 @@ class KernelTiming:
 class PerfCounters:
     """Instrumentation of one simulator run: what the event loop actually did.
 
-    All counters are *deterministic* — two runs of the same cell produce
-    identical values, so they serialize into cached payloads without breaking
-    bit-for-bit reproducibility. The only exception is :attr:`phase_seconds`
-    (host wall-clock time per phase), which is excluded from equality and from
-    :meth:`to_dict` precisely because it is machine-dependent; it exists so
-    ``repro bench`` and interactive profiling can see where real time went.
+    No counter reads a wall clock. The serialized ones are *deterministic* —
+    two runs of the same cell produce identical values — so they enter cached
+    payloads without breaking bit-for-bit reproducibility; :attr:`plan_cache`
+    is the one that stays out (see there).
     """
 
     #: Events the simulation loop processed (kernel boundaries + completions).
@@ -59,9 +57,6 @@ class PerfCounters:
     eviction_stalls: int = 0
     #: Simulated seconds spent waiting on eviction drains for space.
     eviction_stall_seconds: float = 0.0
-    #: Host wall-clock seconds per phase ("plan", "execute"); not serialized,
-    #: not compared (machine-dependent).
-    phase_seconds: dict = field(default_factory=dict, compare=False, repr=False)
     #: Plan-fragment cache outcome of this run's planning phase ("full_hits",
     #: "fragment_hits", "misses" deltas). Not serialized, not compared: the
     #: outcome depends on what this *process* planned before, so identical

@@ -322,10 +322,26 @@ class TestPackageRoot:
         assert not hasattr(reporting, "EXPERIMENT_ALIASES")
         assert not hasattr(lint, "iter_python_files")
         assert not hasattr(lint.framework, "iter_python_files")
-        benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
-        for pattern in ("bench_fig*", "bench_ablations*", "bench_characterization*",
-                        "bench_sec77*", "bench_table1*"):
-            assert not list(benchmarks.glob(pattern)), pattern
+
+    def test_removed_core_bench_stays_removed(self, capsys):
+        """perfbench (``perfbench/run.py``) is the one benchmark: ``repro
+        bench`` timed warm plan-cache hits, and no deterministic layer reads
+        a wall clock for it any more."""
+        from dataclasses import fields
+
+        from repro.cli import main
+        from repro.sim import PerfCounters
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--quick"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.bench")
+        assert "phase_seconds" not in {field.name for field in fields(PerfCounters)}
+        root = Path(__file__).resolve().parents[1]
+        assert not (root / "benchmarks").exists()
+        assert not (root / "BENCH_core.json").exists()
 
 
 class TestNumpySeeds:

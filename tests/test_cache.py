@@ -286,6 +286,59 @@ class TestStatsClearAgreement:
         assert stats["stale_tmp_bytes"] == 0
 
 
+class TestClearScope:
+    """``clear`` deletes what ``put`` writes and nothing else: it once ran
+    ``shutil.rmtree`` on the root, whatever else the root held."""
+
+    def test_unrelated_files_and_directories_survive(self, tmp_path):
+        root = tmp_path / "c"
+        cache = ResultCache(root)
+        cache.put("ab12cd", {"v": 1})
+        cache.put("ef34ab", {"v": 2})
+        (root / "fe").mkdir()
+        (root / "fe" / "fe99.tmp.4242.0").write_text("{torn")
+        kept = ["README", "config.json", "notes/important.txt", "zz/x.json", "ab/keep.txt",
+                "ab/dir.json/inner.json"]
+        for name in kept:
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text("not the cache's")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "cd00.json").write_text("not the cache's")
+        (root / "cd").symlink_to(elsewhere, target_is_directory=True)
+        assert cache.stats()["entries"] == 2
+        assert cache.clear() == 2
+        assert cache.stats()["entries"] == cache.stats()["stale_tmp"] == 0
+        assert not (root / "ef").exists() and not (root / "fe").exists()
+        for name in kept + ["cd/cd00.json"]:
+            assert (root / name).read_text() == "not the cache's", name
+
+    def test_symlinked_root_keeps_link_and_target(self, tmp_path):
+        target = tmp_path / "target"
+        target.mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(target, target_is_directory=True)
+        cache = ResultCache(link)
+        cache.put("ab12cd", {"v": 1})
+        cache.put("ef34ab", {"v": 2})
+        assert cache.clear() == 2
+        assert link.is_symlink() and target.is_dir()
+        assert list(target.iterdir()) == []
+
+    def test_undeletable_entry_is_a_configuration_error(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        cache = ResultCache(tmp_path / "c")
+        cache.put("ab12cd", {"v": 1})
+
+        def refuse(self, missing_ok=False):
+            raise PermissionError("read-only")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        with pytest.raises(ConfigurationError, match="cannot clear cache directory"):
+            cache.clear()
+
+
 class TestTempFileHygiene:
     def test_failed_put_leaves_no_temp_file(self, tmp_path):
         """An in-process writer crash (unserializable payload) must clean up

@@ -256,6 +256,25 @@ class TestCacheCommand:
         assert "shard0" in capsys.readouterr().err
         assert cache.get("ab12") == {"v": 1}
 
+    @pytest.mark.parametrize("symlinked", [False, True])
+    def test_clear_leaves_unrelated_files_in_place(self, tmp_path, capsys, symlinked):
+        """`cache clear` once removed the whole --cache-dir, and raised an
+        OSError traceback when it was a symbolic link."""
+        real = tmp_path / "real"
+        (real / "notes").mkdir(parents=True)
+        (real / "README").write_text("keep me")
+        (real / "notes" / "important.txt").write_text("keep me too")
+        ResultCache(real).put("ab12", {"v": 1})
+        cache_dir = tmp_path / "link" if symlinked else real
+        if symlinked:
+            cache_dir.symlink_to(real, target_is_directory=True)
+        assert run_cli("cache", "clear", "--cache-dir", str(cache_dir)) == 0
+        assert "removed 1 cached results" in capsys.readouterr().out
+        assert sorted(p.relative_to(real).as_posix() for p in real.rglob("*")) == [
+            "README", "notes", "notes/important.txt",
+        ]
+        assert cache_dir.is_symlink() is symlinked
+
 
 def exit_code(argv: list[str]) -> int:
     """``main(argv)``, with an argparse usage error mapped to its exit code."""
@@ -267,8 +286,7 @@ def exit_code(argv: list[str]) -> int:
 
 #: Calls that once crashed with a traceback or accepted a malformed value.
 #: ``{file}`` is a regular file, ``{dir}`` a directory, ``{missing}`` a path
-#: under a missing directory, ``{bench}`` a copy of BENCH_core.json and
-#: ``{huge}`` an integer too large for a float.
+#: under a missing directory and ``{huge}`` an integer too large for a float.
 MALFORMED_CALLS = [
     "run --model bert --no-cache --host-memory-gb nan",
     "run --model bert --no-cache --host-memory-gb inf",
@@ -292,8 +310,6 @@ MALFORMED_CALLS = [
     "report --figures= --no-cache",
     "cache info --cache-dir {file}",
     "cache clear --cache-dir {file}",
-    "bench --from {bench} --output {missing}",
-    "bench --from {bench} --check {bench} --threshold=nan",
     "lint {file} --baseline {dir}",
     "lint {file} --update-baseline --baseline {missing}",
     "lint {missing}",
@@ -308,11 +324,8 @@ class TestMalformedInput:
         monkeypatch.chdir(tmp_path)
         plain = tmp_path / "plain.py"
         plain.write_text("x = 1\n")
-        bench = tmp_path / "bench.json"
-        bench.write_text((Path(__file__).resolve().parents[1] / "BENCH_core.json").read_text())
         argv = template.format(
-            file=plain, dir=tmp_path, missing=tmp_path / "missing" / "x.json", bench=bench,
-            huge=10**400,
+            file=plain, dir=tmp_path, missing=tmp_path / "missing" / "x.json", huge=10**400,
         ).split()
         assert exit_code(argv) == 2
         err = capsys.readouterr().err

@@ -18,7 +18,7 @@ file. The values are:
   ``--opt=value`` so argparse does not read ``-inf`` as a flag. Counts take
   only ``nan``/``inf``/``-inf``/a non-number/``-1``/``0``/``1``, so no
   example starts many processes or loops ``2**63`` times;
-* paths (metavar ``FILE``/``DIR``/``BASELINE``/``PATH``): a missing parent
+* paths (metavar ``FILE``/``DIR``/``PATH``): a missing parent
   directory, a regular file where a directory is expected, or ``/dev/null``;
 * names (everything else): an unregistered name or an empty string, never
   an importable module, since ``--plugins`` imports whatever it is given.
@@ -28,9 +28,7 @@ the example. NaN, infinities, non-numbers and unusable paths must exit 2,
 with stderr ending in an ``error:`` line. ``-1``, ``0`` and ``2**63`` may
 also run to completion. Every call runs with the working directory in a
 temporary directory, so the relative defaults (``.repro_cache/``,
-``report/``, ``lint-baseline.json``, ``BENCH_core.json``) never land in the
-repository. ``bench`` always reads ``--from`` a copy of ``BENCH_core.json``,
-so nothing is timed.
+``report/``, ``lint-baseline.json``) never land in the repository.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import argparse
 import contextlib
 import io
 import itertools
-import shutil
 from pathlib import Path
 
 import pytest
@@ -48,14 +45,12 @@ from hypothesis import strategies as st
 
 from repro import cli
 
-ROOT = Path(__file__).resolve().parents[1]
-
 #: Count options: never drawn large (a process or loop per unit).
-COUNTS = frozenset({"jobs", "tenants", "requests", "batch", "batches", "repeats"})
+COUNTS = frozenset({"jobs", "tenants", "requests", "batch", "batches"})
 #: Untyped string options that parse a comma-separated list of numbers.
 NUMBER_LISTS = frozenset({"batches", "errors"})
 #: Path metavars; ``DIR`` paths are created (parents included) when missing.
-PATH_METAVARS = frozenset({"FILE", "DIR", "BASELINE", "PATH"})
+PATH_METAVARS = frozenset({"FILE", "DIR", "PATH"})
 #: Optional inputs: a missing file is an empty one (``lint --baseline``).
 OPTIONAL_INPUTS = frozenset({"baseline"})
 
@@ -78,7 +73,6 @@ def base_call(command: str, workdir: Path) -> dict[str, list[str]]:
         "figure": {"id": ["11"], "models": ["--models", "bert"], **ci},
         "sweep": {"models": ["--models", "bert"], "policies": ["--policies", "g10"], **ci},
         "report": {"figures": ["--figures", "2"], **ci},
-        "bench": {"from_file": ["--from", str(workdir / "bench.json")]},
         "lint": {"paths": [str(workdir / "clean.py")]},
         "cache": {"action": ["info"]},
     }[command]
@@ -130,7 +124,6 @@ _fresh = itertools.count()
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory) -> Path:
     path = tmp_path_factory.mktemp("cli-fuzz")
-    shutil.copy(ROOT / "BENCH_core.json", path / "bench.json")
     (path / "clean.py").write_text("x = 1\n", encoding="utf-8")
     (path / "plain.txt").write_text("a regular file\n", encoding="utf-8")
     return path
@@ -182,7 +175,7 @@ def call(argv: list[str], workdir: Path) -> tuple[int, str]:
 
 
 def test_every_subcommand_has_fuzzable_actions():
-    assert set(SUBPARSERS) >= {"run", "figure", "sweep", "report", "bench", "lint", "cache"}
+    assert set(SUBPARSERS) >= {"run", "figure", "sweep", "report", "lint", "cache"}
     for command, subparser in SUBPARSERS.items():
         pairs = sum(len(values_for(action)) for action in fuzzable(subparser))
         assert 0 < pairs <= MAX_EXAMPLES, (command, pairs)

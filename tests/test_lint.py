@@ -139,14 +139,17 @@ class TestDET001Entropy:
         """
         assert codes(lint_snippet(source, "sim/engine.py")) == ["DET001"]
 
-    def test_captured_allowlisted_reference_is_quiet(self):
+    def test_captured_perf_counter_fires_in_executor(self):
+        """DET001 has no per-module exception, ``sim/executor.py`` included."""
         source = """
             import time
 
             def wire():
                 return time.perf_counter
         """
-        assert lint_snippet(source, "sim/executor.py") == []
+        findings = lint_snippet(source, "sim/executor.py")
+        assert codes(findings) == ["DET001"]
+        assert "captured without a call" in findings[0].message
 
     def test_quiet_outside_deterministic_layers(self):
         source = """
@@ -166,14 +169,14 @@ class TestDET001Entropy:
         """
         assert lint_snippet(source, "sim/engine.py") == []
 
-    def test_perf_counter_allowlisted_in_executor_only(self):
+    def test_perf_counter_fires_in_executor_too(self):
         source = """
             import time
 
             def measure():
                 return time.perf_counter()
         """
-        assert lint_snippet(source, "sim/executor.py") == []
+        assert codes(lint_snippet(source, "sim/executor.py")) == ["DET001"]
         assert codes(lint_snippet(source, "sim/engine.py")) == ["DET001"]
 
 

@@ -2,7 +2,7 @@
 
 The cache must be *value-transparent*: a hit returns a plan bit-identical to
 what fresh planning would produce, keys must separate inputs the planner
-actually reads (and only those), and the executor/bench/sweep layers must see
+actually reads (and only those), and the executor and sweep layers must see
 truthful hit/miss counters.
 """
 
