@@ -313,6 +313,39 @@ class TestClearScope:
         for name in kept + ["cd/cd00.json"]:
             assert (root / name).read_text() == "not the cache's", name
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "AB/ab12cd.json",  # shard names are lower-case hex ...
+            "abc/abc123.json",  # ... and two characters long
+            "ab",  # a shard name on a regular file
+            "ab12cd.tmp.4242.0",  # temporaries live in shards, never at the root
+            "ab/sub/ab12cd.json",  # nor does anything below a shard
+        ],
+    )
+    def test_lookalike_outside_the_shard_layout_is_not_counted_or_cleared(self, tmp_path, name):
+        root = tmp_path / "c"
+        cache = ResultCache(root)
+        cache.put("ef34ab", {"v": 1})
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text("not the cache's")
+        stats = cache.stats()
+        assert (stats["entries"], stats["stale_tmp"]) == (1, 0)
+        assert cache.clear() == 1
+        assert (root / name).read_text() == "not the cache's"
+        assert not (root / "ef").exists()
+
+    def test_symlinked_entry_goes_and_its_target_stays(self, tmp_path):
+        target = tmp_path / "elsewhere.json"
+        target.write_text("not the cache's")
+        cache = ResultCache(tmp_path / "c")
+        cache.put("ab12cd", {"v": 1})
+        (cache.root / "ab" / "ab99.json").symlink_to(target)
+        assert cache.stats()["entries"] == 2
+        assert cache.clear() == 2
+        assert not cache.root.exists()
+        assert target.read_text() == "not the cache's"
+
     def test_symlinked_root_keeps_link_and_target(self, tmp_path):
         target = tmp_path / "target"
         target.mkdir()

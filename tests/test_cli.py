@@ -275,6 +275,21 @@ class TestCacheCommand:
         ]
         assert cache_dir.is_symlink() is symlinked
 
+    def test_clear_with_the_working_directory_as_cache_keeps_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """`REPRO_CACHE_DIR=. repro cache clear` once deleted the working
+        directory and everything in it."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", ".")
+        (tmp_path / "notes.txt").write_text("keep me")
+        ResultCache().put("ab12", {"v": 1})
+        assert run_cli("cache", "info") == 0
+        assert "entries    : 1" in capsys.readouterr().out
+        assert run_cli("cache", "clear") == 0
+        assert "removed 1 cached results" in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
 
 def exit_code(argv: list[str]) -> int:
     """``main(argv)``, with an argparse usage error mapped to its exit code."""
@@ -287,6 +302,8 @@ def exit_code(argv: list[str]) -> int:
 #: Calls that once crashed with a traceback or accepted a malformed value.
 #: ``{file}`` is a regular file, ``{dir}`` a directory, ``{missing}`` a path
 #: under a missing directory and ``{huge}`` an integer too large for a float.
+#: The ``bench`` rows call the retired ``repro bench`` as scripts once did,
+#: with ``{bench}`` a regular file standing in for its saved payload.
 MALFORMED_CALLS = [
     "run --model bert --no-cache --host-memory-gb nan",
     "run --model bert --no-cache --host-memory-gb inf",
@@ -310,6 +327,8 @@ MALFORMED_CALLS = [
     "report --figures= --no-cache",
     "cache info --cache-dir {file}",
     "cache clear --cache-dir {file}",
+    "bench --from {bench} --output {missing}",
+    "bench --from {bench} --check {bench} --threshold=nan",
     "lint {file} --baseline {dir}",
     "lint {file} --update-baseline --baseline {missing}",
     "lint {missing}",
@@ -325,7 +344,8 @@ class TestMalformedInput:
         plain = tmp_path / "plain.py"
         plain.write_text("x = 1\n")
         argv = template.format(
-            file=plain, dir=tmp_path, missing=tmp_path / "missing" / "x.json", huge=10**400,
+            file=plain, dir=tmp_path, missing=tmp_path / "missing" / "x.json", bench=plain,
+            huge=10**400,
         ).split()
         assert exit_code(argv) == 2
         err = capsys.readouterr().err

@@ -7,6 +7,7 @@ selection, exit codes), registry integration, and the acceptance gate that
 ``src/repro`` lints clean with an empty baseline.
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.lint import (
+    DETERMINISTIC_LAYERS,
     LINT_REGISTRY,
     Baseline,
     LintRule,
@@ -178,6 +180,23 @@ class TestDET001Entropy:
         """
         assert codes(lint_snippet(source, "sim/executor.py")) == ["DET001"]
         assert codes(lint_snippet(source, "sim/engine.py")) == ["DET001"]
+
+    @pytest.mark.parametrize(
+        "imports, use",
+        [
+            ("import time as _time", "_time.perf_counter()"),
+            ("from time import perf_counter", "perf_counter()"),
+            ("from time import perf_counter as clock", "clock"),
+        ],
+    )
+    def test_executor_clock_fires_however_spelled(self, imports, use):
+        source = f"""
+            {imports}
+
+            def measure():
+                return {use}
+        """
+        assert codes(lint_snippet(source, "sim/executor.py")) == ["DET001"]
 
 
 class TestDET002IdKeys:
@@ -640,6 +659,25 @@ class TestSelfClean:
     def test_committed_baseline_is_empty(self):
         baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
         assert baseline.entries == []
+
+    @pytest.mark.parametrize("layer", DETERMINISTIC_LAYERS, ids=lambda layer: layer.rstrip("/"))
+    def test_deterministic_layer_never_imports_time(self, layer):
+        """DET001 has no exception, so no deterministic layer has a use for
+        the ``time`` module at all."""
+        modules = sorted((PACKAGE_DIR / layer).rglob("*.py"))
+        assert modules
+        importers = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.partition(".")[0] == "time" for name in names):
+                    importers.append(path.relative_to(PACKAGE_DIR).as_posix())
+        assert importers == []
 
     def test_seeded_violation_is_caught(self, tmp_path):
         """A stray wall-clock read in sim/engine.py would fail the lint job."""

@@ -2,9 +2,34 @@
 
 from __future__ import annotations
 
-from repro.baselines import BaseUVMPolicy
+import time
+
+import pytest
+
+from repro.baselines import BaseUVMPolicy, available_policies, make_policy
+from repro.core.vitality import TensorVitalityAnalyzer
+from repro.experiments.harness import build_workload, run_policy
+from repro.graph import expand_training
+from repro.profiling import profile_training_graph
 from repro.sim import ExecutionSimulator, PerfCounters, SimulationResult, simulate
 from repro.sim.engine import Event, EventQueue
+
+#: Every host clock of the ``time`` module.
+CLOCKS = (
+    "time", "time_ns", "monotonic", "monotonic_ns",
+    "perf_counter", "perf_counter_ns", "process_time", "process_time_ns",
+)
+
+#: Small and medium cells, one per model scale and policy family.
+CORE_CELLS = [
+    pytest.param(model, scale, policy, id=f"{model}@default/{scale}/{policy}")
+    for model, scale, policy in (
+        ("bert", "ci", "g10"),
+        ("vit", "ci", "base_uvm"),
+        ("resnet152", "ci", "g10"),
+        ("bert", "paper", "g10"),
+    )
+]
 
 
 class TestPerfCounters:
@@ -60,6 +85,46 @@ class TestPerfCounters:
         ).run()
         assert result.failed
         assert result.perf.fault_events == result.fault_events
+
+
+class TestCoreCells:
+    """Each cell runs cold and then warm, as perfbench's traced passes run it."""
+
+    @pytest.mark.parametrize("model, scale, policy", CORE_CELLS)
+    def test_core_cell(self, model, scale, policy):
+        workload = build_workload(model, scale=scale)
+        cold = run_policy(workload, policy)
+        warm = run_policy(workload, policy)
+        for result in (cold, warm):
+            assert not result.failed
+            assert result.perf.kernels_executed > 0
+            assert result.perf.events_processed >= result.perf.kernels_executed
+        assert warm.to_dict() == cold.to_dict()
+        # The warm run replans nothing: each of its plan lookups is a hit.
+        assert warm.perf.plan_cache["misses"] == 0
+        assert sum(warm.perf.plan_cache.values()) == sum(cold.perf.plan_cache.values())
+
+
+class TestNoHostClock:
+    """No deterministic layer reads a host clock, not even for a number kept
+    out of the results: host time is measured from outside (``perfbench/``)."""
+
+    @pytest.mark.parametrize("policy", available_policies())
+    def test_profile_and_simulate_read_no_clock(
+        self, policy, tiny_graph, small_config, monkeypatch
+    ):
+        reads = []
+        for name in CLOCKS:
+            clock = getattr(time, name)
+            monkeypatch.setattr(
+                time, name, lambda clock=clock, name=name: reads.append(name) or clock()
+            )
+        training = profile_training_graph(expand_training(tiny_graph), small_config)
+        report = TensorVitalityAnalyzer(training).analyze()
+        result = ExecutionSimulator(training, small_config, make_policy(policy), report).run()
+        monkeypatch.undo()
+        assert result.perf.kernels_executed > 0
+        assert reads == []
 
 
 class TestEventOrdering:
