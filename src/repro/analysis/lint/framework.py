@@ -1,4 +1,4 @@
-"""The ``repro lint`` rule framework: sources, findings, suppressions, baseline.
+"""The ``repro lint`` framework: parsed sources, findings and the rule base class.
 
 Every correctness claim this repository makes rests on one informal
 discipline: *bit-for-bit golden reproduction* (the figure/table goldens must
@@ -9,47 +9,33 @@ simulation does.
 
 The moving parts:
 
-* :class:`ModuleSource` — one parsed Python file: its AST, its comments, its
-  inline suppressions and its *package path* (the path relative to the
-  ``repro`` package root, which is what layer-scoped rules match against);
+* :class:`ModuleSource` — one parsed Python file: its AST, its comments and
+  its *package path* (the path relative to the ``repro`` package root, which
+  is what layer-scoped rules match against);
 * :class:`LintRule` — an :class:`ast.NodeVisitor` subclass with a ``code``,
-  a ``title`` and a ``rationale``; concrete rules live in
-  :mod:`repro.analysis.lint.rules` and register themselves into
-  :data:`LINT_REGISTRY` (a :class:`repro.registry.Registry`, so rule lookup
-  gets the same alias/did-you-mean/unregister hygiene as policies and models,
-  and out-of-tree rules can plug in through ``REPRO_PLUGINS``);
-* :class:`LintFinding` — one violation, with a line-number-independent
-  ``fingerprint`` (rule + package path + offending source line) used by the
-  committed baseline so grandfathered findings survive unrelated edits;
-* :class:`Baseline` — the committed grandfather file: known findings are
-  subtracted from a run by fingerprint multiset, anything left fails the run;
+  a ``title`` and a ``rationale``; the concrete rules are the
+  :data:`~repro.analysis.lint.rules.RULES` tuple;
+* :class:`LintFinding` — one violation at one source location;
 * :func:`lint_paths` / :func:`lint_source` — the entry points used by the
-  ``repro lint`` CLI and by the fixture-snippet tests.
+  ``repro lint`` CLI and by the fixture-snippet tests. A path the analyzer
+  cannot use (missing, without Python files, unreadable or unparseable)
+  raises :class:`~repro.errors.LintError` instead of being half-checked.
 
-Suppressions are inline comments anywhere on the offending statement::
-
-    started = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time phase, never serialized
-
-A justification after ``--`` is conventional (CONTRIBUTING.md requires one);
-``disable=all`` silences every rule on that statement. DET004's exact-float
-sentinel annotation (``# repro-lint: exact-float``) is read from the same
-comment stream.
+The one comment the analyzer reads is DET004's exact-float sentinel
+annotation, ``# repro-lint: exact-float`` on the sentinel's assignment.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ...errors import LintError
-from ...registry import Registry
 
 #: Packages whose behaviour must be a pure function of the workload + config
 #: (they feed the golden files). Rules use this to scope themselves.
@@ -57,22 +43,6 @@ DETERMINISTIC_LAYERS: tuple[str, ...] = (
     "sim/", "core/", "uvm/", "ssd/", "graph/", "baselines/",
 )
 
-#: Rule code reserved for files the linter cannot parse (always emitted,
-#: never selectable or suppressible).
-PARSE_ERROR_CODE = "E001"
-
-#: Rule code reserved for paths the linter cannot read at all: a missing
-#: file/directory, a directory containing no Python files, or an unreadable
-#: file. Like :data:`PARSE_ERROR_CODE` these are *analysis errors*, not rule
-#: findings — they can be neither suppressed nor baselined, and the CLI exits
-#: 2 (analysis incomplete) instead of 1 (violations found) when any appear.
-UNREADABLE_CODE = "E002"
-
-#: Codes that mean "the analysis could not complete", as opposed to "the
-#: analysis found a violation".
-ERROR_CODES: tuple[str, ...] = (PARSE_ERROR_CODE, UNREADABLE_CODE)
-
-_SUPPRESS_RE = re.compile(r"repro-lint:\s*disable=([A-Za-z0-9_*,\s]+?)(?:\s*--.*)?$")
 _ANNOTATION_RE = re.compile(r"repro-lint:\s*([a-z][a-z0-9-]*)(?:\s*--.*)?$")
 
 
@@ -90,39 +60,15 @@ def package_path_of(path: Path) -> str:
     return path.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class LintFinding:
-    """One rule violation at one source location."""
+    """One rule violation at one source location (ordered by location)."""
 
-    rule: str
     path: str
-    package_path: str
     line: int
     col: int
+    rule: str
     message: str
-    snippet: str
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baseline matching.
-
-        Hashes the rule, the package-relative path and the stripped source
-        line — not the line *number* — so edits elsewhere in the file do not
-        invalidate grandfathered entries.
-        """
-        payload = f"{self.rule}\x00{self.package_path}\x00{self.snippet}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
-        }
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
@@ -130,17 +76,14 @@ class LintFinding:
 
 @dataclass
 class ModuleSource:
-    """One parsed source file plus the comment-derived lint metadata."""
+    """One parsed source file plus its comments."""
 
     path: Path
     package_path: str
-    text: str
     tree: ast.Module
     #: line number -> comment text (without the leading ``#``), for every
     #: comment token in the file.
     comments: dict[int, str] = field(default_factory=dict)
-    #: line number -> uppercased rule codes disabled on that line ("*" = all).
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
 
     @classmethod
     def parse(
@@ -148,31 +91,23 @@ class ModuleSource:
     ) -> "ModuleSource":
         """Parse one file (or an in-memory snippet posing as ``path``).
 
-        Raises :class:`SyntaxError` for unparseable source; callers turn that
-        into an :data:`PARSE_ERROR_CODE` finding.
+        An unreadable or unparseable file raises
+        :class:`~repro.errors.LintError`.
         """
         if text is None:
-            text = path.read_text(encoding="utf-8")
-        tree = ast.parse(text, filename=str(path))
-        comments = _collect_comments(text)
-        suppressions: dict[int, frozenset[str]] = {}
-        for line, comment in comments.items():
-            match = _SUPPRESS_RE.search(comment)
-            if match:
-                codes = frozenset(
-                    token.strip().upper()
-                    for token in match.group(1).split(",")
-                    if token.strip()
-                )
-                if codes:
-                    suppressions[line] = codes
+            try:
+                text = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise LintError(f"cannot read {path}: {exc}") from exc
+        try:
+            tree = ast.parse(text, filename=str(path))
+        except SyntaxError as exc:
+            raise LintError(f"cannot parse {path}: {exc}") from exc
         return cls(
             path=path,
             package_path=package_path if package_path is not None else package_path_of(path),
-            text=text,
             tree=tree,
-            comments=comments,
-            suppressions=suppressions,
+            comments=_collect_comments(text),
         )
 
     def in_layers(self, layers: Sequence[str]) -> bool:
@@ -186,21 +121,6 @@ class ModuleSource:
             return False
         match = _ANNOTATION_RE.search(comment)
         return match is not None and match.group(1) == annotation
-
-    def suppressed(self, code: str, first_line: int, last_line: int | None = None) -> bool:
-        """Whether ``code`` is disabled anywhere on the statement's line span."""
-        last = first_line if last_line is None else last_line
-        for line in range(first_line, last + 1):
-            codes = self.suppressions.get(line)
-            if codes and (code.upper() in codes or "ALL" in codes or "*" in codes):
-                return True
-        return False
-
-    def source_line(self, line: int) -> str:
-        lines = self.text.splitlines()
-        if 1 <= line <= len(lines):
-            return lines[line - 1].strip()
-        return ""
 
 
 def import_aliases(tree: ast.Module) -> dict[str, str]:
@@ -274,8 +194,8 @@ class LintRule(ast.NodeVisitor):
     rationale: str = ""
 
     def __init__(self) -> None:
-        self.module: ModuleSource | None = None
-        self._reports: list[tuple[ast.AST, str]] = []
+        self._path = ""
+        self._findings: list[LintFinding] = []
 
     # -- subclass hooks -------------------------------------------------------
 
@@ -286,101 +206,44 @@ class LintRule(ast.NodeVisitor):
         """Per-module setup before the AST walk."""
 
     def report(self, node: ast.AST, message: str) -> None:
-        self._reports.append((node, message))
+        self._findings.append(
+            LintFinding(
+                path=self._path,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0),
+                rule=self.code,
+                message=message,
+            )
+        )
 
     # -- framework entry point ------------------------------------------------
 
     def check(self, module: ModuleSource) -> list[LintFinding]:
-        """Run this rule over one module, honouring inline suppressions."""
-        self.module = module
-        self._reports = []
+        """Run this rule over one module."""
+        self._path = str(module.path)
+        self._findings = []
         self.begin(module)
         self.visit(module.tree)
-        findings = []
-        for node, message in self._reports:
-            line = getattr(node, "lineno", 1)
-            end_line = getattr(node, "end_lineno", None) or line
-            if module.suppressed(self.code, line, end_line):
-                continue
-            findings.append(
-                LintFinding(
-                    rule=self.code,
-                    path=str(module.path),
-                    package_path=module.package_path,
-                    line=line,
-                    col=getattr(node, "col_offset", 0),
-                    message=message,
-                    snippet=module.source_line(line),
-                )
-            )
-        return findings
+        return self._findings
 
 
-#: Open registry of lint rules. Rule classes self-register on import of
-#: :mod:`repro.analysis.lint.rules` (the bootstrap); plugins add their own
-#: through ``@register_rule("XYZ123", title=..., rationale=...)``.
-LINT_REGISTRY = Registry(
-    "lint rule", bootstrap="repro.analysis.lint.rules", error_cls=LintError
-)
+def lint_modules(modules: Iterable[ModuleSource]) -> list[LintFinding]:
+    """Every rule's findings over ``modules``, sorted by location."""
+    from .rules import RULES  # deferred: rules.py builds on this module
 
-#: Decorator registering a :class:`LintRule` subclass under its code.
-register_rule = LINT_REGISTRY.register
-
-
-def resolve_codes(codes: Iterable[str]) -> list[str]:
-    """Canonical registry keys for user-supplied rule codes (case-insensitive)."""
-    return [LINT_REGISTRY.resolve(code) for code in codes]
+    rules = [rule_class() for rule_class in RULES]
+    return sorted(
+        finding
+        for module in modules
+        for rule in rules
+        if rule.applies_to(module)
+        for finding in rule.check(module)
+    )
 
 
-def active_rules(
-    select: Iterable[str] | None = None, ignore: Iterable[str] | None = None
-) -> list[LintRule]:
-    """Instantiate the requested rules in registration order."""
-    selected = set(resolve_codes(select)) if select is not None else None
-    ignored = set(resolve_codes(ignore)) if ignore else set()
-    rules = []
-    for key in LINT_REGISTRY.available():
-        if selected is not None and key not in selected:
-            continue
-        if key in ignored:
-            continue
-        rules.append(LINT_REGISTRY.create(key))
-    return rules
-
-
-def lint_modules(
-    modules: Iterable[ModuleSource], rules: Sequence[LintRule]
-) -> list[LintFinding]:
-    findings: list[LintFinding] = []
-    for module in modules:
-        for rule in rules:
-            if rule.applies_to(module):
-                findings.extend(rule.check(module))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def _collect_files(
-    paths: Sequence[Path | str],
-) -> tuple[list[Path], list[LintFinding]]:
-    """Expand paths to .py files; unusable paths become ``E002`` findings."""
+def _collect_files(paths: Sequence[Path | str]) -> list[Path]:
+    """Expand paths to .py files; an unusable path raises :class:`LintError`."""
     files: list[Path] = []
-    errors: list[LintFinding] = []
-    seen = set()
-
-    def error(path: Path, message: str) -> None:
-        errors.append(
-            LintFinding(
-                rule=UNREADABLE_CODE,
-                path=str(path),
-                package_path=package_path_of(path),
-                line=1,
-                col=0,
-                message=message,
-                snippet="",
-            )
-        )
-
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
@@ -388,171 +251,30 @@ def _collect_files(
                 p for p in path.rglob("*.py") if "__pycache__" not in p.parts
             )
             if not candidates:
-                error(path, "directory contains no Python files")
+                raise LintError(f"cannot lint {path}: directory contains no Python files")
+            files += candidates
         elif path.exists():
-            candidates = [path]
+            files.append(path)
         else:
-            error(path, "no such file or directory")
-            continue
-        for candidate in candidates:
-            if candidate not in seen:
-                seen.add(candidate)
-                files.append(candidate)
-    return files, errors
+            raise LintError(f"cannot lint {path}: no such file or directory")
+    return list(dict.fromkeys(files))
 
 
-def _parse_error(path: Path, exc: SyntaxError) -> LintFinding:
-    return LintFinding(
-        rule=PARSE_ERROR_CODE,
-        path=str(path),
-        package_path=package_path_of(path),
-        line=exc.lineno or 1,
-        col=(exc.offset or 1) - 1,
-        message=f"cannot parse file: {exc.msg}",
-        snippet=(exc.text or "").strip(),
-    )
+def lint_paths(paths: Sequence[Path | str]) -> list[LintFinding]:
+    """Lint files and directories.
 
-
-def lint_paths(
-    paths: Sequence[Path | str],
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> list[LintFinding]:
-    """Lint files/directories.
-
-    Parse failures become :data:`PARSE_ERROR_CODE` findings and unusable
-    paths become :data:`UNREADABLE_CODE` findings — structured output rather
-    than exceptions, so CI artifacts capture them alongside rule findings.
+    Every path is collected and parsed before any rule runs, so a missing,
+    empty, unreadable or unparseable one raises
+    :class:`~repro.errors.LintError` rather than yielding a partial result.
     """
-    rules = active_rules(select, ignore)
-    files, error_findings = _collect_files(paths)
-    modules: list[ModuleSource] = []
-    for path in files:
-        try:
-            modules.append(ModuleSource.parse(path))
-        except SyntaxError as exc:
-            error_findings.append(_parse_error(path, exc))
-        except (OSError, UnicodeDecodeError) as exc:
-            error_findings.append(
-                LintFinding(
-                    rule=UNREADABLE_CODE,
-                    path=str(path),
-                    package_path=package_path_of(path),
-                    line=1,
-                    col=0,
-                    message=f"cannot read file: {exc}",
-                    snippet="",
-                )
-            )
-    findings = lint_modules(modules, rules)
-    findings += error_findings
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return lint_modules([ModuleSource.parse(path) for path in _collect_files(paths)])
 
 
-def lint_source(
-    text: str,
-    package_path: str = "snippet.py",
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> list[LintFinding]:
+def lint_source(text: str, package_path: str = "snippet.py") -> list[LintFinding]:
     """Lint an in-memory snippet as if it lived at ``package_path``.
 
     This is the fixture-test entry point: rules scoped to a layer are
     exercised by passing e.g. ``package_path="sim/engine.py"``.
     """
-    module = ModuleSource.parse(
-        Path(package_path), text=text, package_path=package_path
-    )
-    return lint_modules([module], active_rules(select, ignore))
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-class Baseline:
-    """The committed grandfather file for pre-existing findings.
-
-    A baseline is a JSON document listing finding fingerprints (plus their
-    human-readable context, for reviewability). :meth:`partition` subtracts
-    baselined findings from a run as a *multiset* — two identical offending
-    lines need two entries — so fixing one of them surfaces the other.
-    """
-
-    VERSION = 1
-
-    def __init__(self, entries: Iterable[dict[str, Any]] = ()) -> None:
-        self.entries = list(entries)
-
-    @classmethod
-    def load(cls, path: Path | str | None) -> "Baseline":
-        """Read a baseline file; a missing path (or ``None``) means empty.
-
-        An unreadable or malformed file raises :class:`~repro.errors.LintError`.
-        """
-        if path is None:
-            return cls()
-        path = Path(path)
-        if not path.exists():
-            return cls()
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError) as exc:
-            raise LintError(f"cannot read lint baseline {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise LintError(f"cannot parse lint baseline {path}: {exc}")
-        if not isinstance(data, dict) or "findings" not in data:
-            raise LintError(f"lint baseline {path} is not a baseline document")
-        return cls(data["findings"])
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[LintFinding]) -> "Baseline":
-        return cls(
-            {
-                "rule": f.rule,
-                "package_path": f.package_path,
-                "snippet": f.snippet,
-                "fingerprint": f.fingerprint,
-            }
-            for f in findings
-        )
-
-    def write(self, path: Path | str) -> None:
-        """Write the baseline; an unwritable path raises :class:`~repro.errors.LintError`."""
-        document = {
-            "version": self.VERSION,
-            "findings": sorted(
-                self.entries,
-                key=lambda e: (e.get("package_path", ""), e.get("rule", ""), e.get("fingerprint", "")),
-            ),
-        }
-        try:
-            Path(path).write_text(
-                json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        except OSError as exc:
-            raise LintError(f"cannot write lint baseline {path}: {exc}") from exc
-
-    def partition(
-        self, findings: Sequence[LintFinding]
-    ) -> tuple[list[LintFinding], list[LintFinding], int]:
-        """Split a run into (new, grandfathered) findings; also count stale entries.
-
-        Returns ``(new, baselined, stale)`` where ``stale`` is the number of
-        baseline entries that matched nothing (fixed findings whose entries
-        should be removed).
-        """
-        budget: dict[str, int] = {}
-        for entry in self.entries:
-            fingerprint = entry.get("fingerprint", "")
-            budget[fingerprint] = budget.get(fingerprint, 0) + 1
-        new: list[LintFinding] = []
-        baselined: list[LintFinding] = []
-        for finding in findings:
-            if budget.get(finding.fingerprint, 0) > 0:
-                budget[finding.fingerprint] -= 1
-                baselined.append(finding)
-            else:
-                new.append(finding)
-        stale = sum(budget.values())
-        return new, baselined, stale
+    module = ModuleSource.parse(Path(package_path), text=text, package_path=package_path)
+    return lint_modules([module])

@@ -1,4 +1,4 @@
-"""The built-in ``repro lint`` rules.
+"""The ``repro lint`` rules.
 
 Each rule encodes one invariant the repository's correctness story already
 depends on informally:
@@ -11,8 +11,8 @@ depends on informally:
 * **PERF001** keeps numpy code numpy: ``core/`` and ``sim/`` must not walk a
   numpy array element by element in a Python loop.
 
-Rules self-register into :data:`~repro.analysis.lint.framework.LINT_REGISTRY`
-when this module is imported (it is the registry's bootstrap module).
+:data:`RULES` lists them; a new rule is a :class:`LintRule` subclass added
+to it, with fire/quiet fixtures in ``tests/test_lint.py``.
 """
 
 from __future__ import annotations
@@ -25,17 +25,9 @@ from .framework import (
     ModuleSource,
     dotted_name,
     import_aliases,
-    register_rule,
 )
 
-__all__ = ["dotted_name", "import_aliases"]  # re-exported for compatibility
 
-
-@register_rule(
-    "DET001",
-    title="no wall clock or entropy in the deterministic layers",
-    rationale="golden files are bit-for-bit; any clock/entropy read breaks them",
-)
 class NoEntropyRule(LintRule):
     """Bans wall-clock and entropy reads inside the deterministic layers.
 
@@ -57,6 +49,10 @@ class NoEntropyRule(LintRule):
             "time.perf_counter_ns",
             "time.process_time",
             "time.process_time_ns",
+            "time.thread_time",
+            "time.thread_time_ns",
+            "time.clock_gettime",
+            "time.clock_gettime_ns",
             "datetime.datetime.now",
             "datetime.datetime.utcnow",
             "datetime.datetime.today",
@@ -69,12 +65,21 @@ class NoEntropyRule(LintRule):
             "os.getrandom",
             "uuid.uuid1",
             "uuid.uuid4",
+            "random.SystemRandom",
+            "secrets.SystemRandom",
+            "secrets.choice",
+            "secrets.randbelow",
+            "secrets.randbits",
+            "secrets.token_bytes",
+            "secrets.token_hex",
+            "secrets.token_urlsafe",
         }
     )
 
     #: Module-level functions of the process-global ``random`` RNG. Policies
     #: needing noise must take a seeded ``random.Random`` (or numpy
-    #: ``Generator``) instance from their configuration instead.
+    #: ``Generator``) instance from their configuration instead; a
+    #: ``random.Random()`` built without a seed is flagged too.
     RANDOM_FUNCS = frozenset(
         {
             "betavariate", "choice", "choices", "expovariate", "gauss",
@@ -88,7 +93,7 @@ class NoEntropyRule(LintRule):
     #: Modules whose ``from X import *`` would smuggle banned callables in as
     #: bare names; a star import of one expands the alias map with every
     #: banned member so ``from time import *; time()`` still resolves.
-    STAR_MODULES = frozenset({"time", "datetime", "os", "uuid", "random"})
+    STAR_MODULES = frozenset({"time", "datetime", "os", "uuid", "random", "secrets"})
 
     @classmethod
     def matches(cls, dotted: str) -> bool:
@@ -123,20 +128,29 @@ class NoEntropyRule(LintRule):
         if not starred:
             return
         expanded: dict[str, str] = {}
-        for dotted in self.BANNED:
+        for dotted in sorted(self.BANNED):
             head, _, rest = dotted.partition(".")
             if head in starred and rest:
                 member = rest.split(".")[0]
                 expanded.setdefault(member, f"{head}.{member}")
         if "random" in starred:
-            for name in self.RANDOM_FUNCS:
+            for name in (*self.RANDOM_FUNCS, "Random"):
                 expanded.setdefault(name, f"random.{name}")
         # Explicit imports win over the star expansion.
         self._aliases = {**expanded, **self._aliases}
 
+    @staticmethod
+    def _unseeded(call: ast.Call) -> bool:
+        """``Random()`` or ``Random(None)``: seeded from OS entropy."""
+        args = [*call.args, *(keyword.value for keyword in call.keywords)]
+        return not args or (
+            len(args) == 1 and isinstance(args[0], ast.Constant) and args[0].value is None
+        )
+
     def visit_Call(self, node: ast.Call) -> None:
         name = dotted_name(node.func, self._aliases)
-        if name is not None and self.matches(name):
+        unseeded = name == "random.Random" and self._unseeded(node)
+        if name is not None and (self.matches(name) or unseeded):
             self.report(
                 node,
                 f"call to {name}() in a deterministic layer; the simulated "
@@ -182,15 +196,9 @@ def _is_id_call(node: ast.expr) -> bool:
     )
 
 
-@register_rule(
-    "DET002",
-    title="no id(...) used as a dict or memo key",
-    rationale="CPython addresses vary run to run; id-keyed memos break caching and replay",
-)
 class NoIdKeyRule(LintRule):
-    """Bans ``id(...)`` in key positions (the exact bug PR 1 fixed in
-    ``build_workload``: an ``id(config)``-keyed memo made cache keys depend on
-    allocator addresses)."""
+    """Bans ``id(...)`` in key positions (an ``id(config)``-keyed memo in
+    ``build_workload`` once made cache keys depend on allocator addresses)."""
 
     code = "DET002"
     title = "no id(...) used as a dict or memo key"
@@ -235,11 +243,6 @@ class NoIdKeyRule(LintRule):
         self.generic_visit(node)
 
 
-@register_rule(
-    "DET003",
-    title="no ordered iteration over bare set values",
-    rationale="set order varies with hash seeding/history; results and schedules must not inherit it",
-)
 class NoSetIterationRule(LintRule):
     """Flags order-sensitive iteration over values statically known to be sets.
 
@@ -360,11 +363,6 @@ class NoSetIterationRule(LintRule):
         self.generic_visit(node)
 
 
-@register_rule(
-    "DET004",
-    title="no float equality in core/sim outside annotated sentinels",
-    rationale="float == is usually a tolerance bug; exact-float sentinels must be named and annotated",
-)
 class NoFloatEqualityRule(LintRule):
     """Flags ``==``/``!=`` against float literals in ``core/`` and ``sim/``.
 
@@ -433,11 +431,6 @@ def _is_float_literal(node: ast.expr) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, float)
 
 
-@register_rule(
-    "PERF001",
-    title="no per-element Python loops over numpy arrays in core/sim",
-    rationale="an element-wise Python loop over a numpy array pays boxing and dispatch per element",
-)
 class NoScalarArrayLoopRule(LintRule):
     """Flags ``for`` loops (and ordered comprehensions) iterating a value
     statically known to be a numpy array in ``core/`` and ``sim/``.
@@ -570,3 +563,13 @@ class NoScalarArrayLoopRule(LintRule):
     visit_ListComp = _visit_ordered_comp
     visit_GeneratorExp = _visit_ordered_comp
     visit_DictComp = _visit_ordered_comp
+
+
+#: Every rule ``repro lint`` runs.
+RULES: tuple[type[LintRule], ...] = (
+    NoEntropyRule,
+    NoIdKeyRule,
+    NoSetIterationRule,
+    NoFloatEqualityRule,
+    NoScalarArrayLoopRule,
+)

@@ -12,8 +12,8 @@ Subcommands:
   comparative claims checked on them;
 * ``lint``   — run the project's AST-based static analyzer (determinism
   rules DET001-DET004, PERF001) over source trees, one file at a time;
-  findings not in the committed baseline fail the run (``--update-baseline``
-  refreshes it, ``--list-rules`` documents every rule);
+  prints one ``path:line:col: CODE message`` line per finding and exits 1
+  if there is any;
 * ``cache``  — inspect or clear the on-disk result cache.
 
 Malformed input fails with exit code 2 and one ``error:`` line on stderr,
@@ -62,6 +62,13 @@ from .experiments import (
 )
 from .experiments import claims
 from .experiments.reporting import experiment_ids
+from .experiments.tenancy import (
+    MAX_REQUESTS,
+    MAX_TENANTS,
+    ArrivalProcess,
+    MultiTenantScenario,
+    Tenant,
+)
 from .config import GB, whole_bytes
 from .errors import ConfigurationError, ReproError
 from .registry import MODEL_REGISTRY, POLICY_REGISTRY, load_plugins
@@ -225,10 +232,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _run_tenants(args: argparse.Namespace, runner: SweepRunner, patch: ConfigPatch) -> int:
     """``repro run --tenants N``: co-locate N sessions on one shared system."""
-    from .experiments.tenancy import ArrivalProcess, MultiTenantScenario, Tenant
-
-    if args.tenants < 1:
-        raise ConfigurationError(f"--tenants must be >= 1, got {args.tenants}")
+    if not 1 <= args.tenants <= MAX_TENANTS:
+        raise ConfigurationError(f"--tenants must be in [1, {MAX_TENANTS}], got {args.tenants}")
+    # Per-tenant offered load sums to --arrival-load across the system.
+    arrivals = ArrivalProcess.poisson(
+        load=args.arrival_load / args.tenants,
+        requests=args.requests,
+        seed=args.seed,
+    )
     policies = _csv(args.tenant_policies) if args.tenant_policies else [args.policy]
     tenants = []
     for index in range(args.tenants):
@@ -240,12 +251,6 @@ def _run_tenants(args: argparse.Namespace, runner: SweepRunner, patch: ConfigPat
             scale=args.scale,
             patch=patch,
             profiling_error=args.error,
-            seed=args.seed,
-        )
-        # Per-tenant offered load sums to --arrival-load across the system.
-        arrivals = ArrivalProcess.poisson(
-            load=args.arrival_load / args.tenants,
-            requests=args.requests,
             seed=args.seed,
         )
         tenants.append(Tenant(name=f"t{index}-{policy}", scenario=scenario, arrivals=arrivals))
@@ -348,25 +353,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Baseline consulted by ``repro lint`` when ``--baseline`` is not given.
-DEFAULT_LINT_BASELINE = "lint-baseline.json"
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis.lint import ERROR_CODES, LINT_REGISTRY, Baseline, lint_paths
-
-    if args.list_rules:
-        rows = []
-        for info in LINT_REGISTRY.describe_all():
-            rows.append(
-                {
-                    "code": info["name"].upper(),
-                    "title": info.get("title", ""),
-                    "rationale": info.get("rationale", ""),
-                }
-            )
-        print(format_table(rows))
-        return 0
+    from .analysis.lint import lint_paths
 
     paths = args.paths
     if not paths:
@@ -375,78 +363,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             paths = [default]
         else:  # installed package: lint the importable sources
             paths = [os.path.dirname(os.path.abspath(__file__))]
-
-    all_findings = lint_paths(
-        paths,
-        select=_csv(args.rule) if args.rule else None,
-        ignore=_csv(args.ignore) if args.ignore else None,
-    )
-    # Analysis errors (E001 unparseable, E002 unreadable) are never rule
-    # findings: they cannot be baselined away and force exit 2 below.
-    errors = [f for f in all_findings if f.rule in ERROR_CODES]
-    findings = [f for f in all_findings if f.rule not in ERROR_CODES]
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(DEFAULT_LINT_BASELINE):
-        baseline_path = DEFAULT_LINT_BASELINE
-    if args.update_baseline:
-        if errors:
-            for finding in errors:
-                print(finding.render(), file=sys.stderr)
-            print(
-                "error: refusing to update the baseline: the analysis is incomplete",
-                file=sys.stderr,
-            )
-            return 2
-        target = baseline_path or DEFAULT_LINT_BASELINE
-        Baseline.from_findings(findings).write(target)
-        print(f"wrote {len(findings)} finding(s) to {target}", file=sys.stderr)
-        return 0
-    baseline = Baseline.load(baseline_path)
-    new, baselined, stale = baseline.partition(findings)
-
-    if args.format == "json":
-        json.dump(
-            {
-                "findings": [f.to_dict() for f in new],
-                "baselined": [f.to_dict() for f in baselined],
-                "errors": [f.to_dict() for f in errors],
-                "summary": {
-                    "checked_paths": [str(p) for p in paths],
-                    "baseline": str(baseline_path) if baseline_path else None,
-                    "new": len(new),
-                    "baselined": len(baselined),
-                    "errors": len(errors),
-                    "stale_baseline_entries": stale,
-                },
-            },
-            sys.stdout,
-            indent=2,
-            sort_keys=True,
-        )
-        print()
-    else:
-        for finding in (*errors, *new):
-            print(finding.render())
-        summary = f"repro lint: {len(new)} finding(s)"
-        if errors:
-            summary += f", {len(errors)} analysis error(s)"
-        if baselined:
-            summary += f", {len(baselined)} baselined"
-        if stale:
-            summary += (
-                f", {stale} stale baseline entrie(s) — fixed findings still "
-                f"grandfathered; re-run with --update-baseline"
-            )
-        print(summary, file=sys.stderr)
-    if errors:
-        print(
-            f"error: the analysis is incomplete: {len(errors)} path(s) could not be "
-            "read or parsed",
-            file=sys.stderr,
-        )
-        return 2
-    return 1 if new else 0
+    findings = lint_paths(paths)
+    for finding in findings:
+        print(finding.render())
+    print(f"repro lint: {len(findings)} finding(s)", file=sys.stderr)
+    return 1 if findings else 0
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
@@ -510,12 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override SSD read bandwidth (GB/s, write scaled proportionally)")
     run.add_argument("--tenants", type=int, default=None, metavar="N",
                      help="co-locate N sessions of this model on one shared "
-                          "GPU+SSD and report per-tenant SLO/fairness metrics")
+                          "GPU+SSD and report per-tenant SLO/fairness metrics "
+                          f"(N <= {MAX_TENANTS})")
     run.add_argument("--arrival-load", type=_finite_float, default=1.0, metavar="RHO",
                      help="tenants: total offered load (requests per solo "
                           "latency) split evenly across tenants (default: 1.0)")
     run.add_argument("--requests", type=int, default=4, metavar="K",
-                     help="tenants: Poisson-arrival requests per tenant (default: 4)")
+                     help="tenants: Poisson-arrival requests per tenant "
+                          f"(K <= {MAX_REQUESTS}, default: 4)")
     run.add_argument("--tenant-policies", default=None, metavar="P1,P2",
                      help="tenants: per-tenant policies assigned round-robin "
                           "(default: --policy for every tenant)")
@@ -563,19 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument("paths", nargs="*", metavar="PATH",
                       help="files or directories to lint (default: src/repro)")
-    lint.add_argument("--format", choices=("text", "json"), default="text",
-                      help="finding output format (default: text)")
-    lint.add_argument("--rule", default=None, metavar="CODES",
-                      help="comma-separated rule codes to run (default: all)")
-    lint.add_argument("--ignore", default=None, metavar="CODES",
-                      help="comma-separated rule codes to skip")
-    lint.add_argument("--baseline", default=None, metavar="FILE",
-                      help="grandfather file for pre-existing findings "
-                           f"(default: {DEFAULT_LINT_BASELINE} when present)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="write the current findings to the baseline and exit 0")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="describe every registered rule and exit")
     lint.set_defaults(func=_cmd_lint)
 
     cache = sub.add_parser("cache", help="inspect or clear the result cache")

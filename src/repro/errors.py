@@ -44,4 +44,5 @@ class SSDError(ReproError):
 
 
 class LintError(ReproError):
-    """The static analyzer was misconfigured (unknown rule, bad baseline)."""
+    """The static analyzer was given a path it cannot check: missing, a
+    directory without Python files, unreadable or unparseable."""

@@ -165,15 +165,19 @@ def canonicalize_cell_fields(
     and ``Scenario.resolved()``.
 
     Normalizes the model and policy names through the registries, resolves
-    the effective batch size, and zeroes the (otherwise unused) seed when no
-    profiling noise is applied — one implementation, so sweep cache keys can
-    never drift from what a session actually executes.
+    the effective batch size, makes the profiling error a plain float, and
+    zeroes the (otherwise unused) seed when no profiling noise is applied —
+    one implementation, so sweep cache keys can never drift from what a
+    session actually executes.
     """
     model = normalize_model_name(model)
     return {
         "model": model,
         "policy": None if policy is None else POLICY_REGISTRY.resolve(policy),
         "batch_size": resolve_batch_size(model, scale, batch_size),
+        # A plain float, with -0.0 folded to 0.0 by ``+ 0.0``: 0, 0.0 and
+        # -0.0 are one cell and must share one cache key.
+        "profiling_error": float(profiling_error) + 0.0,
         # int() keeps numpy seeds (np.int64 from a seed sweep) JSON-safe for
         # cell serialization and the cache key.
         "seed": int(seed) if profiling_error > 0 else 0,

@@ -50,6 +50,13 @@ TENANCY_LOADS: tuple[float, ...] = (0.5, 1.5)
 TENANCY_REQUESTS = 4
 #: Base seed of the figure's Poisson arrival processes.
 TENANCY_SEED = 1023
+#: Most tenants ``repro run --tenants`` co-locates (the figure sweeps at most
+#: 4). With :data:`MAX_REQUESTS` it bounds the largest accepted run: 16 bert
+#: tenants of 1024 requests each take ~90 s at CI scale on 2 vCPUs.
+MAX_TENANTS = 16
+#: Most requests one Poisson arrival process issues (``repro run
+#: --requests``; the figure issues 4 per tenant).
+MAX_REQUESTS = 1024
 
 
 def derive_tenant_seed(name: str, seed: int) -> int:
@@ -90,8 +97,10 @@ class ArrivalProcess:
                 raise ConfigurationError(
                     "poisson arrivals need exactly one of load/rate, both positive"
                 )
-            if self.requests < 1:
-                raise ConfigurationError("poisson arrivals need at least one request")
+            if not 1 <= self.requests <= MAX_REQUESTS:
+                raise ConfigurationError(
+                    f"poisson arrivals need 1 to {MAX_REQUESTS} requests, got {self.requests}"
+                )
         else:
             if not self.think_times:
                 raise ConfigurationError("trace arrivals need at least one think time")

@@ -296,10 +296,33 @@ class TestPackageRoot:
         with pytest.raises(SystemExit) as exit_info:
             main(["lint", "--project"])
         assert exit_info.value.code == 2
-        assert main(["lint", "--rule", "DET005"]) == 2
-        assert "DET005" in capsys.readouterr().err
+        assert "DET005" not in {rule.code for rule in lint.RULES}
         assert not hasattr(repro, "ci_config")
         assert not hasattr(repro.config, "pcie4_config")
+
+    def test_removed_lint_machinery_stays_removed(self, capsys):
+        """``repro lint`` runs its five rules over paths and nothing else: the
+        baseline, suppressions, rule registry and output/selection options
+        had no caller but their own tests."""
+        from repro.analysis import lint
+        from repro.cli import main
+
+        for name in ("Baseline", "LINT_REGISTRY", "register_rule", "active_rules",
+                     "resolve_codes", "ERROR_CODES"):
+            assert not hasattr(lint, name), name
+            assert not hasattr(lint.framework, name), name
+        assert not hasattr(lint.LintFinding, "fingerprint")
+        assert not hasattr(lint.LintFinding, "to_dict")
+        assert not (Path(__file__).resolve().parents[1] / "lint-baseline.json").exists()
+        for argv in (
+            ["lint", "--baseline", "x"],
+            ["lint", "--format", "json"],
+            ["lint", "--list-rules"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_removed_figure_benchmark_surface_stays_removed(self):
         """The claims table (repro.experiments.claims) replaced the per-figure

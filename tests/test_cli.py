@@ -108,6 +108,15 @@ class TestRunTenantsCommand:
             "--no-cache",
         ) == 2  # ConfigurationError exit path
 
+    def test_tenant_count_is_bounded(self, capsys):
+        from repro.experiments.tenancy import MAX_TENANTS
+
+        assert run_cli(
+            "run", "--model", "bert", "--scale", "ci", "--tenants", str(MAX_TENANTS + 1),
+            "--no-cache",
+        ) == 2
+        assert f"--tenants must be in [1, {MAX_TENANTS}]" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_grid_sweep(self, tmp_path, capsys):
@@ -318,6 +327,8 @@ MALFORMED_CALLS = [
     "figure 11 --models bert --cache-dir /dev/null",
     "figure 11 --models= --no-cache",
     "run --model bert --no-cache --batch={huge}",
+    "run --model bert --no-cache --tenants {huge}",
+    "run --model bert --no-cache --tenants 1 --requests {huge}",
     "sweep --models bert --policies g10 --no-cache --batches abc",
     "sweep --models bert --policies g10 --no-cache --batches 1,{huge}",
     "sweep --models bert --policies g10 --no-cache --errors abc",

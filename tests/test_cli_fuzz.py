@@ -17,7 +17,8 @@ file. The values are:
   ``-inf``, ``-1``, ``0``, ``2**63`` or a non-number, passed as
   ``--opt=value`` so argparse does not read ``-inf`` as a flag. Counts take
   only ``nan``/``inf``/``-inf``/a non-number/``-1``/``0``/``1``, so no
-  example starts many processes or loops ``2**63`` times;
+  example starts many processes or loops ``2**63`` times. ``run --tenants``
+  and ``--requests`` reject values above a fixed bound, so they draw numbers;
 * paths (metavar ``FILE``/``DIR``/``PATH``): a missing parent
   directory, a regular file where a directory is expected, or ``/dev/null``;
 * names (everything else): an unregistered name or an empty string, never
@@ -28,7 +29,7 @@ the example. NaN, infinities, non-numbers and unusable paths must exit 2,
 with stderr ending in an ``error:`` line. ``-1``, ``0`` and ``2**63`` may
 also run to completion. Every call runs with the working directory in a
 temporary directory, so the relative defaults (``.repro_cache/``,
-``report/``, ``lint-baseline.json``) never land in the repository.
+``report/``) never land in the repository.
 """
 
 from __future__ import annotations
@@ -46,13 +47,11 @@ from hypothesis import strategies as st
 from repro import cli
 
 #: Count options: never drawn large (a process or loop per unit).
-COUNTS = frozenset({"jobs", "tenants", "requests", "batch", "batches"})
+COUNTS = frozenset({"jobs", "batch", "batches"})
 #: Untyped string options that parse a comma-separated list of numbers.
 NUMBER_LISTS = frozenset({"batches", "errors"})
 #: Path metavars; ``DIR`` paths are created (parents included) when missing.
 PATH_METAVARS = frozenset({"FILE", "DIR", "PATH"})
-#: Optional inputs: a missing file is an empty one (``lint --baseline``).
-OPTIONAL_INPUTS = frozenset({"baseline"})
 
 #: Above every subcommand's count of (action, value) pairs, so Hypothesis
 #: runs each pair: the space is small and finite.
@@ -107,7 +106,7 @@ def must_fail(action: argparse.Action, value: str) -> bool:
     """Whether the contract requires exit 2 for this value."""
     if is_number(action):
         return value in ("nan", "inf", "-inf", NOT_A_NUMBER)
-    if not is_path(action) or action.dest in OPTIONAL_INPUTS:
+    if not is_path(action):
         return False
     creates_dir = action.metavar == "DIR"
     return {

@@ -1,14 +1,14 @@
 """Tests for ``repro lint`` — the determinism static analyzer.
 
 Each rule gets fixture-snippet pairs: a minimal violation that must fire and
-the compliant idiom that must stay quiet. On top of that: inline
-suppressions, the baseline grandfather file, the CLI surface (formats, rule
-selection, exit codes), registry integration, and the acceptance gate that
-``src/repro`` lints clean with an empty baseline.
+the compliant idiom that must stay quiet. On top of that: the rules' layer
+scoping, the CLI surface (one line per finding, exit 0/1, and exit 2 with
+one ``error:`` line for a path the analyzer cannot check), and the
+acceptance gate that ``src/repro`` lints clean.
 """
 
 import ast
-import json
+import shutil
 import textwrap
 from pathlib import Path
 
@@ -16,13 +16,11 @@ import pytest
 
 from repro.analysis.lint import (
     DETERMINISTIC_LAYERS,
-    LINT_REGISTRY,
-    Baseline,
+    RULES,
     LintRule,
     lint_paths,
     lint_source,
     package_path_of,
-    register_rule,
 )
 from repro.cli import main as cli_main
 from repro.errors import LintError
@@ -35,8 +33,8 @@ def codes(findings):
     return [f.rule for f in findings]
 
 
-def lint_snippet(source: str, package_path: str, **kwargs):
-    return lint_source(textwrap.dedent(source), package_path=package_path, **kwargs)
+def lint_snippet(source: str, package_path: str):
+    return lint_source(textwrap.dedent(source), package_path=package_path)
 
 
 class TestDET001Entropy:
@@ -51,11 +49,20 @@ class TestDET001Entropy:
             "uuid.uuid4()",
             "os.urandom(8)",
             "np.random.rand(3)",
+            "random.SystemRandom().random()",
+            "random.Random().random()",
+            "random.Random(None).random()",
+            "secrets.randbits(8)",
+            "secrets.token_hex(8)",
+            "time.clock_gettime(time.CLOCK_MONOTONIC)",
+            "time.clock_gettime_ns(time.CLOCK_MONOTONIC)",
+            "time.thread_time()",
+            "time.thread_time_ns()",
         ],
     )
     def test_fires_on_entropy_in_deterministic_layer(self, call):
         source = f"""
-            import datetime, os, random, time, uuid
+            import datetime, os, random, secrets, time, uuid
             import numpy as np
 
             def tick(items):
@@ -92,7 +99,8 @@ class TestDET001Entropy:
 
     @pytest.mark.parametrize(
         "module, call",
-        [("time", "monotonic()"), ("random", "shuffle(items)"), ("os", "urandom(8)")],
+        [("time", "monotonic()"), ("random", "shuffle(items)"), ("os", "urandom(8)"),
+         ("secrets", "randbits(8)"), ("random", "Random().random()")],
     )
     def test_star_import_resolved(self, module, call):
         source = f"""
@@ -197,6 +205,15 @@ class TestDET001Entropy:
                 return {use}
         """
         assert codes(lint_snippet(source, "sim/executor.py")) == ["DET001"]
+
+    def test_quiet_on_keyword_seeded_generator(self):
+        source = """
+            import random
+
+            def noise(seed):
+                return random.Random(x=seed).random()
+        """
+        assert lint_snippet(source, "sim/engine.py") == []
 
 
 class TestDET002IdKeys:
@@ -424,47 +441,35 @@ class TestPERF001ScalarArrayLoops:
         assert lint_snippet(source, "experiments/figures.py") == []
 
 
-class TestSuppressions:
-    def test_inline_disable_silences_one_rule(self):
-        source = """
-            import time
+#: One minimal violation per rule, each firing that rule alone.
+VIOLATIONS = {
+    "DET001": "import time\n\ndef tick():\n    return time.time()\n",
+    "DET002": "def memo(cache, obj):\n    return cache[id(obj)]\n",
+    "DET003": "def walk(out):\n    for item in {1, 2}:\n        out.append(item)\n",
+    "DET004": "def same(x):\n    return x == 0.5\n",
+    "PERF001": "import numpy as np\n\ndef walk():\n    return [v for v in np.arange(3)]\n",
+}
+#: Where each rule applies; ``None`` means every file.
+RULE_LAYERS = {
+    "DET001": DETERMINISTIC_LAYERS,
+    "DET002": None,
+    "DET003": DETERMINISTIC_LAYERS,
+    "DET004": ("core/", "sim/"),
+    "PERF001": ("core/", "sim/"),
+}
 
-            def tick():
-                return time.time()  # repro-lint: disable=DET001 -- test fixture
-        """
-        assert lint_snippet(source, "sim/engine.py") == []
 
-    def test_disable_must_name_the_right_rule(self):
-        source = """
-            import time
-
-            def tick():
-                return time.time()  # repro-lint: disable=DET002
-        """
-        assert codes(lint_snippet(source, "sim/engine.py")) == ["DET001"]
-
-    def test_disable_all_and_multi_statement_span(self):
-        source = """
-            import time
-
-            def tick():
-                return (
-                    time.time()  # repro-lint: disable=all
-                )
-        """
-        assert lint_snippet(source, "sim/engine.py") == []
-
-    def test_suppression_on_any_line_of_statement(self):
-        source = """
-            import time
-
-            def tick():
-                return time.time(
-                )  # repro-lint: disable=DET001 -- fixture
-        """
-        assert lint_snippet(source, "sim/engine.py") == []
-        unsuppressed = source.replace("  # repro-lint: disable=DET001 -- fixture", "")
-        assert codes(lint_snippet(unsuppressed, "sim/engine.py")) == ["DET001"]
+class TestLayerScoping:
+    @pytest.mark.parametrize("code", sorted(VIOLATIONS))
+    @pytest.mark.parametrize(
+        "package_path",
+        ["sim/engine.py", "core/plan.py", "uvm/memory.py", "baselines/g10.py",
+         "experiments/cache.py", "cli.py"],
+    )
+    def test_rule_fires_only_in_its_layers(self, code, package_path):
+        layers = RULE_LAYERS[code]
+        expected = [code] if layers is None or package_path.startswith(layers) else []
+        assert codes(lint_source(VIOLATIONS[code], package_path=package_path)) == expected
 
 
 class TestFrameworkAndCLI:
@@ -473,65 +478,55 @@ class TestFrameworkAndCLI:
         assert package_path_of(Path("/x/repro/core/plan.py")) == "core/plan.py"
         assert package_path_of(Path("scratch/tool.py")) == "tool.py"
 
-    def test_rule_selection_and_ignore(self):
+    def test_rules_tuple_holds_the_five_rules(self):
+        assert [rule.code for rule in RULES] == ["DET001", "DET002", "DET003", "DET004", "PERF001"]
+        assert sorted(RULE_LAYERS) == sorted(rule.code for rule in RULES)
+        for rule in RULES:
+            assert issubclass(rule, LintRule)
+            assert rule.title and rule.rationale
+
+    def test_findings_sorted_by_location(self):
         source = """
             import time
 
             def tick(cache, obj):
-                cache[id(obj)] = time.time()
+                stamp = time.time()
+                cache[id(obj)] = stamp
+                return time.monotonic()
         """
-        assert sorted(codes(lint_snippet(source, "sim/engine.py"))) == ["DET001", "DET002"]
-        only = lint_snippet(source, "sim/engine.py", select=["det001"])
-        assert codes(only) == ["DET001"]
-        without = lint_snippet(source, "sim/engine.py", ignore=["DET001"])
-        assert codes(without) == ["DET002"]
+        findings = lint_snippet(source, "sim/engine.py")
+        assert [(f.line, f.rule) for f in findings] == [
+            (5, "DET001"), (6, "DET002"), (7, "DET001"),
+        ]
 
-    def test_unknown_rule_code_suggests(self):
-        with pytest.raises(LintError, match="did you mean 'det001'"):
-            lint_source("x = 1\n", select=["DET01"])
-
-    def test_registry_hosts_rules(self):
-        available = LINT_REGISTRY.available()
-        assert {"det001", "det002", "det003", "det004", "perf001"} <= set(available)
-        assert issubclass(LINT_REGISTRY.get("DET001"), LintRule)
-
-    def test_plugin_rules_register_and_unregister(self):
-        @register_rule("TST001", title="test rule")
-        class NamingRule(LintRule):
-            code = "TST001"
-
-            def visit_FunctionDef(self, node):
-                if node.name == "bad_name":
-                    self.report(node, "bad name")
-                self.generic_visit(node)
-
-        try:
-            findings = lint_source("def bad_name():\n    pass\n", select=["TST001"])
-            assert codes(findings) == ["TST001"]
-        finally:
-            LINT_REGISTRY.unregister("TST001")
-        with pytest.raises(LintError):
-            lint_source("x = 1\n", select=["TST001"])
-
-    def test_parse_error_reported_as_finding(self, tmp_path):
+    def test_unparseable_file_raises_lint_error(self, tmp_path):
         bad = tmp_path / "repro" / "sim" / "broken.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("def broken(:\n")
-        findings = lint_paths([tmp_path])
-        assert codes(findings) == ["E001"]
-        assert "cannot parse" in findings[0].message
+        with pytest.raises(LintError, match="cannot parse .*broken.py"):
+            lint_paths([tmp_path])
 
-    def test_lint_paths_missing_path_is_a_structured_finding(self):
-        findings = lint_paths(["definitely/not/a/path"])
-        assert [f.rule for f in findings] == ["E002"]
-        assert "no such file" in findings[0].message
+    def test_missing_path_raises_lint_error(self):
+        with pytest.raises(LintError, match="no such file"):
+            lint_paths(["definitely/not/a/path"])
 
-    def test_lint_paths_empty_directory_is_a_structured_finding(self, tmp_path):
+    def test_empty_directory_raises_lint_error(self, tmp_path):
         empty = tmp_path / "nothing"
         empty.mkdir()
-        findings = lint_paths([empty])
-        assert [f.rule for f in findings] == ["E002"]
-        assert "no Python files" in findings[0].message
+        (empty / "notes.txt").write_text("not python\n")
+        with pytest.raises(LintError, match="no Python files"):
+            lint_paths([empty])
+
+    def test_undecodable_file_raises_lint_error(self, tmp_path):
+        bad = tmp_path / "latin1.py"
+        bad.write_bytes(b"name = '\xe9t\xe9'\n")
+        with pytest.raises(LintError, match="cannot read .*latin1.py"):
+            lint_paths([bad])
+
+    def test_one_unusable_path_fails_the_whole_run(self, tmp_path):
+        tree = self._violation_tree(tmp_path)
+        with pytest.raises(LintError, match="no such file"):
+            lint_paths([tree, tmp_path / "missing.py"])
 
     def _violation_tree(self, tmp_path):
         module = tmp_path / "repro" / "sim" / "clocky.py"
@@ -543,122 +538,59 @@ class TestFrameworkAndCLI:
         tree = self._violation_tree(tmp_path)
         assert cli_main(["lint", str(tree)]) == 1
         captured = capsys.readouterr()
-        assert "DET001" in captured.out
-        assert "clocky.py:4" in captured.out
+        module = tree / "repro" / "sim" / "clocky.py"
+        assert captured.out.splitlines() == [
+            f"{module}:4:11: DET001 call to time.time() in a deterministic layer; "
+            "the simulated clock and seeded generators are the only allowed sources"
+        ]
         assert "1 finding(s)" in captured.err
 
-    def test_cli_json_format(self, tmp_path, capsys):
-        tree = self._violation_tree(tmp_path)
-        assert cli_main(["lint", str(tree), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["new"] == 1
-        assert payload["findings"][0]["rule"] == "DET001"
-        assert payload["findings"][0]["line"] == 4
-
-    def test_cli_rule_filtering(self, tmp_path, capsys):
-        tree = self._violation_tree(tmp_path)
-        assert cli_main(["lint", str(tree), "--ignore", "DET001"]) == 0
-        assert cli_main(["lint", str(tree), "--rule", "DET002"]) == 0
-        assert cli_main(["lint", str(tree), "--rule", "DET001"]) == 1
-
-    def test_cli_list_rules(self, capsys):
-        assert cli_main(["lint", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for code in ("DET001", "DET002", "DET003", "DET004", "PERF001"):
-            assert code in out
-
-    def test_cli_unknown_rule_is_usage_error(self, tmp_path, capsys):
-        tree = self._violation_tree(tmp_path)
-        assert cli_main(["lint", str(tree), "--rule", "NOPE999"]) == 2
-        assert "unknown lint rule" in capsys.readouterr().err
-
-
-class TestBaseline:
-    def _tree(self, tmp_path):
-        module = tmp_path / "repro" / "sim" / "clocky.py"
+    def test_cli_clean_tree_exits_0(self, tmp_path, capsys):
+        module = tmp_path / "repro" / "sim" / "calm.py"
         module.parent.mkdir(parents=True)
-        module.write_text("import time\n\ndef tick():\n    return time.time()\n")
-        return tmp_path, module
-
-    def test_baseline_grandfathers_then_regresses(self, tmp_path, capsys):
-        tree, module = self._tree(tmp_path)
-        baseline_path = tmp_path / "baseline.json"
-        assert cli_main(
-            ["lint", str(tree), "--baseline", str(baseline_path), "--update-baseline"]
-        ) == 0
-        capsys.readouterr()
-
-        # Grandfathered: same finding no longer fails the run.
-        assert cli_main(["lint", str(tree), "--baseline", str(baseline_path)]) == 0
-        assert "1 baselined" in capsys.readouterr().err
-
-        # A *new* violation still fails even with the baseline in place.
-        module.write_text(
-            module.read_text() + "\ndef tock():\n    return time.monotonic()\n"
-        )
-        assert cli_main(["lint", str(tree), "--baseline", str(baseline_path)]) == 1
+        module.write_text("def tick(now):\n    return now + 1.0\n")
+        assert cli_main(["lint", str(tmp_path)]) == 0
         captured = capsys.readouterr()
-        assert "time.monotonic" in captured.out or "DET001" in captured.out
+        assert captured.out == ""
+        assert "0 finding(s)" in captured.err
 
-    def test_baseline_survives_line_drift(self, tmp_path):
-        tree, module = self._tree(tmp_path)
-        findings = lint_paths([tree])
-        baseline = Baseline.from_findings(findings)
-        # Push the violation down the file: fingerprints are line-independent.
-        module.write_text("# header comment\n\n" + module.read_text())
-        new, baselined, stale = baseline.partition(lint_paths([tree]))
-        assert new == [] and len(baselined) == 1 and stale == 0
+    @pytest.mark.parametrize("kind", ["missing", "empty-dir", "unparseable", "undecodable"])
+    def test_cli_unusable_path_exits_2_with_one_error_line(self, kind, tmp_path, capsys):
+        path = tmp_path / "target"
+        if kind == "empty-dir":
+            path.mkdir()
+        elif kind == "unparseable":
+            path = tmp_path / "broken.py"
+            path.write_text("def broken(:\n")
+        elif kind == "undecodable":
+            path = tmp_path / "latin1.py"
+            path.write_bytes(b"name = '\xe9t\xe9'\n")
+        assert cli_main(["lint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0]
+        assert "Traceback" not in captured.err
 
-    def test_baseline_is_a_multiset(self, tmp_path):
-        tree, module = self._tree(tmp_path)
-        baseline = Baseline.from_findings(lint_paths([tree]))
-        # Duplicate the identical offending line: one entry covers one finding.
-        module.write_text(module.read_text() + "\ndef tock():\n    return time.time()\n")
-        new, baselined, stale = baseline.partition(lint_paths([tree]))
-        assert len(new) == 1 and len(baselined) == 1 and stale == 0
+    @pytest.mark.parametrize("in_checkout", [True, False], ids=["checkout", "elsewhere"])
+    def test_cli_default_path_is_the_package(self, in_checkout, tmp_path, monkeypatch, capsys):
+        import repro
 
-    def test_stale_entries_counted(self, tmp_path):
-        tree, module = self._tree(tmp_path)
-        baseline = Baseline.from_findings(lint_paths([tree]))
-        module.write_text("def tick():\n    return 0\n")
-        new, baselined, stale = baseline.partition(lint_paths([tree]))
-        assert new == [] and baselined == [] and stale == 1
-
-    def test_corrupt_baseline_rejected(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("not json")
-        with pytest.raises(LintError, match="cannot parse lint baseline"):
-            Baseline.load(path)
-        path.write_text("[1, 2, 3]")
-        with pytest.raises(LintError, match="not a baseline document"):
-            Baseline.load(path)
-
-    def test_unreadable_and_unwritable_baselines_raise_lint_error(self, tmp_path):
-        with pytest.raises(LintError, match="cannot read lint baseline"):
-            Baseline.load(tmp_path)  # a directory
-        with pytest.raises(LintError, match="cannot write lint baseline"):
-            Baseline().write(tmp_path / "missing" / "baseline.json")
-
-    def test_baseline_round_trips_through_disk(self, tmp_path):
-        tree, _ = self._tree(tmp_path)
-        findings = lint_paths([tree])
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(findings).write(path)
-        loaded = Baseline.load(path)
-        new, baselined, stale = loaded.partition(findings)
-        assert new == [] and len(baselined) == len(findings) and stale == 0
+        seen = []
+        monkeypatch.setattr("repro.analysis.lint.lint_paths", lambda paths: seen.append(paths) or [])
+        monkeypatch.chdir(REPO_ROOT if in_checkout else tmp_path)
+        assert cli_main(["lint"]) == 0
+        expected = PACKAGE_DIR if in_checkout else Path(repro.__file__).parent
+        assert [Path(path).resolve() for path in seen[0]] == [expected.resolve()]
 
 
 class TestSelfClean:
     """The acceptance gate: the repository's own sources lint clean."""
 
-    def test_src_repro_lints_clean_with_empty_baseline(self):
+    def test_src_repro_lints_clean(self):
         findings = lint_paths([PACKAGE_DIR])
         assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_committed_baseline_is_empty(self):
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        assert baseline.entries == []
 
     @pytest.mark.parametrize("layer", DETERMINISTIC_LAYERS, ids=lambda layer: layer.rstrip("/"))
     def test_deterministic_layer_never_imports_time(self, layer):
@@ -691,3 +623,26 @@ class TestSelfClean:
         )
         findings = lint_paths([seeded])
         assert codes(findings) == ["DET001"]
+
+    def test_cli_flags_one_clock_read_in_a_copy_of_src_repro(self, tmp_path, capsys):
+        copy = tmp_path / "repro"
+        shutil.copytree(PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        engine = copy / "sim" / "engine.py"
+        engine.write_text(
+            engine.read_text()
+            + "\n\ndef _leak() -> float:\n    import time\n    return time.time()\n"
+        )
+        assert cli_main(["lint", str(copy)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"{engine}:") and " DET001 " in lines[0]
+
+    def test_exact_float_annotation_keeps_bandwidth_clean(self):
+        """``EXHAUSTED_SLOT``'s annotation is the one in use: without it,
+        DET004 flags every exact comparison against the sentinel."""
+        source = (PACKAGE_DIR / "core" / "bandwidth.py").read_text(encoding="utf-8")
+        assert lint_source(source, "core/bandwidth.py") == []
+        stripped = source.replace("  # repro-lint: exact-float", "")
+        assert stripped != source
+        findings = lint_source(stripped, "core/bandwidth.py")
+        assert findings and set(codes(findings)) == {"DET004"}

@@ -342,6 +342,16 @@ class TestSweepCell:
         assert SweepCell(model="bert", seed=7).resolved().seed == 0
         assert SweepCell(model="bert", profiling_error=0.1, seed=7).resolved().seed == 7
 
+    @pytest.mark.parametrize(
+        "zero", [0, -0.0, np.float64(-0.0)], ids=["int", "negative", "numpy-negative"]
+    )
+    def test_every_spelling_of_zero_error_shares_one_cache_key(self, zero):
+        cell = SweepCell(model="bert", policy="g10", scale="ci")
+        spelled = dataclasses.replace(cell, profiling_error=zero)
+        resolved = spelled.resolved().profiling_error
+        assert type(resolved) is float and str(resolved) == "0.0"
+        assert spelled.cache_key() == cell.cache_key()
+
     def test_cache_key_is_stable_and_sensitive(self):
         cell = SweepCell(model="bert", policy="g10", scale="ci")
         assert cell.cache_key() == SweepCell(model="BERT", policy="g10", scale="ci").cache_key()

@@ -20,6 +20,7 @@ from repro.api import Scenario
 from repro.errors import ConfigurationError
 from repro.experiments import jsonify
 from repro.experiments.tenancy import (
+    MAX_REQUESTS,
     ArrivalProcess,
     MultiTenantScenario,
     Tenant,
@@ -278,6 +279,11 @@ class TestArrivalProcess:
         for think_times in ((math.nan,), (1.0, math.inf)):
             with pytest.raises(ConfigurationError):
                 ArrivalProcess.trace(think_times)
+
+    def test_poisson_request_count_is_bounded(self):
+        assert ArrivalProcess.poisson(load=1.0, requests=MAX_REQUESTS).requests == MAX_REQUESTS
+        with pytest.raises(ConfigurationError, match=f"1 to {MAX_REQUESTS} requests"):
+            ArrivalProcess.poisson(load=1.0, requests=MAX_REQUESTS + 1)
 
     def test_poisson_resolve_is_seeded_and_sorted(self):
         process = ArrivalProcess.poisson(load=1.0, requests=8, seed=7)
