@@ -336,15 +336,18 @@ class Session:
         s = self._scenario
         config = self.config()
         cached = False
+        cache_key: str | None
         if runner is not None:
             if observers:
                 raise ConfigurationError(
                     "observers require in-process execution; drop the runner "
                     "or the observers"
                 )
-            out = runner.run_one(self.cell())
+            cell = self.cell()
+            out = runner.run_one(cell)
             result = out.result
             cached = out.cached
+            cache_key = runner.cache_key(cell)
         else:
             sim_config = config
             if s.base_config is None and s.patch.is_empty():
@@ -357,11 +360,12 @@ class Session:
                 seed=s.seed,
                 observers=tuple(observers),
             )
+            cache_key = None if s.base_config is not None else self.cache_key()
         return SessionResult(
             scenario=s,
             result=result,
             config_fingerprint=config.fingerprint(),
-            cache_key=None if s.base_config is not None else self.cache_key(),
+            cache_key=cache_key,
             policy=self.policy_metadata(),
             cached=cached,
         )

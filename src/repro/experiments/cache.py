@@ -66,8 +66,9 @@ def _size_or_zero(path: Path) -> int:
 
 
 #: Bump when the stored payload layout changes; mismatched entries are misses.
-#: Version 2 stores kernel timings as columns (``SimulationResult.to_dict``).
-CACHE_SCHEMA_VERSION = 2
+#: Version 3 stores kernel timings as a table of distinct durations plus the
+#: starts of stalled kernels only (``SimulationResult.to_dict``).
+CACHE_SCHEMA_VERSION = 3
 
 #: Default cache directory name (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
@@ -120,8 +121,7 @@ class ResultCache:
         """Whether ``key`` would be a hit, without parsing the whole payload.
 
         Sniffs the entry's schema header (and that the file ends like a JSON
-        object) instead of decoding the whole payload, tens of kilobytes of
-        kernel-timing columns for a simulation cell; anything inconclusive
+        object) instead of decoding the whole payload; anything inconclusive
         falls back to a full :meth:`get`. Used by
         :class:`~repro.experiments.sweep.SweepPlan` to classify every cell of
         a paper-scale grid cheaply. :meth:`get` stays authoritative: in the

@@ -29,7 +29,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -254,11 +254,14 @@ class SweepPlan:
 
     @classmethod
     def build(
-        cls, spec: SweepSpec | Iterable[SweepCell], cache: ResultCache | None = None
+        cls,
+        spec: SweepSpec | Iterable[SweepCell],
+        cache: ResultCache | None = None,
+        key: Callable[[SweepCell], str] = SweepCell.cache_key,
     ) -> "SweepPlan":
         name = spec.name if isinstance(spec, SweepSpec) else "cells"
         cells = list(spec.cells if isinstance(spec, SweepSpec) else spec)
-        keys = [cell.cache_key() for cell in cells]
+        keys = list(map(key, cells))
         warm = {key: cache is not None and cache.has(key) for key in dict.fromkeys(keys)}
         entries = tuple(
             PlanEntry(cell=cell, key=key, cached=warm[key]) for cell, key in zip(cells, keys)
@@ -388,10 +391,22 @@ class SweepRunner:
         #: without a simulation result), so a report can total simulator work
         #: without decoding cache entries again.
         self.perf_counters: dict[str, dict] = {}
+        #: Cache keys computed so far, by the cell's ``repr``: a report plans
+        #: and then runs every figure's cells. Unlike ``==``, ``repr`` tells
+        #: ``batch_size=8`` from ``8.0``, which get different keys.
+        self._keys: dict[str, str] = {}
+
+    def cache_key(self, cell: SweepCell) -> str:
+        """``cell.cache_key()``, computed once per distinct cell per runner."""
+        spelling = repr(cell)
+        key = self._keys.get(spelling)
+        if key is None:
+            key = self._keys[spelling] = cell.cache_key()
+        return key
 
     def plan(self, spec: SweepSpec | Iterable[SweepCell]) -> SweepPlan:
         """Manifest of a spec against this runner's cache (no execution)."""
-        return SweepPlan.build(spec, cache=self.cache)
+        return SweepPlan.build(spec, cache=self.cache, key=self.cache_key)
 
     def run(self, spec: SweepSpec | Iterable[SweepCell]) -> list[CellResult]:
         """Execute every cell, returning results in spec order.
@@ -403,7 +418,7 @@ class SweepRunner:
         from ..core.plan_cache import snapshot_counters
 
         cells = list(spec.cells if isinstance(spec, SweepSpec) else spec)
-        keys = [cell.cache_key() for cell in cells]
+        keys = list(map(self.cache_key, cells))
         plan_cache_before = snapshot_counters()
         payloads: dict[str, dict] = {}
         cached_keys: set[str] = set()

@@ -21,6 +21,7 @@ stable across versions, which keeps the committed goldens byte-identical).
 from __future__ import annotations
 
 import math
+import operator
 import random
 import zlib
 from dataclasses import dataclass, replace
@@ -52,7 +53,7 @@ TENANCY_REQUESTS = 4
 TENANCY_SEED = 1023
 #: Most tenants ``repro run --tenants`` co-locates (the figure sweeps at most
 #: 4). With :data:`MAX_REQUESTS` it bounds the largest accepted run: 16 bert
-#: tenants of 1024 requests each take ~90 s at CI scale on 2 vCPUs.
+#: tenants of 1024 requests each take ~5 s at CI scale on 2 vCPUs.
 MAX_TENANTS = 16
 #: Most requests one Poisson arrival process issues (``repro run
 #: --requests``; the figure issues 4 per tenant).
@@ -338,28 +339,26 @@ class MultiTenantScenario:
         configs: list["SystemConfig"] = []
         for tenant in ordered:
             session_result = tenant.scenario.run(runner=runner)
-            if session_result.result.failed:
+            result = session_result.result
+            if result.failed:
                 raise SimulationError(
                     f"tenant {tenant.name!r} cannot be colocated: its solo run "
                     f"failed under policy {session_result.policy!r} "
-                    f"({session_result.result.failure_reason})"
+                    f"({result.failure_reason})"
                 )
-            timings = session_result.result.kernel_timings
-            if not timings:
+            if not result.start_times:
                 raise SimulationError(
                     f"tenant {tenant.name!r} solo result has no kernel timings"
                 )
             solo[tenant.name] = session_result
             configs.append(tenant.scenario.session().config())
-            offsets = tuple(t.start_time + t.ideal_duration for t in timings)
-            arrivals, think_times = tenant.arrivals.resolve(
-                tenant.name, session_result.result.execution_time
-            )
+            offsets = tuple(map(operator.add, result.start_times, result.ideal_durations))
+            arrivals, think_times = tenant.arrivals.resolve(tenant.name, result.execution_time)
             traces.append(
                 TenantTrace(
                     name=tenant.name,
                     offsets=offsets,
-                    footprint_bytes=session_result.result.peak_gpu_bytes,
+                    footprint_bytes=result.peak_gpu_bytes,
                     arrivals=arrivals,
                     think_times=think_times,
                 )

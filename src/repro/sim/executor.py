@@ -181,7 +181,9 @@ class ExecutionSimulator:
 
     def _run(self) -> SimulationResult:
         self._place_global_tensors()
-        timings: list[KernelTiming] = []
+        ideal_durations: list[float] = []
+        start_times: list[float] = []
+        observers = self._observers
         now = 0.0
         on_gpu = self._gpu.contains
         evicting = self._evicting
@@ -227,22 +229,20 @@ class ExecutionSimulator:
                     ready = usable
             self._flush_gpu_places()
 
-            for observer in self._observers:
+            for observer in observers:
                 observer.on_kernel_start(kernel, ready)
+            # The result keeps the two columns and derives each stall as
+            # ``ready - now`` again; a record is built only for observers.
+            ideal_durations.append(kernel.duration)
+            start_times.append(ready)
             stall = ready - now
-            finish = ready + kernel.duration
-            timing = KernelTiming(
-                index=kernel.index,
-                ideal_duration=kernel.duration,
-                stall=stall,
-                start_time=ready,
-            )
-            timings.append(timing)
-            now = finish
+            now = ready + kernel.duration
             self._perf.events_processed += 1
             self._perf.kernels_executed += 1
-            for observer in self._observers:
-                observer.on_kernel_finish(kernel, timing, now)
+            if observers:
+                timing = KernelTiming(kernel.index, kernel.duration, stall, ready)
+                for observer in observers:
+                    observer.on_kernel_finish(kernel, timing, now)
 
             self._residency.used(tensor_ids)
             self._policy.on_kernel_finished(kernel, now)
@@ -258,7 +258,8 @@ class ExecutionSimulator:
             policy_name=self._policy.name,
             ideal_time=self._graph.trace().total_compute_time,
             execution_time=now,
-            kernel_timings=timings,
+            ideal_durations=ideal_durations,
+            start_times=start_times,
             perf=self._perf,
             traffic=self._engine.traffic,
             ssd_bytes_written=ssd.statistics.bytes_written,

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,13 +26,6 @@ class KernelTiming:
     @property
     def actual_duration(self) -> float:
         return self.ideal_duration + self.stall
-
-    @property
-    def slowdown(self) -> float:
-        """Actual over ideal duration (1.0 means no stall)."""
-        if self.ideal_duration <= 0:
-            return 1.0
-        return self.actual_duration / self.ideal_duration
 
 
 @dataclass
@@ -90,12 +85,60 @@ class PerfCounters:
         )
 
 
-def _timing_column(columns: dict, name: str) -> list:
-    """One serialized kernel-timing column, checked to be a list."""
+#: The value types a serialized kernel-timing column may hold.
+_INDEX_TYPES = frozenset({int})
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _timing_column(columns: dict, name: str, types: frozenset) -> list:
+    """One serialized kernel-timing column, checked to be a list of ``types``."""
     column = columns.get(name)
     if not isinstance(column, list):
         raise SimulationError(f"kernel timing column {name!r} is missing or not a list")
+    if not set(map(type, column)) <= types:
+        kinds = " or ".join(sorted(t.__name__ for t in types))
+        raise SimulationError(f"kernel timing column {name!r} holds a value that is not {kinds}")
     return column
+
+
+def _read_timing_columns(columns: object) -> tuple[list[float], list[float]]:
+    """Rebuild the ``ideal_durations`` and ``start_times`` columns from the
+    layout :meth:`SimulationResult.to_dict` writes, in one pass."""
+    if not isinstance(columns, dict):
+        raise SimulationError("kernel_timings must be a dict of columns")
+    durations = _timing_column(columns, "durations", _NUMBER_TYPES)
+    duration_index = _timing_column(columns, "duration_index", _INDEX_TYPES)
+    stalled = _timing_column(columns, "stalled", _INDEX_TYPES)
+    stalled_start = _timing_column(columns, "stalled_start", _NUMBER_TYPES)
+    kernels = len(duration_index)
+    if duration_index and not 0 <= min(duration_index) <= max(duration_index) < len(durations):
+        raise SimulationError(
+            f"kernel timing duration_index points outside its {len(durations)} durations"
+        )
+    if not all(map(operator.lt, stalled, stalled[1:])):
+        raise SimulationError("kernel timing column 'stalled' is not strictly increasing")
+    if stalled and not 0 <= stalled[0] <= stalled[-1] < kernels:
+        raise SimulationError(f"kernel timing column 'stalled' names no kernel of 0..{kernels - 1}")
+    if len(stalled) != len(stalled_start):
+        raise SimulationError(
+            f"kernel timing columns differ in length: stalled {len(stalled)}, "
+            f"stalled_start {len(stalled_start)}"
+        )
+    ideal = list(map(durations.__getitem__, duration_index))
+    # A kernel that is not stalled starts at the previous kernel's finish:
+    # the executor's own addition, in its order.
+    start_of: list[float | None] = [None] * kernels
+    for kernel, start in zip(stalled, stalled_start):
+        start_of[kernel] = start
+    starts: list[float] = []
+    append = starts.append
+    finish = 0.0
+    for duration, start in zip(ideal, start_of):
+        if start is None:
+            start = finish
+        append(start)
+        finish = start + duration
+    return ideal, starts
 
 
 @dataclass
@@ -109,7 +152,12 @@ class SimulationResult:
     ideal_time: float
     #: Simulated end-to-end execution time of one training iteration.
     execution_time: float
-    kernel_timings: list[KernelTiming] = field(default_factory=list)
+    #: Each kernel's ideal (compute-only) duration, in kernel-index order.
+    ideal_durations: list[float] = field(default_factory=list)
+    #: Each kernel's start time (its stalls resolved), in kernel-index order.
+    #: A kernel's stall is derived from these two columns
+    #: (:meth:`kernel_stalls`); a failed run has neither.
+    start_times: list[float] = field(default_factory=list)
     traffic: TrafficCounters = field(default_factory=TrafficCounters)
     #: Bytes written to / read from the SSD (subset of ``traffic``).
     ssd_bytes_written: float = 0.0
@@ -124,10 +172,15 @@ class SimulationResult:
     #: with a kernel working set that exceeds GPU memory).
     failed: bool = False
     failure_reason: str = ""
-    #: Event-loop instrumentation (deterministic counters + wall-time phases).
+    #: Event-loop instrumentation (deterministic counters).
     perf: PerfCounters = field(default_factory=PerfCounters)
 
     def __post_init__(self) -> None:
+        if len(self.ideal_durations) != len(self.start_times):
+            raise SimulationError(
+                f"{len(self.ideal_durations)} ideal durations but "
+                f"{len(self.start_times)} start times"
+            )
         if not self.failed and self.execution_time + 1e-12 < self.ideal_time:
             raise SimulationError(
                 "execution time cannot beat the infinite-memory ideal "
@@ -156,9 +209,36 @@ class SimulationResult:
             return 0.0
         return self.batch_size / self.execution_time
 
+    # -- kernel timings ----------------------------------------------------------
+
+    def kernel_stalls(self) -> list[float]:
+        """Each kernel's stall: ``start_i - (start_{i-1} + ideal_{i-1})``, with
+        a previous finish of 0.0 before the first kernel.
+
+        These are the executor's own float operations (``ready - now``, where
+        ``now`` is the previous ``ready + duration``), so the derived stalls
+        equal the ones it observed bit for bit.
+        """
+        starts = self.start_times
+        finishes = map(operator.add, starts, self.ideal_durations)
+        return list(map(operator.sub, starts, chain((0.0,), finishes)))
+
+    @property
+    def kernel_timings(self) -> list[KernelTiming]:
+        """One :class:`KernelTiming` record per kernel, built on request."""
+        return list(
+            map(
+                KernelTiming,
+                range(len(self.start_times)),
+                self.ideal_durations,
+                self.kernel_stalls(),
+                self.start_times,
+            )
+        )
+
     @property
     def total_stall_time(self) -> float:
-        return sum(t.stall for t in self.kernel_timings)
+        return sum(self.kernel_stalls())
 
     @property
     def stall_fraction(self) -> float:
@@ -173,8 +253,15 @@ class SimulationResult:
         return 1.0 - self.stall_fraction
 
     def kernel_slowdowns(self) -> np.ndarray:
-        """Per-kernel slowdown factors (Figure 13's distribution)."""
-        return np.asarray([t.slowdown for t in self.kernel_timings], dtype=np.float64)
+        """Per-kernel actual over ideal duration, 1.0 where the ideal duration
+        is not positive (Figure 13's distribution)."""
+        return np.asarray(
+            [
+                1.0 if ideal <= 0 else (ideal + stall) / ideal
+                for ideal, stall in zip(self.ideal_durations, self.kernel_stalls())
+            ],
+            dtype=np.float64,
+        )
 
     def stalled_kernel_fraction(self, threshold: float = 1.01) -> float:
         """Fraction of kernels slowed beyond ``threshold`` x ideal."""
@@ -193,23 +280,28 @@ class SimulationResult:
         derived metrics computed on a deserialized result are bit-identical to
         the original. This is the on-disk format of the sweep result cache.
 
-        ``kernel_timings`` is stored as columns: three equal-length lists
-        ``ideal_duration``, ``stall`` and ``start_time``, where a kernel's
-        index is its list position. A timing whose ``index`` differs from its
-        position raises :class:`~repro.errors.SimulationError`; executor
-        results always pass, because
-        :class:`~repro.graph.kernel.KernelTrace` only accepts kernel indices
-        consecutive from zero. An infinite execution time (failed runs) is
-        stored as ``None`` so the output is strict RFC-8259 JSON rather than
-        the ``Infinity`` literal.
+        ``kernel_timings`` stores only what cannot be re-derived, as four
+        lists: ``durations`` holds each distinct ideal duration once (ordered
+        by bit pattern), ``duration_index`` one index into it per kernel, and
+        ``stalled`` the ascending indices of the kernels whose start is not
+        bitwise the previous kernel's finish (0.0 before the first kernel),
+        with their starts in ``stalled_start``. Every other start is the
+        previous finish. Stalls are not stored: :meth:`kernel_stalls` derives
+        them. An infinite execution time (failed runs) is stored as
+        ``None`` so the output is strict RFC-8259 JSON rather than the
+        ``Infinity`` literal.
         """
-        timings = self.kernel_timings
-        for position, timing in enumerate(timings):
-            if timing.index != position:
-                raise SimulationError(
-                    f"kernel timing at position {position} has index {timing.index}; "
-                    "serialized timings are indexed by their list position"
-                )
+        ideal = np.asarray(self.ideal_durations, dtype=np.float64)
+        starts = np.asarray(self.start_times, dtype=np.float64)
+        # Distinct and stalled are decided on IEEE-754 bit patterns, which
+        # tell -0.0 from 0.0 (``==`` and a float-keyed dict do not).
+        _, first_use, duration_index = np.unique(
+            ideal.view(np.int64), return_index=True, return_inverse=True
+        )
+        previous_finish = np.zeros_like(starts)
+        with np.errstate(all="ignore"):  # an overflow is data, not an error
+            np.add(starts[:-1], ideal[:-1], out=previous_finish[1:])
+        stalled = np.flatnonzero(starts.view(np.int64) != previous_finish.view(np.int64))
         traffic = self.traffic
         return {
             "model_name": self.model_name,
@@ -218,9 +310,10 @@ class SimulationResult:
             "ideal_time": self.ideal_time,
             "execution_time": self.execution_time if math.isfinite(self.execution_time) else None,
             "kernel_timings": {
-                "ideal_duration": [t.ideal_duration for t in timings],
-                "stall": [t.stall for t in timings],
-                "start_time": [t.start_time for t in timings],
+                "durations": ideal[first_use].tolist(),
+                "duration_index": duration_index.tolist(),
+                "stalled": stalled.tolist(),
+                "stalled_start": starts[stalled].tolist(),
             },
             "traffic": {f.name: getattr(traffic, f.name) for f in dataclasses.fields(traffic)},
             "ssd_bytes_written": self.ssd_bytes_written,
@@ -239,29 +332,23 @@ class SimulationResult:
         """Inverse of :meth:`to_dict`.
 
         Raises :class:`~repro.errors.SimulationError` when a kernel-timing
-        column is missing or not a list, or the columns differ in length.
+        column is missing, not a list or holds a value of the wrong type; when
+        a duration index is out of range; when ``stalled`` is not strictly
+        increasing or names a kernel that does not exist; and when
+        ``stalled`` and ``stalled_start`` differ in length.
         """
         execution_time = data["execution_time"]
         if execution_time is None:  # JSON stores inf as null
             execution_time = float("inf")
-        columns = data.get("kernel_timings")
-        if not isinstance(columns, dict):
-            raise SimulationError("kernel_timings must be a dict of columns")
-        ideal, stall, start = (
-            _timing_column(columns, name) for name in ("ideal_duration", "stall", "start_time")
-        )
-        if not len(ideal) == len(stall) == len(start):
-            raise SimulationError(
-                "kernel timing columns differ in length: "
-                f"ideal_duration {len(ideal)}, stall {len(stall)}, start_time {len(start)}"
-            )
+        ideal_durations, start_times = _read_timing_columns(data.get("kernel_timings"))
         return cls(
             model_name=data["model_name"],
             batch_size=data["batch_size"],
             policy_name=data["policy_name"],
             ideal_time=data["ideal_time"],
             execution_time=execution_time,
-            kernel_timings=list(map(KernelTiming, range(len(ideal)), ideal, stall, start)),
+            ideal_durations=ideal_durations,
+            start_times=start_times,
             traffic=TrafficCounters(**data["traffic"]),
             ssd_bytes_written=data["ssd_bytes_written"],
             ssd_bytes_read=data["ssd_bytes_read"],

@@ -29,6 +29,7 @@ The contention model is deliberately simple and exact:
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -48,8 +49,8 @@ class TenantTrace:
     """One tenant's request stream, fully materialised for deterministic replay.
 
     ``offsets`` are the cumulative kernel-finish times of a *solo* run of one
-    request (``offsets[k] == start_time_k + ideal_duration_k`` from the
-    executor's :class:`~repro.sim.results.KernelTiming` records, so
+    request (``offsets[k] == start_times[k] + ideal_durations[k]`` from the
+    solo :class:`~repro.sim.results.SimulationResult`'s columns, so
     ``offsets[-1]`` equals the solo ``execution_time`` bit-for-bit). Exactly
     one of ``arrivals`` (open loop: absolute request arrival times) and
     ``think_times`` (closed loop: request ``i`` arrives ``think_times[i]``
@@ -275,6 +276,43 @@ class _SharedPool:
         return stall
 
 
+class _ReadyRequests:
+    """The requests ready to run, picked by least-attained-service.
+
+    The scheduling key ``(attained, arrival, tenant, index)`` is a total
+    order. A tenant's requests share its attained service, so each tenant
+    keeps a heap ordered by ``(arrival, index)``, and the least key is the
+    least among the tenants' heads: a pick compares one request per tenant,
+    not every ready request.
+    """
+
+    def __init__(self, states: dict[str, _TenantState]) -> None:
+        self._states = states
+        self._heaps: dict[str, list[tuple[float, int, _Request]]] = {name: [] for name in states}
+        self._count = 0
+
+    def __len__(self) -> int:
+        return self._count
+
+    def add(self, request: _Request) -> None:
+        heapq.heappush(self._heaps[request.tenant], (request.arrival, request.index, request))
+        self._count += 1
+
+    def least(self) -> _Request:
+        heads = (
+            (self._states[name].attained, heap[0][0], name, heap[0][1], heap[0][2])
+            for name, heap in self._heaps.items()
+            if heap
+        )
+        return min(heads)[-1]
+
+    def remove(self, request: _Request) -> None:
+        """Drop the running request, which is its tenant's head: every
+        request added since it was picked forced a new pick."""
+        heapq.heappop(self._heaps[request.tenant])
+        self._count -= 1
+
+
 def simulate_tenancy(
     traces: "tuple[TenantTrace, ...] | list[TenantTrace]",
     system: SharedSystem,
@@ -299,7 +337,7 @@ def simulate_tenancy(
     states = {trace.name: _TenantState(trace) for trace in ordered}
     pool = _SharedPool(system, perf, states)
     records: list[RequestRecord] = []
-    ready: list[_Request] = []
+    ready = _ReadyRequests(states)
 
     def schedule_arrival(trace: TenantTrace, index: int, when: float) -> None:
         request = _Request(trace=trace, index=index, arrival=when, base=when)
@@ -320,12 +358,12 @@ def simulate_tenancy(
             event = events.pop()
             perf.events_processed += 1
             now = max(now, event.time)
-            ready.append(event.payload)
+            ready.add(event.payload)
             continue
         arrived = False
         for event in events.pop_until(now):
             perf.events_processed += 1
-            ready.append(event.payload)
+            ready.add(event.payload)
             arrived = True
 
         # Event-driven least-attained-service: re-pick only when the running
@@ -333,10 +371,7 @@ def simulate_tenancy(
         # lands on kernel boundaries, but between events a request runs
         # contiguously, so memory thrash scales with arrivals, not kernels.
         if current is None or arrived:
-            current = min(
-                ready,
-                key=lambda r: (states[r.tenant].attained, r.arrival, r.tenant, r.index),
-            )
+            current = ready.least()
         request = current
         state = states[request.tenant]
         stall = pool.admit(request, state)

@@ -16,15 +16,23 @@ reproduce), plus the derived-metric consistency the figures rely on.
 
 from __future__ import annotations
 
+import json
 import random
+import struct
 
 import pytest
 
 from repro.baselines.factory import POLICY_NAMES, make_policy
-from repro.config import GB
+from repro.config import GB, MB, paper_config
+from repro.core.vitality import TensorVitalityAnalyzer
 from repro.experiments import ConfigPatch, SweepCell, SweepRunner, default_config
-from repro.experiments.harness import build_workload
+from repro.experiments.figures import FIGURE11_MODELS
+from repro.experiments.harness import build_workload, run_policy
+from repro.graph import expand_training
+from repro.profiling import profile_training_graph
 from repro.sim.executor import ExecutionSimulator
+from repro.sim.observer import TraceRecorder
+from repro.sim.results import SimulationResult
 from repro.uvm.page_table import MemoryLocation
 
 #: Tolerance for float accumulation differences between policies' clocks.
@@ -93,6 +101,77 @@ def test_execution_time_is_at_least_the_kernel_sum(policy_results):
             f"{policy} finished before its own kernels did"
         )
         assert result.normalized_performance <= 1.0 + EPS
+
+
+# -- kernel stalls derive from the executor's own values ---------------------------
+#
+# A result stores each kernel's ideal duration and start time and derives its
+# stall as ``start_i - (start_{i-1} + ideal_{i-1})``. That is only sound if it
+# reproduces, bit for bit, the ``ready - now`` the executor hands its observers.
+
+
+def _float_bytes(values) -> bytes:
+    """``values`` as packed IEEE-754 doubles, so equality tells -0.0 from 0.0."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def assert_stalls_are_the_executors(result: SimulationResult, recorder: TraceRecorder) -> None:
+    """The result's derived stalls and its start times equal what the
+    recorder saw, before and after a JSON round trip; a failed run stores
+    no timings."""
+    stalls = [event[2] for event in recorder.events if event[0] == "kernel_finish"]
+    starts = [event[2] for event in recorder.events if event[0] == "kernel_start"]
+    restored = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
+    for timings in (result, restored):
+        if result.failed:
+            assert timings.ideal_durations == timings.start_times == []
+        else:
+            assert len(timings.start_times) == len(stalls) > 0
+            assert _float_bytes(timings.kernel_stalls()) == _float_bytes(stalls)
+            assert _float_bytes(timings.start_times) == _float_bytes(starts)
+            assert _float_bytes([t.stall for t in timings.kernel_timings]) == _float_bytes(stalls)
+
+
+def _traced_run(workload, policy: str, config=None):
+    recorder = TraceRecorder()
+    result = run_policy(workload, policy, config=config, observers=(recorder,))
+    return result, recorder
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("model", FIGURE11_MODELS)
+def test_stalls_derive_on_every_ci_model(model, policy):
+    assert_stalls_are_the_executors(*_traced_run(build_workload(model, scale="ci"), policy))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stalls_derive_on_randomized_configurations(seed):
+    for cell in _random_cells(seed):
+        workload = build_workload(cell.model, cell.batch_size, cell.scale)
+        assert_stalls_are_the_executors(*_traced_run(workload, cell.policy, cell.config()))
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("graph", ["tiny_graph", "branchy_graph"])
+def test_stalls_derive_on_small_graphs(request, graph, policy, small_config):
+    training = profile_training_graph(expand_training(request.getfixturevalue(graph)), small_config)
+    recorder = TraceRecorder()
+    result = ExecutionSimulator(
+        training, small_config, make_policy(policy), TensorVitalityAnalyzer(training).analyze(),
+        observers=(recorder,),
+    ).run()
+    assert_stalls_are_the_executors(result, recorder)
+
+
+def test_a_failed_run_round_trips_with_empty_columns(tiny_training, tiny_report):
+    # 16 KB of GPU memory cannot hold one linear layer's working set.
+    config = paper_config().with_gpu_memory(16 * 1024).with_host_memory(64 * MB)
+    recorder = TraceRecorder()
+    result = ExecutionSimulator(
+        tiny_training, config, make_policy("flashneuron"), tiny_report, observers=(recorder,)
+    ).run()
+    assert result.failed
+    assert_stalls_are_the_executors(result, recorder)
 
 
 # -- end-of-run residency ---------------------------------------------------------

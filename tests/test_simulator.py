@@ -108,14 +108,26 @@ class TestEventQueue:
 
 class TestSimulationResult:
     def _result(self, ideal=1.0, execution=2.0, stalls=(0.5, 0.5)):
-        timings = [
-            KernelTiming(index=i, ideal_duration=0.5, stall=s, start_time=0.0)
-            for i, s in enumerate(stalls)
-        ]
+        """Kernels of 0.5 s, each starting ``stall`` after the previous finish."""
+        starts, finish = [], 0.0
+        for stall in stalls:
+            starts.append(finish + stall)
+            finish = starts[-1] + 0.5
         return SimulationResult(
-            model_name="m", batch_size=8, policy_name="p",
-            ideal_time=ideal, execution_time=execution, kernel_timings=timings,
+            model_name="m", batch_size=8, policy_name="p", ideal_time=ideal,
+            execution_time=execution, ideal_durations=[0.5] * len(stalls), start_times=starts,
         )
+
+    def test_stalls_and_timings_derive_from_the_columns(self):
+        result = self._result(stalls=(0.25, 0.0, 1.0))
+        assert result.start_times == [0.25, 0.75, 2.25]
+        assert result.kernel_stalls() == [0.25, 0.0, 1.0]
+        assert result.total_stall_time == 1.25
+        assert result.kernel_timings == [
+            KernelTiming(0, 0.5, 0.25, 0.25),
+            KernelTiming(1, 0.5, 0.0, 0.75),
+            KernelTiming(2, 0.5, 1.0, 2.25),
+        ]
 
     def test_normalized_performance(self):
         assert self._result().normalized_performance == pytest.approx(0.5)

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import math
 import struct
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from repro.experiments import (
 )
 from repro.experiments import reporting
 from repro.experiments import sweep as sweep_module
-from repro.sim.results import KernelTiming, PerfCounters, SimulationResult
+from repro.sim.results import PerfCounters, SimulationResult
 from repro.uvm.migration import TrafficCounters
 
 #: One cell down every path a cell can take: a characterization cell and
@@ -108,13 +111,26 @@ COUNTS = st.integers(min_value=0, max_value=2**53)
 
 
 @st.composite
+def timing_columns(draw) -> tuple[list[float], list[float]]:
+    """Finite ``ideal_durations`` and ``start_times`` columns of up to 12
+    kernels. Durations repeat (drawn from a small pool, as a model's do), and
+    each kernel starts either at the previous kernel's finish or at an
+    arbitrary time, so both stored and derived starts occur."""
+    pool = draw(st.lists(EDGE_FLOATS, min_size=1, max_size=4))
+    ideal = draw(st.lists(st.sampled_from(pool) | EDGE_FLOATS, max_size=12))
+    starts, finish = [], 0.0
+    for duration in ideal:
+        start = finish if math.isfinite(finish) and draw(st.booleans()) else draw(EDGE_FLOATS)
+        starts.append(start)
+        finish = start + duration
+    return ideal, starts
+
+
+@st.composite
 def simulation_results(draw) -> SimulationResult:
-    """Arbitrary results: zero or more timings, and failed runs whose
+    """Arbitrary results: zero or more kernels, and failed runs whose
     execution time may be infinite."""
-    timings = [
-        KernelTiming(index, draw(EDGE_FLOATS), draw(EDGE_FLOATS), draw(EDGE_FLOATS))
-        for index in range(draw(st.integers(min_value=0, max_value=12)))
-    ]
+    ideal, starts = draw(timing_columns())
     failed = draw(st.booleans())
     low, high = sorted((draw(EDGE_FLOATS), draw(EDGE_FLOATS)))
     execution_time = float("inf") if failed and draw(st.booleans()) else high
@@ -124,7 +140,8 @@ def simulation_results(draw) -> SimulationResult:
         policy_name=draw(st.text(max_size=8)),
         ideal_time=low,
         execution_time=execution_time,
-        kernel_timings=timings,
+        ideal_durations=ideal,
+        start_times=starts,
         traffic=TrafficCounters(
             *(draw(EDGE_FLOATS) for _ in range(6)), *(draw(COUNTS) for _ in range(3))
         ),
@@ -155,67 +172,139 @@ def bits(value):
 
 
 def three_kernel_payload() -> dict:
-    timings = [KernelTiming(index, 0.5, 0.25 * index, float(index)) for index in range(3)]
+    """Kernels 0 and 2 start at the previous finish, kernel 1 stalls 0.25 s;
+    kernels 0 and 2 share a duration."""
     return SimulationResult(
-        model_name="m", batch_size=1, policy_name="p", ideal_time=1.5,
-        execution_time=3.0, kernel_timings=timings,
+        model_name="m", batch_size=1, policy_name="p", ideal_time=1.25, execution_time=1.5,
+        ideal_durations=[0.5, 0.25, 0.5], start_times=[0.0, 0.75, 1.0],
     ).to_dict()
 
 
-#: Malformed kernel-timing columns ``from_dict`` must reject with a
-#: ``SimulationError`` rather than a ``KeyError`` or a silently short result.
-MALFORMED_COLUMNS = {
-    "missing-column": lambda columns: columns.pop("stall"),
-    "column-is-a-string": lambda columns: columns.update(stall="abc"),
-    "column-is-a-tuple": lambda columns: columns.update(stall=(0.0, 0.25, 0.5)),
-    "column-is-null": lambda columns: columns.update(start_time=None),
-    "column-is-a-dict": lambda columns: columns.update(ideal_duration={"0": 0.5}),
-    "short-column": lambda columns: columns["start_time"].pop(),
-    "long-column": lambda columns: columns["ideal_duration"].append(1.0),
+def _set(name, value):
+    return lambda columns: columns.__setitem__(name, value)
+
+
+def _set_stalled(stalled, starts):
+    return lambda columns: columns.update(stalled=stalled, stalled_start=starts)
+
+
+#: Malformed kernel-timing layouts ``from_dict`` must reject with a
+#: ``SimulationError``, never an ``IndexError``, a ``TypeError`` or a
+#: silently wrong result. ``three_kernel_payload`` stores durations
+#: ``[0.25, 0.5]``, duration_index ``[1, 0, 1]``, stalled ``[1]`` and
+#: stalled_start ``[0.75]``.
+MALFORMED_LAYOUTS = {
+    **{
+        f"{column}-{kind}": mangle
+        for column in ("durations", "duration_index", "stalled", "stalled_start")
+        for kind, mangle in {
+            "missing": lambda columns, column=column: columns.pop(column),
+            "string": _set(column, "abc"),
+            "tuple": _set(column, (0,)),
+            "null": _set(column, None),
+            "dict": _set(column, {"0": 0}),
+        }.items()
+    },
+    "duration-is-a-string": _set("durations", [0.25, "0.5"]),
+    "duration-is-a-bool": _set("durations", [0.25, True]),
+    "duration-index-negative": _set("duration_index", [1, -1, 1]),
+    "duration-index-out-of-range": _set("duration_index", [1, 2, 1]),
+    "duration-index-bool": _set("duration_index", [True, 0, 1]),
+    "duration-index-float": _set("duration_index", [1.0, 0, 1]),
+    "duration-index-null": _set("duration_index", [1, None, 1]),
+    "no-durations-for-the-index": _set("durations", []),
+    "stalled-unsorted": _set_stalled([2, 1], [1.0, 0.75]),
+    "stalled-repeated": _set_stalled([1, 1], [0.75, 0.75]),
+    "stalled-past-the-last-kernel": _set_stalled([3], [0.75]),
+    "stalled-negative": _set_stalled([-1], [0.75]),
+    "stalled-bool": _set_stalled([True], [0.75]),
+    "stalled-float": _set_stalled([1.0], [0.75]),
+    "stalled-start-is-a-string": _set_stalled([1], ["0.75"]),
+    "stalled-start-is-null": _set_stalled([1], [None]),
+    "stalled-longer-than-its-starts": _set_stalled([1, 2], [0.75]),
+    "starts-longer-than-stalled": _set_stalled([1], [0.75, 1.0]),
+    "starts-without-stalled": _set_stalled([], [0.75]),
 }
 
 
 class TestResultSerialization:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(result=simulation_results())
     def test_json_round_trip_is_bit_exact(self, result):
         data = result.to_dict()
-        assert list(data["kernel_timings"]) == ["ideal_duration", "stall", "start_time"]
-        assert all(
-            len(column) == len(result.kernel_timings) for column in data["kernel_timings"].values()
-        )
+        columns = data["kernel_timings"]
+        assert list(columns) == ["durations", "duration_index", "stalled", "stalled_start"]
+        ideal, starts = result.ideal_durations, result.start_times
+        # Each distinct bit pattern stored once, 0.0 apart from -0.0.
+        assert len(columns["durations"]) == len({struct.pack("<d", d) for d in ideal})
+        assert len(columns["duration_index"]) == len(ideal)
+        previous_finish = [0.0] + [s + d for s, d in zip(starts, ideal)][:-1]
+        assert columns["stalled"] == [
+            index
+            for index, (start, finish) in enumerate(zip(starts, previous_finish))
+            if struct.pack("<d", start) != struct.pack("<d", finish)
+        ]
         # allow_nan=False: strict RFC-8259 JSON, an infinite time stored as null.
         restored = SimulationResult.from_dict(json.loads(json.dumps(data, allow_nan=False)))
         assert bits(restored) == bits(result)
 
-    @pytest.mark.parametrize("indices", [(1,), (0, 2), (0, 0), (1, 0), (0, 1, 3)])
-    def test_a_timing_off_its_position_is_rejected(self, indices):
+    def test_signed_zeros_and_subnormals_stay_apart(self):
         result = SimulationResult(
-            model_name="m", batch_size=1, policy_name="p", ideal_time=1.0, execution_time=1.0,
-            kernel_timings=[KernelTiming(index, 0.5, 0.0, 0.0) for index in indices],
+            model_name="m", batch_size=1, policy_name="p", ideal_time=0.0, execution_time=1.0,
+            ideal_durations=[0.0, -0.0, 5e-324, 0.0, -5e-324, -0.0],
+            start_times=[-0.0, 0.0, 0.0, 5e-324, 5e-324, -0.0],
         )
-        with pytest.raises(SimulationError, match="position"):
-            result.to_dict()
+        data = result.to_dict()["kernel_timings"]
+        assert sorted(struct.pack("<d", d) for d in data["durations"]) == sorted(
+            struct.pack("<d", d) for d in (0.0, -0.0, 5e-324, -5e-324)
+        )
+        assert bits([data["durations"][i] for i in data["duration_index"]]) == bits(
+            result.ideal_durations
+        )
+        # Kernel 0 starts at -0.0, not at the 0.0 before it, and kernel 5 at
+        # -0.0, not at the 0.0 that 5e-324 + -5e-324 gives; kernels 1-4 start
+        # at their previous finish.
+        assert data["stalled"] == [0, 5]
+        restored = SimulationResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        assert bits(restored) == bits(result)
 
-    @pytest.mark.parametrize("mangle", sorted(MALFORMED_COLUMNS))
-    def test_malformed_columns_are_rejected(self, mangle):
+    def test_columns_of_unequal_length_are_rejected(self):
+        with pytest.raises(SimulationError, match="start times"):
+            SimulationResult(
+                model_name="m", batch_size=1, policy_name="p", ideal_time=1.0,
+                execution_time=1.0, ideal_durations=[0.5, 0.5], start_times=[0.0],
+            )
+
+    def test_three_kernel_layout(self):
+        assert three_kernel_payload()["kernel_timings"] == {
+            "durations": [0.25, 0.5], "duration_index": [1, 0, 1],
+            "stalled": [1], "stalled_start": [0.75],
+        }
+
+    @pytest.mark.parametrize("mangle", sorted(MALFORMED_LAYOUTS))
+    def test_malformed_layouts_are_rejected(self, mangle):
         data = three_kernel_payload()
-        MALFORMED_COLUMNS[mangle](data["kernel_timings"])
+        MALFORMED_LAYOUTS[mangle](data["kernel_timings"])
         with pytest.raises(SimulationError, match="kernel timing"):
             SimulationResult.from_dict(data)
 
     @pytest.mark.parametrize(
         "timings",
-        [None, [], [{"index": 0, "ideal_duration": 0.5, "stall": 0.0, "start_time": 0.0}]],
-        ids=["missing", "empty-rows", "row-layout"],
+        [
+            None,
+            [],
+            [{"index": 0, "ideal_duration": 0.5, "stall": 0.0, "start_time": 0.0}],
+            {"ideal_duration": [0.5], "stall": [0.0], "start_time": [0.0]},
+        ],
+        ids=["missing", "empty-rows", "row-layout", "schema-2-columns"],
     )
-    def test_timings_not_stored_as_columns_are_rejected(self, timings):
+    def test_timings_in_another_layout_are_rejected(self, timings):
         data = three_kernel_payload()
         if timings is None:
             del data["kernel_timings"]
         else:
             data["kernel_timings"] = timings
-        with pytest.raises(SimulationError, match="kernel_timings"):
+        with pytest.raises(SimulationError, match="kernel.timing"):
             SimulationResult.from_dict(data)
 
     def test_simulation_result_round_trip(self, bert_ci_workload):
@@ -773,14 +862,14 @@ def decoded_perf_totals(cache: ResultCache, figures) -> dict[str, dict[str, int]
 def perf_reports(tmp_path_factory):
     """A cold report into an empty cache, then a warm one that records every
     ``ResultCache.get`` made outside ``SweepRunner.run`` (which serves the
-    cells the figures render)."""
+    cells the figures render) and every ``SweepCell.cache_key`` call."""
     root = tmp_path_factory.mktemp("perf-reports")
     cache = ResultCache(root / "cache")
     cold = generate_report(
         scale="ci", figures=PERF_FIGURES, runner=SweepRunner(cache=cache), output_dir=root / "cold"
     )
-    real_get, real_run = ResultCache.get, SweepRunner.run
-    running, gets_outside_run = [False], []
+    real_get, real_run, real_key = ResultCache.get, SweepRunner.run, SweepCell.cache_key
+    running, gets_outside_run, keyed = [False], [], []
 
     def recording_get(self, key):
         if not running[0]:
@@ -794,14 +883,21 @@ def perf_reports(tmp_path_factory):
         finally:
             running[0] = False
 
+    def recording_key(self):
+        keyed.append(self)
+        return real_key(self)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ResultCache, "get", recording_get)
         patch.setattr(SweepRunner, "run", watched_run)
+        patch.setattr(SweepCell, "cache_key", recording_key)
         warm = generate_report(
             scale="ci", figures=PERF_FIGURES, runner=SweepRunner(cache=cache),
             output_dir=root / "warm", expect_warm=True,
         )
-    return cache, cold, warm, gets_outside_run
+    return SimpleNamespace(
+        cache=cache, cold=cold, warm=warm, gets_outside_run=gets_outside_run, keyed=keyed
+    )
 
 
 class TestReportPerfTotals:
@@ -810,9 +906,8 @@ class TestReportPerfTotals:
 
     @pytest.mark.parametrize("label", ["cold", "warm"])
     def test_totals_equal_decoding_every_entry(self, perf_reports, label):
-        cache, cold, warm, _ = perf_reports
-        manifest = cold if label == "cold" else warm
-        reference = decoded_perf_totals(cache, PERF_FIGURES)
+        manifest = getattr(perf_reports, label)
+        reference = decoded_perf_totals(perf_reports.cache, PERF_FIGURES)
         assert {figure["id"]: figure["perf"] for figure in manifest["figures"]} == reference
         assert reference["12"]["events_processed"] > 0
         assert reference["tenancy"]["eviction_stalls"] > 0
@@ -821,11 +916,16 @@ class TestReportPerfTotals:
         }
 
     def test_warm_totals_decode_no_entry(self, perf_reports):
-        *_, gets_outside_run = perf_reports
-        assert gets_outside_run == []
+        assert perf_reports.gets_outside_run == []
+
+    def test_warm_report_keys_each_distinct_cell_once(self, perf_reports):
+        """The runner plans and then runs every figure's cells; both share
+        one ``cache_key`` call per distinct cell."""
+        calls = Counter(map(repr, perf_reports.keyed))
+        assert calls and max(calls.values()) == 1
 
     def test_report_without_a_cache_reports_the_same_work(self, perf_reports, tmp_path):
-        _, cold, _, _ = perf_reports
+        cold = perf_reports.cold
         manifest = generate_report(
             scale="ci", figures=("12",), runner=SweepRunner(), output_dir=tmp_path
         )

@@ -15,6 +15,8 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.api import Scenario
 from repro.errors import ConfigurationError
@@ -27,6 +29,7 @@ from repro.experiments.tenancy import (
     derive_tenant_seed,
     jain_fairness,
 )
+from repro.sim import tenancy as tenancy_module
 from repro.sim.tenancy import (
     SharedSystem,
     TenantTrace,
@@ -85,6 +88,50 @@ def outcome_fingerprint(outcome) -> str:
         },
     }
     return json.dumps(jsonify(payload), sort_keys=True)
+
+
+#: Three distinct times, so arrivals, kernel offsets and attained service tie
+#: often; zero-length kernels leave a tenant's attained service unchanged.
+TIMES = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def tenant_traces(draw) -> list[TenantTrace]:
+    """One to five tenants, each open loop (sorted arrivals) or closed loop
+    (think times), with up to six requests of up to three kernels."""
+    traces = []
+    for position in range(draw(st.integers(min_value=1, max_value=5))):
+        offsets = tuple(itertools.accumulate(draw(st.lists(TIMES, min_size=1, max_size=3))))
+        times = draw(st.lists(TIMES, min_size=1, max_size=6))
+        open_loop = draw(st.booleans())
+        loop = {"arrivals": tuple(sorted(times))} if open_loop else {"think_times": tuple(times)}
+        footprint = draw(st.sampled_from([0, GB // 2, GB, 3 * GB // 2]))
+        traces.append(make_trace(f"t{position}", offsets, footprint, **loop))
+    return traces
+
+
+class NaiveReadyRequests:
+    """The scan the per-tenant heaps replaced: ``min`` over every ready
+    request by ``(attained, arrival, tenant, index)``."""
+
+    def __init__(self, states):
+        self.states = states
+        self.ready = []
+
+    def __len__(self):
+        return len(self.ready)
+
+    def add(self, request):
+        self.ready.append(request)
+
+    def least(self):
+        return min(
+            self.ready,
+            key=lambda r: (self.states[r.tenant].attained, r.arrival, r.tenant, r.index),
+        )
+
+    def remove(self, request):
+        self.ready.remove(request)
 
 
 class TestTenantTrace:
@@ -162,6 +209,27 @@ class TestSimulateTenancy:
         stats = outcome.tenants["a"]
         assert stats.latencies == (2.5, 2.5, 2.5)
         assert outcome.makespan == 2.5 + 2.5 + 0.5 + 2.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(traces=tenant_traces(), capacity=st.sampled_from([GB, 2 * GB]))
+    # A zero-length kernel leaves t0's attained service at 0.0, so t0's
+    # second request ties t1's first on service and arrival: the tenant
+    # name, not the request index, must decide.
+    @example(
+        traces=[
+            make_trace("t0", (0.0,), GB, arrivals=(0.0, 0.0)),
+            make_trace("t1", (0.5,), GB, arrivals=(0.0,)),
+        ],
+        capacity=GB,
+    )
+    def test_picks_match_a_scan_of_every_ready_request(self, traces, capacity):
+        """Every pick, and so every bit of the outcome, is the naive scan's."""
+        system = make_system(capacity)
+        outcome = simulate_tenancy(traces, system)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tenancy_module, "_ReadyRequests", NaiveReadyRequests)
+            expected = simulate_tenancy(traces, system)
+        assert repr(outcome) == repr(expected)
 
     def test_open_loop_queueing_delay(self):
         """A request arriving while another runs waits, and the wait is latency."""
