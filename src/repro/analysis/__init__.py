@@ -3,7 +3,6 @@
 from .characterization import (
     CharacterizationResult,
     characterize_workload,
-    inactive_period_distribution,
     inactive_period_size_scatter,
     memory_consumption_profile,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "CharacterizationResult",
     "characterize_workload",
     "memory_consumption_profile",
-    "inactive_period_distribution",
     "inactive_period_size_scatter",
     "TrafficBreakdown",
     "traffic_breakdown",

@@ -49,15 +49,6 @@ def memory_consumption_profile(report: VitalityReport) -> tuple[np.ndarray, np.n
     return total, active
 
 
-def inactive_period_distribution(report: VitalityReport) -> np.ndarray:
-    """Figure 3: lengths (seconds) of all tensor inactive periods, sorted ascending."""
-    lengths = np.asarray(
-        [report.period_duration(p) for p in report.periods], dtype=np.float64
-    )
-    lengths.sort()
-    return lengths
-
-
 def inactive_period_size_scatter(report: VitalityReport) -> tuple[np.ndarray, np.ndarray]:
     """Figure 4: (inactive period length, tensor size) pairs."""
     lengths = np.asarray(

@@ -111,8 +111,6 @@ class SSDConfig:
     flash_page_size: int = 16 * KB
     #: Pages per erase block.
     pages_per_block: int = 256
-    #: Over-provisioning ratio reserved for garbage collection.
-    overprovisioning: float = 0.07
     #: GC trigger threshold: fraction of free blocks below which GC runs.
     gc_threshold: float = 0.05
     #: Block erase latency in seconds.
@@ -133,23 +131,10 @@ class SSDConfig:
             raise ConfigurationError("SSD latencies must be non-negative and finite")
         if not 0 < self.capacity_bytes < math.inf:
             raise ConfigurationError("SSD capacity must be positive and finite")
-        if not 0 <= self.overprovisioning < 1:
-            raise ConfigurationError("overprovisioning must be in [0, 1)")
         if not 0 <= self.gc_threshold < 1:
             raise ConfigurationError("gc_threshold must be in [0, 1)")
         if not 0 < self.endurance_dwpd < math.inf:
             raise ConfigurationError("endurance_dwpd must be positive and finite")
-
-    def scaled_bandwidth(self, factor: float) -> "SSDConfig":
-        """Return a copy whose read/write bandwidth is multiplied by ``factor``.
-
-        Used by the Figure 18 sensitivity sweep (stacking multiple SSDs).
-        """
-        return dataclasses.replace(
-            self,
-            read_bandwidth=self.read_bandwidth * factor,
-            write_bandwidth=self.write_bandwidth * factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -183,10 +168,6 @@ class UVMConfig:
     software_migration_overhead: float = 15e-6
     #: Software overhead per explicit migration with the full UVM extension (G10).
     extended_uvm_overhead: float = 2e-6
-    #: TLB reach in pages; misses add a page-table-walk latency.
-    tlb_entries: int = 4096
-    #: Latency of one page table walk in seconds.
-    page_walk_latency: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (0 < self.page_size < math.inf and 0 < self.fault_batch_bytes < math.inf):
@@ -195,7 +176,6 @@ class UVMConfig:
             0 <= self.fault_latency < math.inf
             and 0 <= self.software_migration_overhead < math.inf
             and 0 <= self.extended_uvm_overhead < math.inf
-            and 0 <= self.page_walk_latency < math.inf
         ):
             raise ConfigurationError("UVM latencies and overheads must be non-negative and finite")
 

@@ -15,7 +15,6 @@ The pipeline mirrors §4 of the paper:
    program (Figure 9).
 """
 
-from .extents import Extent
 from .vitality import InactivePeriod, TensorUsage, TensorVitalityAnalyzer, VitalityReport
 from .pressure import MemoryPressureTimeline
 from .bandwidth import ChannelSchedule, Direction
@@ -31,7 +30,6 @@ from .scheduler import MigrationPlanner
 from .instrumentation import InstrumentedProgram, instrument_program
 
 __all__ = [
-    "Extent",
     "InactivePeriod",
     "TensorUsage",
     "TensorVitalityAnalyzer",

@@ -130,9 +130,6 @@ class ChannelSchedule:
         """
         return self._durations
 
-    def slot_duration(self, slot: int) -> float:
-        return float(self._durations[slot])
-
     def utilization(self, channel: str) -> np.ndarray:
         """Per-slot utilization in [0, 1] of one channel."""
         return self._utilization_values(channel, 0, self.num_slots)

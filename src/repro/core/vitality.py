@@ -44,10 +44,6 @@ class TensorUsage:
         """Last kernel that touches the tensor."""
         return self.use_slots[-1]
 
-    @property
-    def num_uses(self) -> int:
-        return len(self.use_slots)
-
 
 @dataclass(frozen=True)
 class InactivePeriod:

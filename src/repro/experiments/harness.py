@@ -165,16 +165,25 @@ def canonicalize_cell_fields(
     and ``Scenario.resolved()``.
 
     Normalizes the model and policy names through the registries, resolves
-    the effective batch size, makes the profiling error a plain float, and
-    zeroes the (otherwise unused) seed when no profiling noise is applied —
-    one implementation, so sweep cache keys can never drift from what a
-    session actually executes.
+    the effective batch size as a plain int, makes the profiling error a
+    plain float, and zeroes the (otherwise unused) seed when no profiling
+    noise is applied — one implementation, so sweep cache keys can never
+    drift from what a session actually executes. A batch size that is not a
+    whole number raises :class:`~repro.errors.ConfigurationError`.
     """
     model = normalize_model_name(model)
+    batch = resolve_batch_size(model, scale, batch_size)
+    if isinstance(batch, bool) or not (
+        isinstance(batch, numbers.Integral)
+        or (isinstance(batch, numbers.Real) and float(batch).is_integer())
+    ):
+        raise ConfigurationError(f"batch size must be a whole number, got {batch_size!r}")
     return {
         "model": model,
         "policy": None if policy is None else POLICY_REGISTRY.resolve(policy),
-        "batch_size": resolve_batch_size(model, scale, batch_size),
+        # A plain int: 8, 8.0 and np.int64(8) are one cell and must share
+        # one cache key.
+        "batch_size": int(batch),
         # A plain float, with -0.0 folded to 0.0 by ``+ 0.0``: 0, 0.0 and
         # -0.0 are one cell and must share one cache key.
         "profiling_error": float(profiling_error) + 0.0,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -34,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from ..analysis.characterization import CharacterizationResult, characterize_workload
-from ..config import SystemConfig
+from ..config import SystemConfig, whole_bytes
 from ..errors import ConfigurationError
 from ..registry import load_plugins
 from ..sim import SimulationResult
@@ -53,6 +54,11 @@ class ConfigPatch:
     each ``None`` field is left at the cell's default. ``ssd_read_bandwidth``
     without ``ssd_write_bandwidth`` scales the write bandwidth proportionally,
     matching :meth:`SystemConfig.with_ssd_bandwidth` (the Figure 18 sweep).
+
+    Fields are canonical from construction on, so equal patches share one
+    cache key: byte counts are ints (``16e9`` is ``16 * 10**9``) and
+    bandwidths are floats, the type :class:`SystemConfig` declares. A value
+    that is not a number raises :class:`~repro.errors.ConfigurationError`.
     """
 
     host_memory_bytes: int | None = None
@@ -60,6 +66,15 @@ class ConfigPatch:
     interconnect_bandwidth: float | None = None
     ssd_read_bandwidth: float | None = None
     ssd_write_bandwidth: float | None = None
+
+    def __post_init__(self) -> None:
+        for name, value in list(self.__dict__.items()):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigurationError(f"{name} must be a number, got {value!r}")
+            canonical = whole_bytes(value, name) if name.endswith("_bytes") else float(value)
+            object.__setattr__(self, name, canonical)
 
     def is_empty(self) -> bool:
         return all(value is None for value in self.__dict__.values())
@@ -391,17 +406,16 @@ class SweepRunner:
         #: without a simulation result), so a report can total simulator work
         #: without decoding cache entries again.
         self.perf_counters: dict[str, dict] = {}
-        #: Cache keys computed so far, by the cell's ``repr``: a report plans
-        #: and then runs every figure's cells. Unlike ``==``, ``repr`` tells
-        #: ``batch_size=8`` from ``8.0``, which get different keys.
-        self._keys: dict[str, str] = {}
+        #: Cache keys computed so far, by cell: a report plans and then runs
+        #: every figure's cells. Equal cells share one key, so the cell
+        #: itself is the memo key.
+        self._keys: dict[SweepCell, str] = {}
 
     def cache_key(self, cell: SweepCell) -> str:
         """``cell.cache_key()``, computed once per distinct cell per runner."""
-        spelling = repr(cell)
-        key = self._keys.get(spelling)
+        key = self._keys.get(cell)
         if key is None:
-            key = self._keys[spelling] = cell.cache_key()
+            key = self._keys[cell] = cell.cache_key()
         return key
 
     def plan(self, spec: SweepSpec | Iterable[SweepCell]) -> SweepPlan:

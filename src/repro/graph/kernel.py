@@ -75,10 +75,6 @@ class Kernel:
             raise GraphError("kernel duration cannot be negative")
         return replace(self, duration=duration)
 
-    def with_index(self, index: int) -> "Kernel":
-        """Return a copy with a different execution index."""
-        return replace(self, index=index)
-
 
 @dataclass
 class KernelTrace:

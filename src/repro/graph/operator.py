@@ -44,17 +44,6 @@ class OpType(Enum):
             OpType.ATTENTION_CONTEXT,
         )
 
-    @property
-    def has_weights(self) -> bool:
-        """True for operators that carry trainable parameters."""
-        return self in (
-            OpType.CONV2D,
-            OpType.LINEAR,
-            OpType.BATCHNORM,
-            OpType.LAYERNORM,
-            OpType.EMBEDDING,
-        )
-
 
 @dataclass
 class Operator:
@@ -102,12 +91,3 @@ class Operator:
         """Input tensors that are not weights (activations from upstream ops)."""
         weights = set(self.weight_ids)
         return [t for t in self.input_ids if t not in weights]
-
-    @property
-    def all_tensor_ids(self) -> list[int]:
-        """Every tensor touched by the forward execution of this operator."""
-        seen: list[int] = []
-        for tid in (*self.input_ids, *self.output_ids):
-            if tid not in seen:
-                seen.append(tid)
-        return seen

@@ -60,10 +60,6 @@ class TrainingGraph:
         """Ids of tensors that persist across iterations (weights, optimizer state)."""
         return {t.tensor_id for t in self.tensors if t.is_global}
 
-    def peak_all_tensor_bytes(self) -> int:
-        """Total bytes of every tensor in the iteration (upper bound on footprint)."""
-        return self.tensors.total_bytes
-
     def with_kernels(self, kernels: list[Kernel]) -> "TrainingGraph":
         """Return a copy sharing tensors but with a different kernel list."""
         return TrainingGraph(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..errors import SimulationError
 
@@ -70,11 +70,6 @@ class EventQueue:
     def __init__(self) -> None:
         self._heap: list[tuple[float, Priority, int, Event]] = []
         self._counter = itertools.count()
-        self._now = 0.0
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -93,16 +88,10 @@ class EventQueue:
         return event
 
     def pop(self) -> Event:
-        """Remove and return the earliest event, advancing the clock."""
+        """Remove and return the earliest event."""
         if not self._heap:
             raise SimulationError("event queue is empty")
-        event = heapq.heappop(self._heap)[3]
-        self._now = max(self._now, event.time)
-        return event
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
+        return heapq.heappop(self._heap)[3]
 
     def pop_until(self, time: float) -> list[Event]:
         """Pop every event with timestamp <= ``time`` in order."""
@@ -110,11 +99,6 @@ class EventQueue:
         while self._heap and self._heap[0][0] <= time:
             due.append(self.pop())
         return due
-
-    def drain(self, handler: Callable[[Event], None]) -> None:
-        """Pop and handle every remaining event."""
-        while self._heap:
-            handler(self.pop())
 
 
 def simulate(

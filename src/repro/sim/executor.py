@@ -19,7 +19,6 @@ from ..core.vitality import TensorVitalityAnalyzer, VitalityReport
 from ..errors import SimulationError
 from ..graph.training import TrainingGraph
 from ..ssd.ssd import SSDDevice
-from ..uvm.address_space import UnifiedAddressSpace
 from ..uvm.fault import PageFaultModel
 from ..uvm.memory import MemoryPool
 from ..uvm.migration import MigrationEngine, MigrationKind, MigrationRequest
@@ -72,7 +71,7 @@ class ExecutionSimulator:
         gpu_capacity = config.gpu.memory_bytes if policy.enforce_capacity else _UNLIMITED
         self._gpu = MemoryPool("gpu", gpu_capacity, config.uvm.page_size)
         self._host = MemoryPool("host", config.host_memory_bytes, config.uvm.page_size)
-        self._page_table = UnifiedPageTable(UnifiedAddressSpace(config.uvm.page_size))
+        self._page_table = UnifiedPageTable(config.uvm.page_size)
         self._fault_model = PageFaultModel(config.uvm)
 
         cache_before = plan_cache_snapshot()
@@ -301,7 +300,7 @@ class ExecutionSimulator:
         Returns when the tensor is usable.
         """
         size = self._sizes[tensor_id]
-        if tensor_id not in self._page_table.address_space:
+        if tensor_id not in self._page_table:
             self._page_table.register(tensor_id, size)
 
         location = self._page_table.location_of(tensor_id)
@@ -347,7 +346,7 @@ class ExecutionSimulator:
         Returns True when the prefetch was issued or is unnecessary, False when
         it must be retried later because the GPU has no headroom yet.
         """
-        if tensor_id not in self._page_table.address_space:
+        if tensor_id not in self._page_table:
             return True
         location = self._page_table.location_of(tensor_id)
         if location in (MemoryLocation.UNMAPPED, MemoryLocation.GPU):
@@ -484,7 +483,7 @@ class ExecutionSimulator:
             self._gpu.free(tensor_id)
             self._residency.died(tensor_id)
             self._host.free(tensor_id)
-            if tensor_id in self._page_table.address_space:
+            if tensor_id in self._page_table:
                 if self._page_table.location_of(tensor_id) is MemoryLocation.FLASH:
                     flash_dead.append(tensor_id)
                 self._page_table.unmap(tensor_id)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..config import SSDConfig
 from ..errors import SSDError
 
 
@@ -32,25 +31,6 @@ class FlashGeometry:
     @property
     def capacity_bytes(self) -> int:
         return self.total_pages * self.page_size
-
-    @classmethod
-    def from_config(cls, config: SSDConfig, max_blocks: int | None = None) -> "FlashGeometry":
-        """Derive a geometry matching the configured capacity.
-
-        ``max_blocks`` caps the total block count so unit tests and scaled-down
-        simulations do not allocate millions of block records.
-        """
-        total_pages = max(config.capacity_bytes // config.flash_page_size, config.pages_per_block)
-        total_blocks = max(total_pages // config.pages_per_block, config.channels)
-        if max_blocks is not None:
-            total_blocks = min(total_blocks, max(max_blocks, config.channels))
-        blocks_per_channel = max(total_blocks // config.channels, 1)
-        return cls(
-            channels=config.channels,
-            blocks_per_channel=blocks_per_channel,
-            pages_per_block=config.pages_per_block,
-            page_size=config.flash_page_size,
-        )
 
 
 @dataclass

@@ -15,9 +15,9 @@ class PageFaultModel:
 
     Faulting a tensor in via on-demand paging costs one fault round trip per
     *fault batch* (real UVM drivers service a faulting warp by migrating a
-    neighbourhood of pages, not a single 4 KB page), plus the page-table-walk
-    and transfer costs charged elsewhere. The 45 µs round trip comes straight
-    from Table 2.
+    neighbourhood of pages, not a single 4 KB page), plus the transfer, which
+    the migration engine times. The 45 µs round trip comes straight from
+    Table 2.
     """
 
     config: UVMConfig
@@ -35,9 +35,3 @@ class PageFaultModel:
     def fault_overhead(self, size_bytes: int) -> float:
         """Total fault-handling latency (excluding the data transfer itself)."""
         return self.fault_batches(size_bytes) * self.config.fault_latency
-
-    def translation_overhead(self, num_pages: int, tlb_misses: int) -> float:
-        """Address-translation cost for touching ``num_pages`` with given misses."""
-        if num_pages < 0 or tlb_misses < 0:
-            raise ConfigurationError("page and miss counts cannot be negative")
-        return tlb_misses * self.config.page_walk_latency

@@ -2,8 +2,8 @@
 
 A pool records which tensors are resident and how many page-rounded bytes
 each occupies. No result reads *where* a pool places a tensor's pages, so the
-pool keeps no physical layout; the address space, the page table and the FTL
-keep extents where their page counts feed results. Occupancy counters are
+pool keeps no physical layout, and neither does the page table, which keeps
+each tensor's location and page count only. Occupancy counters are
 maintained incrementally, so ``used_bytes``/``free_bytes``/``can_fit`` — the
 simulator's innermost admission checks — are O(1) instead of a sum over every
 resident tensor.

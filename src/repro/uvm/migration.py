@@ -106,7 +106,6 @@ class MigrationEngine:
             "ssd_read": 0.0,
             "ssd_write": 0.0,
         }
-        self._busy_time = dict.fromkeys(self._free_at, 0.0)
         self.traffic = TrafficCounters()
 
     # -- properties -----------------------------------------------------------
@@ -118,9 +117,6 @@ class MigrationEngine:
     @property
     def config(self) -> SystemConfig:
         return self._config
-
-    def channel_busy_time(self, channel: str) -> float:
-        return self._busy_time[channel]
 
     def channel_free_at(self, channel: str) -> float:
         return self._free_at[channel]
@@ -135,9 +131,8 @@ class MigrationEngine:
         start = self._start_time(channels, now)
         duration = self._service_time(request, inbound, flash)
         completion = start + duration
-        busy_time, free_at = self._busy_time, self._free_at
+        free_at = self._free_at
         for channel in channels:
-            busy_time[channel] += duration
             free_at[channel] = completion
         self._account(request, inbound, flash)
         return completion

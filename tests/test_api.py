@@ -366,6 +366,31 @@ class TestPackageRoot:
         assert not (root / "benchmarks").exists()
         assert not (root / "BENCH_core.json").exists()
 
+    def test_removed_translation_layer_stays_removed(self):
+        """The page table keeps each tensor's location and page count, the
+        two things a result reads: the virtual address space, extents, TLB
+        and the knobs no simulated time read are gone."""
+        from dataclasses import fields
+
+        from repro import core, uvm
+        from repro.config import SSDConfig, UVMConfig
+        from repro.uvm.page_table import UnifiedPageTable
+
+        for module in ("repro.uvm.address_space", "repro.core.extents", "repro.uvm.tlb"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
+        for name in ("UnifiedAddressSpace", "VirtualRange", "PageTableEntry", "TLB"):
+            assert not hasattr(uvm, name), name
+        assert not hasattr(core, "Extent")
+        for name in ("translate", "physical_extent", "remap_flash_pages", "address_space"):
+            assert not hasattr(UnifiedPageTable, name), name
+        assert not hasattr(uvm.PageFaultModel, "translation_overhead")
+        assert {"tlb_entries", "page_walk_latency"}.isdisjoint(f.name for f in fields(UVMConfig))
+        assert "overprovisioning" not in {f.name for f in fields(SSDConfig)}
+        assert {"tlb_entries", "page_walk_latency", "overprovisioning"}.isdisjoint(
+            (*paper_config().to_dict()["uvm"], *paper_config().to_dict()["ssd"])
+        )
+
 
 class TestNumpySeeds:
     def test_numpy_integer_seed_accepted(self, bert_ci_workload):

@@ -82,11 +82,6 @@ class TestConfigMutators:
         original.with_gpu_memory(1 * GB)
         assert original.gpu.memory_bytes == 40 * GB
 
-    def test_ssd_scaled_bandwidth(self):
-        ssd = SSDConfig().scaled_bandwidth(2.0)
-        assert ssd.read_bandwidth == pytest.approx(6.4 * GB)
-        assert ssd.write_bandwidth == pytest.approx(6.0 * GB)
-
 
 class TestValidation:
     def test_negative_gpu_memory_rejected(self):
@@ -104,10 +99,6 @@ class TestValidation:
     def test_negative_ssd_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             SSDConfig(read_bandwidth=-1)
-
-    def test_bad_overprovisioning_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SSDConfig(overprovisioning=1.5)
 
     def test_negative_interconnect_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -147,7 +138,6 @@ CHECKED_FIELDS = [
     (UVMConfig, "fault_latency"),
     (UVMConfig, "software_migration_overhead"),
     (UVMConfig, "extended_uvm_overhead"),
-    (UVMConfig, "page_walk_latency"),
     (SystemConfig, "host_memory_bytes"),
     (SystemConfig, "host_bandwidth"),
 ]

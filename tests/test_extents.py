@@ -1,43 +1,23 @@
-"""Extent algebra, byte-accounted pool residency, and unified extent views.
+"""Byte-accounted pool residency and page-table page totals.
 
-The memory pools keep no extents, so their acceptance bar is behavioural
-equivalence with per-page bookkeeping: random alloc/free/migrate sequences
-must give exactly the same occupancy and residency answers as a reference
-model that tracks one record per page. The address space and page table do
-keep extents; their views must stay address-ordered and disjoint.
+Neither the memory pools nor the page table keep page runs, so their
+acceptance bar is behavioural equivalence with per-page bookkeeping: random
+alloc/free/migrate sequences must give exactly the same occupancy and
+residency answers as a reference model that tracks one record per page, and
+the page table's per-location totals must follow every placement.
 """
 
 from __future__ import annotations
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.extents import Extent
-from repro.errors import AllocationError
 from repro.uvm.memory import MemoryPool
+from repro.uvm.page_table import MemoryLocation, UnifiedPageTable
 
 PAGE = 4096
-
-
-class TestExtent:
-    def test_checked_rejects_bad_runs(self):
-        with pytest.raises(AllocationError):
-            Extent.checked(-1, 4)
-        with pytest.raises(AllocationError):
-            Extent.checked(0, 0)
-
-    def test_interval_algebra(self):
-        a, b, c = Extent(0, 4), Extent(4, 2), Extent(8, 2)
-        assert a.end_page == 4
-        assert a.adjacent_to(b) and b.adjacent_to(a)
-        assert not a.adjacent_to(c)
-        assert not a.overlaps(b)
-        assert Extent(2, 4).overlaps(a)
-        assert a.contains_page(3) and not a.contains_page(4)
-        assert list(b.pages()) == [4, 5]
 
 
 class _PerPageReference:
@@ -127,26 +107,10 @@ def test_pool_matches_per_page_reference_model(ops):
 
 
 class TestUnifiedExtentViews:
-    """Extent views of the address space and page table."""
-
-    def test_address_space_extents_are_address_ordered_and_disjoint(self):
-        from repro.uvm.address_space import UnifiedAddressSpace
-
-        space = UnifiedAddressSpace()
-        space.allocate(1, 3 * PAGE)
-        space.allocate(2, PAGE // 2)
-        assert space.extent_of(1) == Extent(0, 3)
-        assert space.extent_of(2) == Extent(3, 1)
-        pairs = space.extents()
-        assert [tid for tid, _ in pairs] == [1, 2]
-        for (_, first), (_, second) in zip(pairs, pairs[1:]):
-            assert first.end_page <= second.start_page
+    """Per-location page totals of the page table."""
 
     def test_page_table_location_page_totals(self):
-        from repro.uvm.address_space import UnifiedAddressSpace
-        from repro.uvm.page_table import MemoryLocation, UnifiedPageTable
-
-        table = UnifiedPageTable(UnifiedAddressSpace())
+        table = UnifiedPageTable()
         table.register(1, 3 * PAGE)
         table.register(2, 2 * PAGE)
         assert table.resident_pages(MemoryLocation.GPU) == 0
@@ -158,9 +122,9 @@ class TestUnifiedExtentViews:
         assert table.resident_pages(MemoryLocation.HOST) == 2
         table.unmap(1)
         assert table.resident_pages(MemoryLocation.GPU) == 0
-        # physical_extent reflects the placed run; unmapped tensors have none.
-        assert table.physical_extent(2).num_pages == 2
-        from repro.errors import TranslationError
-
-        with pytest.raises(TranslationError):
-            table.physical_extent(1)
+        assert table.location_of(1) is MemoryLocation.UNMAPPED
+        assert table.place_batch([1, 2], MemoryLocation.FLASH) == 5
+        assert table.resident_pages(MemoryLocation.HOST) == 0
+        assert table.resident_pages(MemoryLocation.FLASH) == 5
+        assert table.resident_tensors(MemoryLocation.FLASH) == [1, 2]
+        assert table.pte_updates == 3 + 2 + 2 + 5

@@ -54,13 +54,13 @@ def test_golden(experiment, golden_runner, update_goldens):
 
 
 def test_goldens_are_committed_for_every_experiment():
-    """A new experiment must ship its golden in the same PR."""
-    missing = [
-        artifact_name(e.id)
-        for e in EXPERIMENTS
-        if not (GOLDEN_DIR / f"{artifact_name(e.id)}.json").exists()
-    ]
-    assert not missing, f"experiments without goldens: {missing}"
+    """A new experiment must ship its golden in the same PR, and a removed
+    one must take its golden with it: perfbench compares every ``*.json``
+    under ``tests/golden/`` with a rendered report, so an orphan fails there."""
+    expected = {f"{artifact_name(e.id)}.json" for e in EXPERIMENTS}
+    committed = {path.name for path in GOLDEN_DIR.glob("*.json")}
+    assert not expected - committed, f"experiments without goldens: {sorted(expected - committed)}"
+    assert not committed - expected, f"goldens without experiments: {sorted(committed - expected)}"
 
 
 def test_golden_serialization_is_deterministic(golden_runner):

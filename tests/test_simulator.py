@@ -33,7 +33,6 @@ class TestEventQueue:
         queue.schedule(1.0, "a")
         queue.schedule(3.0, "c")
         assert [queue.pop().kind for _ in range(3)] == ["a", "b", "c"]
-        assert queue.now == 3.0
 
     def test_ties_break_fifo(self):
         queue = EventQueue()
@@ -82,19 +81,6 @@ class TestEventQueue:
         assert [queue.pop().kind for _ in range(5)] == [
             "early", "a1", "a1-again", "b1", "b2",
         ]
-
-    def test_peek_time_is_the_earliest_pending_time(self):
-        queue = EventQueue()
-        assert queue.peek_time() is None
-        queue.schedule(3.0, "c")
-        queue.schedule(1.0, "a")
-        assert queue.peek_time() == 1.0
-        queue.pop()
-        assert queue.peek_time() == 3.0
-        queue.schedule(2.0, "b")
-        assert queue.peek_time() == 2.0
-        assert [e.kind for e in queue.pop_until(10.0)] == ["b", "c"]
-        assert queue.peek_time() is None
 
     def test_payloads_are_never_compared(self):
         # Same time and priority: the sequence number decides, so payloads

@@ -51,15 +51,24 @@ class TestFlashBlock:
 
 
 class TestGeometry:
-    def test_from_config_matches_capacity_order(self):
-        config = small_ssd_config()
-        geometry = FlashGeometry.from_config(config)
-        assert geometry.capacity_bytes >= config.capacity_bytes * 0.5
-        assert geometry.total_blocks == geometry.channels * geometry.blocks_per_channel
-
     def test_invalid_geometry_rejected(self):
         with pytest.raises(SSDError):
             FlashGeometry(channels=0, blocks_per_channel=1, pages_per_block=1, page_size=1)
+
+    @pytest.mark.parametrize(
+        "config", [small_ssd_config(), SSDConfig()], ids=["small", "paper"]
+    )
+    def test_device_geometry_rounds_capacity_down_to_whole_blocks(self, config):
+        geometry = SSDDevice(config).geometry
+        assert geometry.channels == config.channels
+        assert geometry.pages_per_block == config.pages_per_block
+        assert geometry.page_size % config.flash_page_size == 0
+        assert geometry.total_blocks == geometry.channels * geometry.blocks_per_channel
+        # Every channel holds the same whole number of blocks, so the device
+        # loses less than one block per channel to rounding.
+        one_block_per_channel = geometry.channels * geometry.pages_per_block * geometry.page_size
+        assert config.capacity_bytes - one_block_per_channel < geometry.capacity_bytes
+        assert geometry.capacity_bytes <= config.capacity_bytes
 
 
 class TestFTL:

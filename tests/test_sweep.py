@@ -368,6 +368,41 @@ class TestConfigPatch:
         assert ConfigPatch.from_dict(patch.to_dict()) == patch
         assert ConfigPatch.from_dict({}) == ConfigPatch()
 
+    def test_fields_are_canonical_at_construction(self):
+        patch = ConfigPatch(
+            host_memory_bytes=16e9,
+            gpu_memory_bytes=np.float64(8 * GB),
+            interconnect_bandwidth=32 * GB,
+            ssd_read_bandwidth=np.int64(GB),
+            ssd_write_bandwidth=2.5 * GB,
+        )
+        assert patch == ConfigPatch(
+            host_memory_bytes=16 * 10**9,
+            gpu_memory_bytes=8 * GB,
+            interconnect_bandwidth=32.0 * GB,
+            ssd_read_bandwidth=float(GB),
+            ssd_write_bandwidth=2.5 * GB,
+        )
+        assert [type(value) for value in patch.__dict__.values()] == [int, int, float, float, float]
+        assert dataclasses.replace(patch, host_memory_bytes=1.5e9).host_memory_bytes == 1_500_000_000
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("host_memory_bytes", "1e9"),
+            ("gpu_memory_bytes", True),
+            ("gpu_memory_bytes", math.nan),
+            ("host_memory_bytes", math.inf),
+            ("interconnect_bandwidth", "32"),
+            ("ssd_read_bandwidth", False),
+        ],
+        ids=["bytes-string", "bytes-bool", "bytes-nan", "bytes-inf", "bandwidth-string",
+             "bandwidth-bool"],
+    )
+    def test_a_value_that_is_not_a_number_is_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            ConfigPatch(**{field: value})
+
     def test_write_bandwidth_alone_keeps_read_bandwidth(self):
         base = default_config("bert", "ci")
         config = ConfigPatch(ssd_write_bandwidth=1.5 * GB).apply(base)
@@ -421,6 +456,27 @@ class TestConfigPatchAxes:
         assert patched.cache_key() != plain.cache_key()
 
 
+#: Each field that canonicalization makes one type, with whole values that
+#: float64 spells exactly.
+SPELLED_FIELDS = {
+    "batch_size": st.integers(1, 2**20),
+    "seed": st.integers(0, 2**31),
+    "host_memory_bytes": st.integers(0, 2**45),
+    "gpu_memory_bytes": st.integers(1, 2**45),
+    "interconnect_bandwidth": st.integers(1, 2**45),
+    "ssd_read_bandwidth": st.integers(1, 2**45),
+    "ssd_write_bandwidth": st.integers(1, 2**45),
+}
+
+
+def _spelled_cell(field: str, value) -> SweepCell:
+    """A noisy CI cell (so the seed counts) with one field set to ``value``."""
+    cell = SweepCell(model="bert", policy="g10", scale="ci", profiling_error=0.1)
+    if field in ("batch_size", "seed"):
+        return dataclasses.replace(cell, **{field: value})
+    return dataclasses.replace(cell, patch=ConfigPatch(**{field: value}))
+
+
 class TestSweepCell:
     def test_resolution_fills_defaults(self):
         cell = SweepCell(model="BERT", policy="g10", scale="ci").resolved()
@@ -440,6 +496,39 @@ class TestSweepCell:
         resolved = spelled.resolved().profiling_error
         assert type(resolved) is float and str(resolved) == "0.0"
         assert spelled.cache_key() == cell.cache_key()
+
+    @given(field=st.sampled_from(sorted(SPELLED_FIELDS)), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_spellings_share_one_key_and_one_memo_entry(self, field, data):
+        """An int, a float and the numpy spellings of one value make equal
+        cells, so they get one cache key, and a runner keys them once."""
+        value = data.draw(SPELLED_FIELDS[field])
+        cells = [
+            _spelled_cell(field, spelling)
+            for spelling in (value, float(value), np.int64(value), np.float64(value))
+        ]
+        assert all(cell == cells[0] for cell in cells)
+        real_key, keyed = SweepCell.cache_key, []
+
+        def recording_key(cell):
+            keyed.append(cell)
+            return real_key(cell)
+
+        runner = SweepRunner()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SweepCell, "cache_key", recording_key)
+            memoized = {runner.cache_key(cell) for cell in cells}
+        assert len(keyed) == 1
+        assert {cell.cache_key() for cell in cells} == memoized
+
+    @pytest.mark.parametrize(
+        "batch", [8.5, math.nan, math.inf, True, "8"],
+        ids=["fractional", "nan", "inf", "bool", "string"],
+    )
+    def test_a_batch_size_that_is_not_whole_is_rejected(self, batch):
+        cell = SweepCell(model="bert", policy="g10", scale="ci", batch_size=batch)
+        with pytest.raises(ConfigurationError, match="whole number"):
+            cell.cache_key()
 
     def test_cache_key_is_stable_and_sensitive(self):
         cell = SweepCell(model="bert", policy="g10", scale="ci")

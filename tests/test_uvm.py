@@ -1,4 +1,4 @@
-"""Tests for the unified memory substrate: address space, page table, pools, engine."""
+"""Tests for the unified memory substrate: page table, pools, fault model, engine."""
 
 import math
 import pickle
@@ -18,146 +18,132 @@ from repro.uvm import (
     MigrationKind,
     MigrationRequest,
     PageFaultModel,
-    TLB,
-    UnifiedAddressSpace,
     UnifiedPageTable,
 )
 from repro.sim.policy import MigrationDecision
 from repro.sim.results import KernelTiming
-from repro.uvm.address_space import VirtualRange
+
+_PLACEABLE = (MemoryLocation.GPU, MemoryLocation.HOST, MemoryLocation.FLASH)
 
 
-class TestAddressSpace:
-    def test_allocation_is_page_aligned_and_disjoint(self):
-        space = UnifiedAddressSpace()
-        a = space.allocate(1, 10_000)
-        b = space.allocate(2, 5_000)
-        assert a.start % 4096 == 0 and b.start % 4096 == 0
-        assert a.end <= b.start
+class TestPageTable:
+    def test_register_is_idempotent(self):
+        table = UnifiedPageTable()
+        assert 1 not in table
+        assert table.register(1, 4096) == table.register(1, 3 * 4096) == 1
+        assert 1 in table
+        table.place(1, MemoryLocation.HOST)
+        table.register(1, 4096)
+        assert table.location_of(1) is MemoryLocation.HOST
+        assert table.resident_pages(MemoryLocation.HOST) == 1
 
-    def test_allocation_is_idempotent(self):
-        space = UnifiedAddressSpace()
-        assert space.allocate(1, 4096) == space.allocate(1, 4096)
-
-    def test_reverse_lookup(self):
-        space = UnifiedAddressSpace()
-        vrange = space.allocate(7, 20_000)
-        assert space.tensor_at(vrange.start) == 7
-        assert space.tensor_at(vrange.end - 1) == 7
-        with pytest.raises(TranslationError):
-            space.tensor_at(vrange.end + 4096 * 10)
-
-    def test_zero_size_rejected(self):
+    @pytest.mark.parametrize("size", [0, -1, -4096])
+    def test_non_positive_size_rejected(self, size):
+        table = UnifiedPageTable()
         with pytest.raises(AllocationError):
-            UnifiedAddressSpace().allocate(1, 0)
-
-    @given(sizes=st.lists(st.integers(min_value=1, max_value=10 * MB), min_size=1, max_size=20))
-    @settings(max_examples=30, deadline=None)
-    def test_ranges_never_overlap(self, sizes):
-        space = UnifiedAddressSpace()
-        ranges = [space.allocate(i, size) for i, size in enumerate(sizes)]
-        for first, second in zip(ranges, ranges[1:]):
-            assert first.end <= second.start
-        assert space.total_mapped_bytes >= sum(sizes)
+            table.register(1, size)
+        assert 1 not in table
 
     @given(
-        first_page=st.integers(0, 1 << 20),
         size=st.integers(1, 64 * 4096),
         page_size=st.sampled_from([512, 4096, 65536]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_range_page_arithmetic(self, first_page, size, page_size):
-        vrange = VirtualRange(first_page * page_size, size, page_size)
-        assert vrange.first_page == first_page
-        assert vrange.num_pages == math.ceil(size / page_size)
-        assert vrange.end == (first_page + vrange.num_pages) * page_size
-        assert vrange.end - vrange.start >= size > vrange.end - vrange.start - page_size
-        assert list(vrange.pages()) == list(range(first_page, first_page + vrange.num_pages))
-
-    def test_range_identity_is_its_declared_fields(self):
-        a = VirtualRange(8192, 5000)
-        b = VirtualRange(8192, 5000)
-        assert a == b and hash(a) == hash(b)
-        assert a != VirtualRange(8192, 9000)
-        assert repr(a) == "VirtualRange(start=8192, size_bytes=5000, page_size=4096)"
-        grown = replace(a, size_bytes=9000)
-        assert (grown.num_pages, grown.end) == (3, 8192 + 3 * 4096)
-        with pytest.raises(FrozenInstanceError):
-            a.num_pages = 7
-
-
-class TestPageTable:
-    def _table(self) -> UnifiedPageTable:
-        return UnifiedPageTable(UnifiedAddressSpace())
-
-    def test_place_and_translate(self):
-        table = self._table()
-        vrange = table.register(1, 3 * 4096)
-        table.place(1, MemoryLocation.GPU)
-        entry = table.translate(vrange.start + 4096)
-        assert entry.location is MemoryLocation.GPU
-        assert entry.is_resident_on_gpu
-
-    def test_unmapped_translation_rejected(self):
-        table = self._table()
-        vrange = table.register(1, 4096)
-        with pytest.raises(TranslationError):
-            table.translate(vrange.start)
+    def test_page_count_is_the_ceiling_of_size_over_page_size(self, size, page_size):
+        table = UnifiedPageTable(page_size)
+        num_pages = table.register(7, size)
+        assert num_pages == math.ceil(size / page_size)
+        assert num_pages * page_size >= size > (num_pages - 1) * page_size
+        assert table.place(7, MemoryLocation.GPU) == num_pages
+        assert table.resident_pages(MemoryLocation.GPU) == table.pte_updates == num_pages
 
     def test_location_transitions(self):
-        table = self._table()
+        table = UnifiedPageTable()
         table.register(1, 4096)
+        assert table.location_of(1) is MemoryLocation.UNMAPPED
         for location in (MemoryLocation.GPU, MemoryLocation.HOST, MemoryLocation.FLASH):
             table.place(1, location)
             assert table.location_of(1) is location
-        assert not table.is_resident(1)
+            assert table.resident_tensors(location) == [1]
 
     def test_pte_update_count_tracks_pages(self):
-        table = self._table()
+        table = UnifiedPageTable()
         table.register(1, 10 * 4096)
         updated = table.place(1, MemoryLocation.GPU)
         assert updated == 10
         assert table.pte_updates == 10
-
-    def test_gc_remap_requires_flash_residency(self):
-        table = self._table()
-        table.register(1, 4096)
-        table.place(1, MemoryLocation.GPU)
-        with pytest.raises(TranslationError):
-            table.remap_flash_pages(1, new_base=100)
-        table.place(1, MemoryLocation.FLASH)
-        assert table.remap_flash_pages(1, new_base=100) == 1
 
     def test_ssd_alias_is_flash(self):
         assert MemoryLocation.SSD is MemoryLocation.FLASH
 
     def test_unregistered_tensor_rejected(self):
         with pytest.raises(TranslationError):
-            self._table().place(5, MemoryLocation.GPU)
+            UnifiedPageTable().place(5, MemoryLocation.GPU)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda table: table.location_of(5),
+            lambda table: table.place_batch([5], MemoryLocation.GPU),
+            lambda table: table.unmap(5),
+        ],
+        ids=["location_of", "place_batch", "unmap"],
+    )
+    def test_unregistered_tensor_rejected_by_every_lookup(self, call):
+        table = UnifiedPageTable()
+        table.register(1, 4096)
+        with pytest.raises(TranslationError):
+            call(table)
+        assert 5 not in table
+        assert table.pte_updates == 0
+        assert table.resident_pages(MemoryLocation.GPU) == 0
 
-class TestTLB:
-    def test_hit_after_miss(self):
-        tlb = TLB(entries=4)
-        assert tlb.access(1) is False
-        assert tlb.access(1) is True
-        assert tlb.hits == 1 and tlb.misses == 1
+    def test_unmap_releases_pages_and_keeps_the_registration(self):
+        table = UnifiedPageTable()
+        table.register(1, 3 * 4096)
+        table.register(2, 4096)
+        assert table.place_batch([1, 2], MemoryLocation.HOST) == 4
+        table.unmap(1)
+        assert 1 in table
+        assert table.location_of(1) is MemoryLocation.UNMAPPED
+        assert table.resident_tensors(MemoryLocation.HOST) == [2]
+        assert table.resident_pages(MemoryLocation.HOST) == 1
+        table.unmap(1)  # already unmapped: nothing left to release
+        assert table.resident_pages(MemoryLocation.HOST) == 1
+        # Unmapping charges no PTE update; placing again charges every page.
+        assert table.pte_updates == 4
+        assert table.place(1, MemoryLocation.GPU) == 3
+        assert table.pte_updates == 7
 
-    def test_lru_eviction(self):
-        tlb = TLB(entries=2)
-        tlb.access(1)
-        tlb.access(2)
-        tlb.access(3)  # evicts 1
-        assert tlb.access(1) is False
-
-    def test_invalidate_and_flush(self):
-        tlb = TLB(entries=4)
-        tlb.access(1)
-        tlb.invalidate(1)
-        assert tlb.access(1) is False
-        tlb.flush()
-        assert tlb.access(1) is False
-        assert 0.0 <= tlb.hit_rate <= 1.0
+    @given(
+        tensors=st.lists(
+            st.tuples(st.integers(1, 8 * 4096), st.sampled_from((None,) + _PLACEABLE)),
+            min_size=1,
+            max_size=8,
+        ),
+        target=st.sampled_from(_PLACEABLE),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_place_batch_equals_the_sequence_of_places(self, tensors, target, data):
+        batch = data.draw(st.lists(st.sampled_from(range(len(tensors))), unique=True))
+        batched, sequential = UnifiedPageTable(), UnifiedPageTable()
+        for table in (batched, sequential):
+            for tensor_id, (size, initial) in enumerate(tensors):
+                table.register(tensor_id, size)
+                if initial is not None:
+                    table.place(tensor_id, initial)
+        moved = batched.place_batch(batch, target)
+        assert moved == sum(sequential.place(tensor_id, target) for tensor_id in batch)
+        assert batched.pte_updates == sequential.pte_updates
+        for location in _PLACEABLE + (MemoryLocation.UNMAPPED,):
+            residents = batched.resident_tensors(location)
+            assert residents == sequential.resident_tensors(location)
+            if location is not MemoryLocation.UNMAPPED:
+                # The incremental total equals a scan over the residents.
+                assert batched.resident_pages(location) == sum(
+                    batched.register(tensor_id, 1) for tensor_id in residents
+                )
 
 
 class TestMemoryPool:
@@ -231,10 +217,6 @@ class TestFaultModel:
         assert model.fault_overhead(config.fault_batch_bytes * 3) == pytest.approx(
             3 * config.fault_latency
         )
-
-    def test_translation_overhead(self):
-        model = PageFaultModel(UVMConfig())
-        assert model.translation_overhead(10, 4) == pytest.approx(4 * UVMConfig().page_walk_latency)
 
 
 class TestMigrationEngine:
@@ -378,7 +360,6 @@ class TestPerMigrationObjects:
             MigrationRequest(3, 4096, MemoryLocation.HOST, MemoryLocation.GPU, MigrationKind.PREFETCH),
             MigrationDecision(3, MemoryLocation.HOST),
             KernelTiming(index=2, ideal_duration=1.5, stall=0.25, start_time=4.0),
-            VirtualRange(8192, 5000),
         ],
         ids=lambda record: type(record).__name__,
     )
