@@ -44,7 +44,7 @@ def main() -> None:
     for model in results:
         outcome = Scenario(model, scale=scale).on_policy("g10").run(runner=runner)
         breakdown = traffic_breakdown(outcome.result)
-        estimate = estimate_ssd_lifetime(outcome.result, outcome.scenario.cell().config().ssd)
+        estimate = estimate_ssd_lifetime(outcome.result, outcome.scenario.config().ssd)
         lifetime_rows.append(
             {
                 "model": model,

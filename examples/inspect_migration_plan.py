@@ -11,13 +11,13 @@ Run with:  python examples/inspect_migration_plan.py
 
 from collections import Counter
 
-from repro import Scenario
 from repro.core import MigrationPlanner, instrument_program
 from repro.core.plan import MigrationDestination
+from repro.experiments import build_workload
 
 
 def main() -> None:
-    workload = Scenario("resnet152", scale="ci").session().workload
+    workload = build_workload("resnet152", scale="ci")
     report = workload.report
 
     print(f"Workload: {workload.graph.name}")

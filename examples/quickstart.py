@@ -14,18 +14,18 @@ Run with:  python examples/quickstart.py
 
 from repro import Scenario, TraceRecorder
 from repro.core import MigrationPlanner
+from repro.experiments import build_workload
 
 
 def main() -> None:
     # CI scale keeps the run under a second while preserving the paper's
     # memory-pressure regime; use .at_scale("paper") for the full workloads.
     scenario = Scenario("bert", scale="ci")
-    session = scenario.session()
-    workload = session.workload
+    workload = build_workload(scenario.model, scale=scenario.scale)
     print(f"Workload: {workload.graph.name}")
     print(f"  kernels per iteration : {workload.graph.num_kernels}")
     print(f"  peak memory footprint : {100 * workload.memory_footprint_ratio:.0f}% of GPU memory")
-    print(f"  config fingerprint    : {session.config_fingerprint()[:12]}")
+    print(f"  config fingerprint    : {scenario.config().fingerprint()[:12]}")
 
     planner = MigrationPlanner(workload.config)
     planning = planner.plan_from_report(workload.report)

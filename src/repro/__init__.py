@@ -16,7 +16,7 @@ Quickstart::
     outcome = Scenario("bert", scale="ci").on_policy("g10").run()
     print(outcome.normalized_performance)
 
-Scenarios compose fluently and resolve lazily into executable sessions::
+Scenarios compose fluently; each one is also a cell of the sweep grid::
 
     base = Scenario("bert").with_batch_size(128).with_gpu_memory(10 * GB)
     for policy in ("base_uvm", "deepum", "g10"):
@@ -38,7 +38,7 @@ from .config import (
     paper_config,
 )
 from .core import MigrationPlanner, TensorVitalityAnalyzer
-from .api import Scenario, Session, SessionResult
+from .api import Scenario, SessionResult
 from .registry import (
     EXPERIMENT_REGISTRY,
     MODEL_REGISTRY,
@@ -82,7 +82,6 @@ __all__ = [
     "MigrationPlanner",
     "TensorVitalityAnalyzer",
     "Scenario",
-    "Session",
     "SessionResult",
     "Registry",
     "POLICY_REGISTRY",

@@ -217,7 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(format_table([result.summary()]))
     if args.output:
         payload = {
-            "cell": scenario.cell().to_dict(),
+            "cell": outcome.scenario.to_dict(),
             "result": result.to_dict(),
             "provenance": {
                 "config_fingerprint": outcome.config_fingerprint,

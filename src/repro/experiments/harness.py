@@ -153,6 +153,14 @@ def build_workload(
     return workload
 
 
+def _is_whole(value: object) -> bool:
+    """True for an integer, or a real number with no fractional part."""
+    return not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, numbers.Real) and float(value).is_integer())
+    )
+
+
 def canonicalize_cell_fields(
     model: str,
     policy: str | None,
@@ -161,22 +169,27 @@ def canonicalize_cell_fields(
     profiling_error: float,
     seed: int,
 ) -> dict:
-    """The single canonicalization rule shared by ``SweepCell.resolved()``
-    and ``Scenario.resolved()``.
+    """The validation and canonicalization rule of ``Scenario.resolved()``.
 
-    Normalizes the model and policy names through the registries, resolves
+    Rejects a scale other than ``"paper"`` or ``"ci"``, profiling noise that
+    :func:`validate_noise` rejects, and a batch size or seed that is not a
+    whole number, with :class:`~repro.errors.ConfigurationError`. Then
+    normalizes the model and policy names through the registries, resolves
     the effective batch size as a plain int, makes the profiling error a
     plain float, and zeroes the (otherwise unused) seed when no profiling
-    noise is applied — one implementation, so sweep cache keys can never
-    drift from what a session actually executes. A batch size that is not a
-    whole number raises :class:`~repro.errors.ConfigurationError`.
+    noise is applied — one implementation, so a cache key can never drift
+    from what a run actually executes.
     """
+    if scale not in ("paper", "ci"):
+        raise ConfigurationError(
+            f"unknown workload scale {scale!r}; expected 'paper' or 'ci'"
+        )
+    if not _is_whole(seed):
+        raise ConfigurationError(f"seed must be an integer in [0, {MAX_SEED}], got {seed!r}")
+    validate_noise(profiling_error, int(seed))
     model = normalize_model_name(model)
     batch = resolve_batch_size(model, scale, batch_size)
-    if isinstance(batch, bool) or not (
-        isinstance(batch, numbers.Integral)
-        or (isinstance(batch, numbers.Real) and float(batch).is_integer())
-    ):
+    if not _is_whole(batch):
         raise ConfigurationError(f"batch size must be a whole number, got {batch_size!r}")
     return {
         "model": model,
@@ -187,8 +200,8 @@ def canonicalize_cell_fields(
         # A plain float, with -0.0 folded to 0.0 by ``+ 0.0``: 0, 0.0 and
         # -0.0 are one cell and must share one cache key.
         "profiling_error": float(profiling_error) + 0.0,
-        # int() keeps numpy seeds (np.int64 from a seed sweep) JSON-safe for
-        # cell serialization and the cache key.
+        # int() keeps numpy and whole float seeds JSON-safe for cell
+        # serialization and the cache key.
         "seed": int(seed) if profiling_error > 0 else 0,
     }
 

@@ -3,9 +3,10 @@
 The paper's evaluation is a grid of (model x policy x batch x system-config x
 profiling-error) cells. This module turns that grid into data:
 
-* :class:`SweepCell` — one simulation (or, with ``policy=None``, one workload
-  characterization) described entirely by values, so it can be hashed,
-  shipped to a worker process, and cached on disk;
+* :class:`Scenario` (also exported as ``SweepCell``) — one simulation (or,
+  with ``policy=None``, one workload characterization) described entirely by
+  values, so it can be hashed, shipped to a worker process, cached on disk,
+  or run directly with :meth:`Scenario.run`;
 * :class:`ConfigPatch` — a declarative override of the cell's default
   :class:`~repro.config.SystemConfig` (the Figures 16-18 sensitivity axes);
 * :class:`SweepSpec` — a named, ordered collection of cells with a grid
@@ -30,20 +31,21 @@ import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from ..analysis.characterization import CharacterizationResult, characterize_workload
 from ..config import SystemConfig, whole_bytes
 from ..errors import ConfigurationError
-from ..registry import load_plugins
+from ..registry import POLICY_REGISTRY, load_plugins
 from ..sim import SimulationResult
+from ..sim.observer import SimObserver
 from .cache import CACHE_SCHEMA_VERSION, ResultCache
-from .harness import build_workload, canonicalize_cell_fields, default_config
+from .harness import build_workload, canonicalize_cell_fields, default_config, run_policy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api import Scenario
+    from .tenancy import ArrivalProcess, MultiTenantScenario
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,20 @@ class ConfigPatch:
 
 
 @dataclass(frozen=True)
-class SweepCell:
+class Scenario:
     """One point of an experiment grid, described entirely by values.
 
+    Construct with keywords or chain the fluent setters; each setter returns
+    a new scenario, so partial scenarios compose::
+
+        base = Scenario("vit", scale="ci")
+        results = {name: base.on_policy(name).run() for name in ("base_uvm", "g10")}
+
+    ``batch_size=None`` resolves to the model's registered Figure 11 default
+    (scaled for CI workloads), and the system configuration is the paper's
+    Table 2 at the chosen scale with ``patch`` applied on top.
     ``policy=None`` marks a characterization cell (the §3 figures): the
-    workload is built and analyzed but no policy is simulated.
+    sweep runner builds and analyzes the workload but simulates no policy.
     """
 
     model: str
@@ -116,11 +127,58 @@ class SweepCell:
     profiling_error: float = 0.0
     seed: int = 0
 
-    def resolved(self) -> "SweepCell":
-        """Canonical form: normalized model and policy names, explicit batch,
-        seed zeroed when no profiling noise is applied (the seed is unused
-        then). Alias spellings ("G10+Host", "uvm") share the canonical
-        cell's cache key, so they deduplicate and resume together."""
+    # -- fluent construction ---------------------------------------------------
+
+    def on_policy(self, policy: str) -> "Scenario":
+        """A copy simulated under a different registered policy."""
+        return replace(self, policy=policy)
+
+    def with_batch_size(self, batch_size: int | None) -> "Scenario":
+        """A copy at an explicit batch size (``None`` restores the default)."""
+        return replace(self, batch_size=batch_size)
+
+    def at_scale(self, scale: str) -> "Scenario":
+        """A copy at ``"paper"`` or ``"ci"`` scale."""
+        return replace(self, scale=scale)
+
+    def with_profiling_error(self, error: float, seed: int | None = None) -> "Scenario":
+        """A copy whose policy plans from noisy kernel durations (§7.6)."""
+        return replace(self, profiling_error=error, seed=self.seed if seed is None else seed)
+
+    def _patched(self, **changes: Any) -> "Scenario":
+        return replace(self, patch=replace(self.patch, **changes))
+
+    def with_gpu_memory(self, nbytes: int) -> "Scenario":
+        """A copy with a different GPU memory capacity (bytes)."""
+        return self._patched(gpu_memory_bytes=whole_bytes(nbytes, "GPU memory"))
+
+    def with_host_memory(self, nbytes: int) -> "Scenario":
+        """A copy with a different host DRAM capacity (Figures 16/17)."""
+        return self._patched(host_memory_bytes=whole_bytes(nbytes, "host memory"))
+
+    def with_ssd_bandwidth(self, read_bw: float, write_bw: float | None = None) -> "Scenario":
+        """A copy with a different SSD bandwidth (Figure 18); write bandwidth
+        scales proportionally when omitted."""
+        return self._patched(ssd_read_bandwidth=read_bw, ssd_write_bandwidth=write_bw)
+
+    def with_interconnect_bandwidth(self, bandwidth: float) -> "Scenario":
+        """A copy with a different PCIe bandwidth."""
+        return self._patched(interconnect_bandwidth=bandwidth)
+
+    # -- resolution ------------------------------------------------------------
+
+    def resolved(self) -> "Scenario":
+        """Canonical, validated form: normalized model and policy names, an
+        explicit batch size, and the seed zeroed when no profiling noise is
+        applied (the seed is unused then). Alias spellings ("G10+Host",
+        "uvm") share the canonical cell's cache key, so they deduplicate and
+        resume together.
+
+        Raises :class:`~repro.errors.ConfigurationError` (or
+        :class:`~repro.errors.ModelError`) for unknown names, a scale
+        outside ``{"paper", "ci"}``, a profiling error outside ``[0, 1)``,
+        or a seed or batch size that is not a whole number in range.
+        """
         return replace(
             self,
             **canonicalize_cell_fields(
@@ -132,24 +190,6 @@ class SweepCell:
     def config(self) -> SystemConfig:
         """The exact system configuration this cell simulates."""
         return self.patch.apply(default_config(self.model, self.scale))
-
-    def scenario(self) -> "Scenario":
-        """This cell as a :class:`~repro.api.Scenario` (simulation cells only)."""
-        from ..api import Scenario
-
-        if self.policy is None:
-            raise ConfigurationError(
-                f"characterization cell {self} has no policy to build a scenario from"
-            )
-        return Scenario(
-            model=self.model,
-            policy=self.policy,
-            batch_size=self.batch_size,
-            scale=self.scale,
-            patch=self.patch,
-            profiling_error=self.profiling_error,
-            seed=self.seed,
-        )
 
     def cache_key(self) -> str:
         """Content hash over everything the cell's result depends on.
@@ -191,7 +231,7 @@ class SweepCell:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SweepCell":
+    def from_dict(cls, data: dict) -> "Scenario":
         return cls(
             model=data["model"],
             policy=data["policy"],
@@ -202,13 +242,144 @@ class SweepCell:
             seed=data.get("seed", 0),
         )
 
+    # -- execution -------------------------------------------------------------
+
+    def run(
+        self,
+        observers: Sequence[SimObserver] = (),
+        runner: SweepRunner | None = None,
+    ) -> "SessionResult":
+        """Simulate this scenario and return its result with provenance.
+
+        Without a ``runner`` the simulation executes in-process (and
+        ``observers`` receive kernel/migration events). With a
+        :class:`SweepRunner` the run goes through the runner's cache and
+        process pool instead — bit-identical results, but observers cannot
+        cross the cache/process boundary and are rejected.
+        """
+        cell = self.resolved()
+        if cell.policy is None:
+            raise ConfigurationError(f"characterization cell {cell} has no policy to run")
+        config = cell.config()
+        if runner is None:
+            result = run_policy(
+                build_workload(cell.model, cell.batch_size, cell.scale),
+                cell.policy,
+                config=config,
+                profiling_error=cell.profiling_error,
+                seed=cell.seed,
+                observers=tuple(observers),
+            )
+            cached, cache_key = False, cell.cache_key()
+        else:
+            if observers:
+                raise ConfigurationError(
+                    "observers require in-process execution; drop the runner "
+                    "or the observers"
+                )
+            out = runner.run_one(cell)
+            result, cached, cache_key = out.result, out.cached, runner.cache_key(cell)
+        return SessionResult(
+            scenario=cell,
+            result=result,
+            config_fingerprint=config.fingerprint(),
+            cache_key=cache_key,
+            policy=POLICY_REGISTRY.describe(cell.policy),
+            cached=cached,
+        )
+
+    def colocated_with(
+        self,
+        *others: "Scenario",
+        name: str = "t0",
+        arrivals: "ArrivalProcess | None" = None,
+    ) -> "MultiTenantScenario":
+        """Compose this scenario with others into a multi-tenant scenario.
+
+        Returns an immutable
+        :class:`~repro.experiments.tenancy.MultiTenantScenario` where this
+        scenario is tenant ``name`` and each other scenario becomes tenant
+        ``t1``, ``t2``, ... — extend further with ``with_tenant(...)`` for
+        custom names or per-tenant arrival processes. ``arrivals`` (an
+        :class:`~repro.experiments.tenancy.ArrivalProcess`) applies to every
+        tenant created here; the default is a single request at time zero.
+        """
+        from .tenancy import ArrivalProcess, MultiTenantScenario, Tenant
+
+        process = arrivals if arrivals is not None else ArrivalProcess.trace((0.0,))
+        if not isinstance(process, ArrivalProcess):
+            raise ConfigurationError("arrivals must be an ArrivalProcess")
+        tenants = [Tenant(name=name, scenario=self, arrivals=process)]
+        for index, scenario in enumerate(others, start=1):
+            if not isinstance(scenario, Scenario):
+                raise ConfigurationError(
+                    f"colocated_with takes Scenario instances, got {type(scenario).__name__}"
+                )
+            tenants.append(
+                Tenant(name=f"t{index}", scenario=scenario, arrivals=process)
+            )
+        return MultiTenantScenario(tuple(tenants))
+
+
+#: The name the sweep layer's specs and figures use for a :class:`Scenario`.
+SweepCell = Scenario
+
+
+@dataclass(frozen=True)
+class SessionResult:
+    """A simulation result plus the provenance of how it was produced.
+
+    Attribute access falls through to the wrapped
+    :class:`~repro.sim.results.SimulationResult`, so
+    ``outcome.normalized_performance`` works directly on a session result.
+    """
+
+    #: The resolved scenario that produced this result.
+    scenario: Scenario
+    #: The raw simulation result (bit-identical to a ``run_policy`` call).
+    result: SimulationResult
+    #: Content hash of the exact :class:`~repro.config.SystemConfig` simulated.
+    config_fingerprint: str
+    #: Sweep-cache content key of :attr:`scenario`.
+    cache_key: str
+    #: Registered metadata of the policy (name, aliases, display, description).
+    policy: Mapping[str, Any]
+    #: True when the result was served from a runner's on-disk cache.
+    cached: bool = False
+
+    def __getattr__(self, item: str) -> Any:
+        # Only called for names not found on SessionResult itself. Guard the
+        # delegation target so a partially initialised instance (pickling,
+        # copy) raises AttributeError instead of recursing.
+        if item.startswith("_") or item == "result":
+            raise AttributeError(item)
+        return getattr(self.result, item)
+
+    def summary(self) -> dict[str, Any]:
+        """The result summary augmented with provenance columns."""
+        summary = dict(self.result.summary())
+        summary["config_fingerprint"] = self.config_fingerprint[:12]
+        summary["cache_key"] = self.cache_key[:12]
+        return summary
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-safe dump: result payload plus full provenance."""
+        return {
+            "scenario": self.scenario.to_dict(),
+            "result": self.result.to_dict(),
+            "config_fingerprint": self.config_fingerprint,
+            "cache_key": self.cache_key,
+            "policy": dict(self.policy),
+            "cached": self.cached,
+        }
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     """A named, ordered collection of sweep cells."""
 
     name: str
-    cells: tuple[SweepCell, ...]
+    cells: tuple[Scenario, ...]
 
     @classmethod
     def grid(
@@ -228,7 +399,7 @@ class SweepSpec:
         therefore a per-process workload memo entry).
         """
         cells = tuple(
-            SweepCell(
+            Scenario(
                 model=model,
                 policy=policy,
                 batch_size=batch,
@@ -249,7 +420,7 @@ class PlanEntry:
     """One spec cell in a :class:`SweepPlan`: its key and whether the cache
     already holds its result."""
 
-    cell: SweepCell
+    cell: Scenario
     key: str
     cached: bool
 
@@ -270,9 +441,9 @@ class SweepPlan:
     @classmethod
     def build(
         cls,
-        spec: SweepSpec | Iterable[SweepCell],
+        spec: SweepSpec | Iterable[Scenario],
         cache: ResultCache | None = None,
-        key: Callable[[SweepCell], str] = SweepCell.cache_key,
+        key: Callable[[Scenario], str] = Scenario.cache_key,
     ) -> "SweepPlan":
         name = spec.name if isinstance(spec, SweepSpec) else "cells"
         cells = list(spec.cells if isinstance(spec, SweepSpec) else spec)
@@ -301,7 +472,7 @@ class SweepPlan:
 class CellResult:
     """One executed (or cache-served) cell plus its raw JSON-safe payload."""
 
-    cell: SweepCell
+    cell: Scenario
     payload: dict
     cached: bool = False
 
@@ -336,7 +507,7 @@ class CellResult:
         )
 
 
-def execute_cell(cell: SweepCell) -> dict:
+def execute_cell(cell: Scenario) -> dict:
     """Run one cell to a JSON-safe payload (the worker-process entry point).
 
     The workload is always built against its *default* config; a non-empty
@@ -344,10 +515,11 @@ def execute_cell(cell: SweepCell) -> dict:
     mirrors the paper's sensitivity studies, which profile each workload once
     and re-run the simulation as the system varies.
 
-    Simulation cells execute through a :class:`~repro.api.Session` — the same
-    path as ``Scenario(...).run()`` — so direct, sweep and CLI runs are
-    bit-identical. ``REPRO_PLUGINS`` modules are imported first so policies
-    and models registered out-of-tree resolve inside worker processes too.
+    Simulation cells call :func:`~repro.experiments.harness.run_policy` with
+    the arguments an in-process :meth:`Scenario.run` passes, so direct, sweep
+    and CLI runs are bit-identical. ``REPRO_PLUGINS`` modules are imported
+    first so policies and models registered out-of-tree resolve inside worker
+    processes too.
     """
     load_plugins()
     cell = cell.resolved()
@@ -372,13 +544,19 @@ def execute_cell(cell: SweepCell) -> dict:
                 "inactive_period_bytes": char.inactive_period_bytes.tolist(),
             },
         }
-    result = cell.scenario().session().run().result
+    result = run_policy(
+        workload,
+        cell.policy,
+        config=cell.config(),
+        profiling_error=cell.profiling_error,
+        seed=cell.seed,
+    )
     return {"kind": "simulation", "workload": meta, "result": result.to_dict()}
 
 
 def _execute_cell_dict(cell_dict: dict) -> dict:
     """Pickle-friendly worker wrapper mapping dicts to dicts."""
-    return execute_cell(SweepCell.from_dict(cell_dict))
+    return execute_cell(Scenario.from_dict(cell_dict))
 
 
 class SweepRunner:
@@ -409,20 +587,20 @@ class SweepRunner:
         #: Cache keys computed so far, by cell: a report plans and then runs
         #: every figure's cells. Equal cells share one key, so the cell
         #: itself is the memo key.
-        self._keys: dict[SweepCell, str] = {}
+        self._keys: dict[Scenario, str] = {}
 
-    def cache_key(self, cell: SweepCell) -> str:
+    def cache_key(self, cell: Scenario) -> str:
         """``cell.cache_key()``, computed once per distinct cell per runner."""
         key = self._keys.get(cell)
         if key is None:
             key = self._keys[cell] = cell.cache_key()
         return key
 
-    def plan(self, spec: SweepSpec | Iterable[SweepCell]) -> SweepPlan:
+    def plan(self, spec: SweepSpec | Iterable[Scenario]) -> SweepPlan:
         """Manifest of a spec against this runner's cache (no execution)."""
         return SweepPlan.build(spec, cache=self.cache, key=self.cache_key)
 
-    def run(self, spec: SweepSpec | Iterable[SweepCell]) -> list[CellResult]:
+    def run(self, spec: SweepSpec | Iterable[Scenario]) -> list[CellResult]:
         """Execute every cell, returning results in spec order.
 
         The output is independent of ``jobs`` and of cache state: payloads are
@@ -447,7 +625,7 @@ class SweepRunner:
 
         # Deduplicate misses by content key; execute each distinct cell once.
         miss_order: list[str] = []
-        miss_cells: list[SweepCell] = []
+        miss_cells: list[Scenario] = []
         for cell, key in zip(cells, keys):
             if key not in payloads and key not in miss_order:
                 miss_order.append(key)
@@ -487,6 +665,6 @@ class SweepRunner:
             for cell, key in zip(cells, keys)
         ]
 
-    def run_one(self, cell: SweepCell) -> CellResult:
+    def run_one(self, cell: Scenario) -> CellResult:
         """Execute a single cell."""
         return self.run([cell])[0]

@@ -33,10 +33,9 @@ from ..errors import ConfigurationError, SimulationError
 from ..sim.results import PerfCounters
 from ..sim.tenancy import SharedSystem, TenancyOutcome, TenantTrace, simulate_tenancy
 from .harness import MAX_SEED, validate_noise
-from .sweep import SweepRunner, SweepSpec
+from .sweep import Scenario, SessionResult, SweepRunner, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api import Scenario, SessionResult
     from ..config import SystemConfig
 
 #: Workloads mixed in the contention-sweep figure (tenants cycle through them).
@@ -169,7 +168,7 @@ class Tenant:
     """One named tenant: an immutable scenario plus its arrival process."""
 
     name: str
-    scenario: "Scenario"
+    scenario: Scenario
     arrivals: ArrivalProcess
 
     def __post_init__(self) -> None:
@@ -277,7 +276,7 @@ class MultiTenantScenario:
 
     Built either directly, via :meth:`with_tenant`, or from
     ``Scenario.colocated_with(...)``. ``run`` resolves every tenant's solo
-    session first (served from the sweep cache when a runner is supplied), so
+    run first (served from the sweep cache when a runner is supplied), so
     composing tenants never re-simulates a cached workload.
     """
 
@@ -296,7 +295,7 @@ class MultiTenantScenario:
     def with_tenant(
         self,
         name: str,
-        scenario: "Scenario",
+        scenario: Scenario,
         arrivals: ArrivalProcess | None = None,
     ) -> "MultiTenantScenario":
         """Return a new scenario with one more tenant (immutably)."""
@@ -334,7 +333,7 @@ class MultiTenantScenario:
     def run(self, runner: SweepRunner | None = None) -> MultiTenantResult:
         """Simulate all tenants colocated on the shared system."""
         ordered = sorted(self.tenants, key=lambda tenant: tenant.name)
-        solo: dict[str, "SessionResult"] = {}
+        solo: dict[str, SessionResult] = {}
         traces: list[TenantTrace] = []
         configs: list["SystemConfig"] = []
         for tenant in ordered:
@@ -351,7 +350,7 @@ class MultiTenantScenario:
                     f"tenant {tenant.name!r} solo result has no kernel timings"
                 )
             solo[tenant.name] = session_result
-            configs.append(tenant.scenario.session().config())
+            configs.append(session_result.scenario.config())
             offsets = tuple(map(operator.add, result.start_times, result.ideal_durations))
             arrivals, think_times = tenant.arrivals.resolve(tenant.name, result.execution_time)
             traces.append(
@@ -370,7 +369,7 @@ class MultiTenantScenario:
     def _aggregate(
         self,
         ordered: Sequence[Tenant],
-        solo: Mapping[str, "SessionResult"],
+        solo: Mapping[str, SessionResult],
         outcome: TenancyOutcome,
         system: SharedSystem,
     ) -> MultiTenantResult:
@@ -450,8 +449,6 @@ def tenancy_contention(
     Every tenant count splits the same total offered load, so columns are
     comparable: more tenants means more colocation pressure, not more work.
     """
-    from ..api import Scenario
-
     chosen = tuple(models) if models else TENANCY_MODELS
     results: dict[str, dict[str, dict[str, object]]] = {}
     for policy in TENANCY_POLICIES:

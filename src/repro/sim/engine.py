@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .policy import MigrationPolicy
     from .results import SimulationResult
 
-#: A tie-break key for same-timestamp events. Single-session simulations use
+#: A tie-break key for same-timestamp events. Single-tenant simulations use
 #: plain ints (the executor schedules eviction completions with
 #: ``priority=tensor_id``); multi-tenant simulations use tuples such as
 #: ``(rank, tenant_name, request_index)`` so the drain order depends only on
@@ -111,9 +111,9 @@ def simulate(
     """Run one training iteration under a policy — the single simulation path.
 
     This is the only place an :class:`~repro.sim.executor.ExecutionSimulator`
-    is constructed: the Scenario/Session API, the sweep workers and the
-    harness functions all route here, so simulator setup logic cannot drift
-    between entry points.
+    is constructed: ``Scenario.run``, the sweep workers' ``execute_cell`` and
+    the harness functions all route here through ``run_policy``, so
+    simulator setup logic cannot drift between entry points.
     """
     from .executor import ExecutionSimulator
 

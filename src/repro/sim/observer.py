@@ -3,9 +3,11 @@
 Instrumenting a run used to require subclassing a policy and intercepting its
 decision hooks; :class:`SimObserver` decouples observation from decision
 making. Observers attach to an :class:`~repro.sim.executor.ExecutionSimulator`
-(directly, or through ``Scenario.run(observers=...)`` /
+(directly, or through an in-process ``Scenario.run(observers=...)`` /
 :func:`~repro.experiments.harness.run_policy`) and are notified of every
-kernel execution and every migration the executor submits::
+kernel execution and every migration the executor submits. A run through a
+sweep runner executes in a cache or a worker process, which no observer
+reaches, so ``Scenario.run`` rejects observers together with a runner::
 
     class StallLogger(SimObserver):
         def on_kernel_finish(self, kernel, timing, now):

@@ -68,28 +68,30 @@ class TenantTrace:
             raise ConfigurationError("tenant name must be non-empty")
         if not self.offsets:
             raise ConfigurationError(f"tenant {self.name!r} has an empty kernel timeline")
+        # Chained comparisons that NaN and infinity fail, so neither reaches
+        # the replay as a time.
         previous = 0.0
         for offset in self.offsets:
-            if offset < previous:
+            if not previous <= offset < math.inf:
                 raise ConfigurationError(
-                    f"tenant {self.name!r} kernel offsets must be non-decreasing"
+                    f"tenant {self.name!r} kernel offsets must be finite and non-decreasing"
                 )
             previous = offset
-        if self.footprint_bytes < 0:
-            raise ConfigurationError(f"tenant {self.name!r} footprint must be >= 0")
+        if not 0 <= self.footprint_bytes < math.inf:
+            raise ConfigurationError(f"tenant {self.name!r} footprint must be finite and >= 0")
         if bool(self.arrivals) == bool(self.think_times):
             raise ConfigurationError(
                 f"tenant {self.name!r} must set exactly one of arrivals/think_times"
             )
         previous = 0.0
         for arrival in self.arrivals:
-            if arrival < previous:
+            if not previous <= arrival < math.inf:
                 raise ConfigurationError(
-                    f"tenant {self.name!r} arrivals must be non-negative and sorted"
+                    f"tenant {self.name!r} arrivals must be finite, non-negative and sorted"
                 )
             previous = arrival
-        if any(t < 0 for t in self.think_times):
-            raise ConfigurationError(f"tenant {self.name!r} think times must be >= 0")
+        if not all(0 <= t < math.inf for t in self.think_times):
+            raise ConfigurationError(f"tenant {self.name!r} think times must be finite and >= 0")
 
     @property
     def request_count(self) -> int:

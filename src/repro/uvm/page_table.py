@@ -103,20 +103,26 @@ class UnifiedPageTable:
 
         Used by the executor's batched fault path: all of a kernel's faulting
         tensors land on the GPU together. The result equals the sequence of
-        :meth:`place` calls; the returned page total is charged once.
+        :meth:`place` calls, a repeated id included; the returned page total
+        is charged once. An unregistered id raises before any tensor moves.
         """
+        locations = self._locations
+        for tensor_id in tensor_ids:
+            if tensor_id not in locations:
+                raise TranslationError(f"tensor {tensor_id} is not registered")
         moved_pages = 0
         pages = self._location_pages
+        # A repeated id subtracts its pages from ``location`` on its second
+        # move, before the batch total is added back below.
+        pages.setdefault(location, 0)
         for tensor_id in tensor_ids:
-            previous = self._locations.get(tensor_id)
-            if previous is None:
-                raise TranslationError(f"tensor {tensor_id} is not registered")
+            previous = locations[tensor_id]
             num_pages = self._pages[tensor_id]
             if previous is not MemoryLocation.UNMAPPED:
                 pages[previous] -= num_pages
-            self._locations[tensor_id] = location
+            locations[tensor_id] = location
             moved_pages += num_pages
-        pages[location] = pages.get(location, 0) + moved_pages
+        pages[location] += moved_pages
         self.pte_updates += moved_pages
         return moved_pages
 

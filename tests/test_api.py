@@ -1,13 +1,15 @@
-"""Tests for the Scenario/Session API (repro.api) and its compatibility contract.
+"""Tests for the Scenario API (repro.api) and its compatibility contract.
 
 The headline guarantee: ``Scenario(...).run()`` is bit-identical to the
-equivalent legacy ``build_workload`` + ``run_policy`` call and to the same
-cell executed through a ``SweepRunner``, while adding provenance (config
-fingerprint, sweep cache key, policy metadata) and observer hooks.
+equivalent ``build_workload`` + ``run_policy`` call and to the same cell
+executed through a ``SweepRunner`` or ``execute_cell``, while adding
+provenance (config fingerprint, sweep cache key, policy metadata) and
+observer hooks.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import math
 from pathlib import Path
@@ -18,8 +20,9 @@ import repro
 from repro import GB, Scenario, TraceRecorder
 from repro.config import paper_config
 from repro.errors import ConfigurationError, ModelError
-from repro.experiments import ResultCache, SweepCell, SweepRunner
+from repro.experiments import ConfigPatch, ResultCache, SweepCell, SweepRunner, execute_cell
 from repro.experiments.harness import build_workload, run_policy
+from repro.sim.results import SimulationResult
 from repro.sim import ExecutionSimulator, SimObserver
 
 
@@ -44,6 +47,37 @@ class TestScenarioFluency:
         b = Scenario("bert", scale="ci").on_policy("g10")
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_fluent_cell_equals_keyword_cell_and_keys_once(self):
+        """The setters build the same value as the keywords, so a runner
+        computes one cache key for both spellings."""
+        fluent = (
+            Scenario("vit")
+            .at_scale("ci")
+            .on_policy("g10_host")
+            .with_batch_size(16)
+            .with_host_memory(2 * GB)
+            .with_ssd_bandwidth(3.2 * GB)
+            .with_profiling_error(0.1, seed=4)
+        )
+        keyword = SweepCell(
+            model="vit", policy="g10_host", batch_size=16, scale="ci",
+            patch=ConfigPatch(host_memory_bytes=2 * GB, ssd_read_bandwidth=3.2 * GB),
+            profiling_error=0.1, seed=4,
+        )
+        assert fluent == keyword and hash(fluent) == hash(keyword)
+        real_key, keyed = SweepCell.cache_key, []
+
+        def recording_key(cell):
+            keyed.append(cell)
+            return real_key(cell)
+
+        runner = SweepRunner()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SweepCell, "cache_key", recording_key)
+            keys = {runner.cache_key(fluent), runner.cache_key(keyword)}
+        assert keyed == [fluent]
+        assert keys == {keyword.cache_key()}
 
     def test_resolved_normalizes_names_and_batch(self):
         resolved = Scenario("ResNet-152", policy="Base UVM", scale="ci").resolved()
@@ -82,9 +116,8 @@ class TestScenarioValidation:
             lambda s: s.with_interconnect_bandwidth(math.nan),
             lambda s: s.with_host_memory(math.nan),
             lambda s: s.with_gpu_memory(math.inf),
-            lambda s: s.with_config(paper_config().with_ssd_bandwidth(math.nan)),
         ],
-        ids=["ssd-inf", "pcie-nan", "host-nan", "gpu-inf", "config-nan"],
+        ids=["ssd-inf", "pcie-nan", "host-nan", "gpu-inf"],
     )
     def test_non_finite_override_rejected(self, override):
         with pytest.raises(ConfigurationError):
@@ -124,18 +157,11 @@ class TestSessionExecution:
         assert outcome.result.to_dict() == legacy.to_dict()
 
     def test_session_workload_is_memoized_across_sessions(self):
-        a = Scenario("bert", scale="ci").session().workload
-        b = Scenario("bert", scale="ci").on_policy("base_uvm").session().workload
-        assert a is b  # served by the harness memo
-
-    def test_custom_base_config_is_honoured(self):
-        config = paper_config().with_gpu_memory(2 * GB).with_host_memory(4 * GB)
-        outcome = Scenario("bert", scale="ci", batch_size=64).with_config(config).run()
-        legacy_workload = build_workload("bert", batch_size=64, scale="ci", config=config)
-        legacy = run_policy(legacy_workload, "g10")
-        assert outcome.result.to_dict() == legacy.to_dict()
-        assert outcome.cache_key is None  # not expressible as a sweep cell
-        assert outcome.config_fingerprint == config.fingerprint()
+        a = Scenario("bert", scale="ci").resolved()
+        b = Scenario("bert", scale="ci").on_policy("base_uvm").resolved()
+        workload = build_workload(a.model, a.batch_size, a.scale)
+        assert build_workload(b.model, b.batch_size, b.scale) is workload  # the harness memo
+        assert workload.config.fingerprint() == a.config().fingerprint()
 
     def test_failed_run_is_reported_not_raised(self):
         # A 1 MB GPU cannot hold any kernel working set (the paper's
@@ -157,40 +183,35 @@ class TestSessionProvenance:
             model="bert", policy="g10", scale="ci",
             patch=scenario.patch,
         )
-        session = scenario.session()
-        assert session.cache_key() == cell.cache_key()
-        assert session.config_fingerprint() == cell.config().fingerprint()
-
-    def test_cell_round_trip(self):
-        cell = Scenario("bert", scale="ci", profiling_error=0.1, seed=7).cell()
-        assert cell.scenario().cell() == cell
-
-    def test_custom_base_config_cannot_be_a_cell(self):
-        scenario = Scenario("bert", scale="ci").with_config(paper_config())
-        with pytest.raises(ConfigurationError, match="sweep cell"):
-            scenario.cell()
+        outcome = scenario.run()
+        assert outcome.cache_key == scenario.cache_key() == cell.cache_key()
+        assert outcome.config_fingerprint == cell.config().fingerprint()
 
     def test_runner_execution_is_cached_and_bit_identical(self, tmp_path):
+        """A plain, a patched and a noisy cell give one result whether run
+        in-process, through a runner (cold and warm) or by a sweep worker."""
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"))
-        scenario = Scenario("bert", scale="ci").on_policy("base_uvm")
-        cold = scenario.run(runner=runner)
-        warm = scenario.run(runner=runner)
-        direct = scenario.run()
-        assert not cold.cached and warm.cached
-        assert warm.result.to_dict() == cold.result.to_dict() == direct.result.to_dict()
-        assert warm.cache_key == cold.cache_key == direct.cache_key
+        base = Scenario("bert", scale="ci")
+        for scenario in (
+            base.on_policy("base_uvm"),
+            base.with_host_memory(0),
+            base.with_profiling_error(0.1, seed=3),
+        ):
+            cold = scenario.run(runner=runner)
+            warm = scenario.run(runner=runner)
+            direct = scenario.run()
+            worker = SimulationResult.from_dict(execute_cell(scenario)["result"])
+            assert not cold.cached and warm.cached
+            assert (
+                warm.result.to_dict() == cold.result.to_dict() == direct.result.to_dict()
+                == worker.to_dict()
+            ), scenario
+            assert warm.cache_key == cold.cache_key == direct.cache_key == scenario.cache_key()
 
     def test_observers_with_runner_rejected(self, tmp_path):
         runner = SweepRunner(cache=ResultCache(tmp_path / "cache"))
         with pytest.raises(ConfigurationError, match="observers"):
             Scenario("bert", scale="ci").run(observers=(TraceRecorder(),), runner=runner)
-
-    def test_describe_is_json_safe_summary(self):
-        info = Scenario("bert", scale="ci").describe()
-        assert info["model"] == "bert" and info["policy"] == "g10"
-        assert len(info["config_fingerprint"]) == 64
-        assert len(info["cache_key"]) == 64
-        assert info["policy_info"]["display"] == "G10"
 
     def test_session_result_summary_carries_provenance(self):
         outcome = Scenario("bert", scale="ci").run()
@@ -390,6 +411,25 @@ class TestPackageRoot:
         assert {"tlb_entries", "page_walk_latency", "overprovisioning"}.isdisjoint(
             (*paper_config().to_dict()["uvm"], *paper_config().to_dict()["ssd"])
         )
+
+    def test_removed_session_layer_stays_removed(self):
+        """A scenario is the sweep cell and runs itself: the session layer,
+        the custom-base-config fork, the cell/scenario converters and the
+        uncalled setters are gone."""
+        from repro import api
+        from repro.experiments import sweep
+
+        with pytest.raises(ImportError):
+            from repro import Session  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.api import Session  # noqa: F401, F811
+        assert repro.Scenario is api.Scenario is sweep.SweepCell is repro.experiments.SweepCell
+        for name in ("session", "cell", "scenario", "describe", "base_config", "with_config",
+                     "with_model", "with_seed", "with_patch", "with_policy", "with_scale"):
+            assert not hasattr(Scenario, name), name
+        assert [field.name for field in dataclasses.fields(Scenario)] == [
+            "model", "policy", "batch_size", "scale", "patch", "profiling_error", "seed",
+        ]
 
 
 class TestNumpySeeds:

@@ -561,8 +561,9 @@ class TestSweepCell:
         assert restored.cache_key() == cell.cache_key()
 
     def test_characterization_cell_has_no_scenario(self):
+        """A characterization cell analyzes a workload but simulates nothing."""
         with pytest.raises(ConfigurationError, match="no policy"):
-            SweepCell(model="bert", policy=None, scale="ci").scenario()
+            SweepCell(model="bert", policy=None, scale="ci").run()
 
 
 class TestSweepSpecGrid:

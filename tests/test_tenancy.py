@@ -160,6 +160,21 @@ class TestTenantTrace:
         with pytest.raises(ConfigurationError):
             make_trace(think_times=(-0.5,))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_times_rejected(self, bad):
+        """NaN passes a ``<`` check, and a NaN offset or arrival used to
+        reach ``simulate_tenancy`` and make its makespan NaN."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            TenantTrace(name="a", offsets=(bad, 1.0), footprint_bytes=0, arrivals=(0.0, bad))
+        with pytest.raises(ConfigurationError, match="kernel offsets"):
+            make_trace(offsets=(1.0, bad))
+        with pytest.raises(ConfigurationError, match="arrivals"):
+            make_trace(arrivals=(0.0, bad), think_times=())
+        with pytest.raises(ConfigurationError, match="think times"):
+            make_trace(think_times=(bad,))
+        with pytest.raises(ConfigurationError, match="footprint"):
+            make_trace(footprint=bad)
+
     def test_request_count_and_solo_latency(self):
         open_loop = make_trace(arrivals=(0.0, 1.0, 2.0), think_times=())
         assert open_loop.request_count == 3

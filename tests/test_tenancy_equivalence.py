@@ -56,10 +56,9 @@ def test_the_grid_is_nontrivial():
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
 def test_single_tenant_matches_solo_bit_for_bit(cell, golden_runner):
-    scenario = cell.scenario()
-    solo = scenario.run(runner=golden_runner)
+    solo = cell.run(runner=golden_runner)
     multi = MultiTenantScenario(
-        tenants=(Tenant("only", scenario, ArrivalProcess.trace((0.0,))),)
+        tenants=(Tenant("only", cell, ArrivalProcess.trace((0.0,))),)
     ).run(runner=golden_runner)
     outcome = multi.tenants["only"]
 

@@ -115,6 +115,28 @@ class TestPageTable:
         assert table.place(1, MemoryLocation.GPU) == 3
         assert table.pte_updates == 7
 
+    def test_place_batch_with_a_repeated_id_equals_two_places(self):
+        batched, sequential = UnifiedPageTable(), UnifiedPageTable()
+        for table in (batched, sequential):
+            table.register(1, 3 * 4096)
+        assert batched.place_batch([1, 1], MemoryLocation.GPU) == 6
+        assert sequential.place(1, MemoryLocation.GPU) + sequential.place(1, MemoryLocation.GPU) == 6
+        assert batched.location_of(1) is MemoryLocation.GPU
+        assert batched.resident_pages(MemoryLocation.GPU) == 3
+        assert sequential.resident_pages(MemoryLocation.GPU) == 3
+        assert batched.pte_updates == sequential.pte_updates == 6
+
+    def test_place_batch_with_an_unregistered_id_moves_nothing(self):
+        table = UnifiedPageTable()
+        table.register(1, 3 * 4096)
+        table.place(1, MemoryLocation.HOST)
+        with pytest.raises(TranslationError):
+            table.place_batch([1, 99], MemoryLocation.GPU)
+        assert table.location_of(1) is MemoryLocation.HOST
+        assert table.resident_pages(MemoryLocation.HOST) == 3
+        assert table.resident_pages(MemoryLocation.GPU) == 0
+        assert table.pte_updates == 3
+
     @given(
         tensors=st.lists(
             st.tuples(st.integers(1, 8 * 4096), st.sampled_from((None,) + _PLACEABLE)),
@@ -126,7 +148,7 @@ class TestPageTable:
     )
     @settings(max_examples=100, deadline=None)
     def test_place_batch_equals_the_sequence_of_places(self, tensors, target, data):
-        batch = data.draw(st.lists(st.sampled_from(range(len(tensors))), unique=True))
+        batch = data.draw(st.lists(st.sampled_from(range(len(tensors)))))
         batched, sequential = UnifiedPageTable(), UnifiedPageTable()
         for table in (batched, sequential):
             for tensor_id, (size, initial) in enumerate(tensors):
