@@ -16,7 +16,8 @@ def estimate_ssd_lifetime(
     Reproduces the paper's §7.7 arithmetic: the device is rated for
     ``DWPD x warranty days x capacity`` of writes; dividing by the sustained
     write bandwidth of the training workload gives the expected lifetime. The
-    FTL's write amplification measured during the run is folded in.
+    result's ``ssd_write_amplification`` is folded in; the simulated device
+    has no FTL, so it is 1.0.
     """
     if result.failed:
         raise ConfigurationError("cannot project lifetime from a failed run")

@@ -105,16 +105,6 @@ class SSDConfig:
     write_latency: float = 16e-6
     #: Device capacity in bytes.
     capacity_bytes: int = int(3.2 * TB)
-    #: Number of independent flash channels used by the internal geometry model.
-    channels: int = 8
-    #: Flash page size in bytes.
-    flash_page_size: int = 16 * KB
-    #: Pages per erase block.
-    pages_per_block: int = 256
-    #: GC trigger threshold: fraction of free blocks below which GC runs.
-    gc_threshold: float = 0.05
-    #: Block erase latency in seconds.
-    erase_latency: float = 3e-3
     #: Rated endurance in drive-writes-per-day over the warranty period.
     endurance_dwpd: float = 30.0
     #: Warranty period in days (5 years).
@@ -123,16 +113,10 @@ class SSDConfig:
     def __post_init__(self) -> None:
         if not (0 < self.read_bandwidth < math.inf and 0 < self.write_bandwidth < math.inf):
             raise ConfigurationError("SSD bandwidth must be positive and finite")
-        if not (
-            0 <= self.read_latency < math.inf
-            and 0 <= self.write_latency < math.inf
-            and 0 <= self.erase_latency < math.inf
-        ):
+        if not (0 <= self.read_latency < math.inf and 0 <= self.write_latency < math.inf):
             raise ConfigurationError("SSD latencies must be non-negative and finite")
         if not 0 < self.capacity_bytes < math.inf:
             raise ConfigurationError("SSD capacity must be positive and finite")
-        if not 0 <= self.gc_threshold < 1:
-            raise ConfigurationError("gc_threshold must be in [0, 1)")
         if not 0 < self.endurance_dwpd < math.inf:
             raise ConfigurationError("endurance_dwpd must be positive and finite")
 

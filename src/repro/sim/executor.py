@@ -263,7 +263,6 @@ class ExecutionSimulator:
             traffic=self._engine.traffic,
             ssd_bytes_written=ssd.statistics.bytes_written,
             ssd_bytes_read=ssd.statistics.bytes_read,
-            ssd_write_amplification=ssd.write_amplification,
             fault_events=self._fault_events,
             peak_gpu_bytes=self._gpu.peak_used_bytes,
             peak_host_bytes=self._host.peak_used_bytes,
@@ -474,9 +473,9 @@ class ExecutionSimulator:
     def _free_dead_tensors(self, slot: int) -> None:
         """Release intermediate tensors after their last use.
 
-        Flash-resident dead tensors are collected and TRIMmed with one grouped
-        FTL update; nothing else touches the FTL between the per-tensor frees,
-        so the grouped discard observes the same operation order.
+        Flash-resident dead tensors are collected and TRIMmed with one
+        grouped device call; nothing else touches the SSD between the
+        per-tensor frees, so the grouped discard leaves the same stored set.
         """
         flash_dead: list[int] = []
         for tensor_id in self._deaths_by_slot.pop(slot, ()):

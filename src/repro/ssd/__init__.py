@@ -1,23 +1,18 @@
-"""Flash SSD substrate: geometry, FTL, garbage collection, wear accounting.
+"""Flash SSD substrate: the device's service model and wear accounting.
 
-The paper integrates an SSDSim-based model of a Samsung Z-NAND drive into its
-simulator so that flash-internal activities (garbage collection, chip-level
-latencies) are reflected in end-to-end results, and §7.7 estimates the impact
-of tensor migration traffic on device lifetime. This package provides the
-equivalent substrate: a page-mapped FTL (:class:`FlashTranslationLayer`),
-greedy garbage collection, a bandwidth/latency service model
-(:class:`SSDDevice`), and endurance accounting (:class:`WearTracker`).
+The paper couples its simulator to an SSDSim-based model of a Samsung Z-NAND
+drive so that flash-internal work such as garbage collection shows in
+end-to-end results, and §7.7 estimates the impact of tensor migration traffic
+on device lifetime. Here :class:`SSDDevice` charges each request its latency
+plus its size over the device bandwidth, with no FTL or garbage collection
+(write amplification is 1.0 by construction), and :class:`WearTracker`
+projects the §7.7 lifetime from a run's write traffic.
 """
 
-from .flash import FlashGeometry, FlashBlock
-from .ftl import FlashTranslationLayer
 from .ssd import SSDDevice, SSDStatistics
 from .wear import WearTracker, LifetimeEstimate
 
 __all__ = [
-    "FlashGeometry",
-    "FlashBlock",
-    "FlashTranslationLayer",
     "SSDDevice",
     "SSDStatistics",
     "WearTracker",

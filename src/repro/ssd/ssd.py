@@ -1,198 +1,92 @@
-"""SSD device model: FTL + service timing + wear statistics."""
+"""SSD device model: stored objects, capacity and per-request service time.
+
+The device charges each request its latency plus its size over the read or
+write bandwidth. It keeps no flash translation layer and runs no garbage
+collection: no experiment fills the device near the point where collection
+would start, so write amplification is 1.0 by construction.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..config import SSDConfig
 from ..errors import SSDError
-from .flash import FlashGeometry
-from .ftl import FlashTranslationLayer
-from .wear import LifetimeEstimate, WearTracker
-
-#: Upper bound on FTL mapping entries kept by the device model. Tensor-sized
-#: transfers are mapped at a coarser granularity when the configured capacity
-#: would otherwise require tens of millions of per-page records.
-_MAX_MAPPED_UNITS = 1 << 17
 
 
 @dataclass
 class SSDStatistics:
-    """Externally visible counters of one simulated SSD."""
+    """Traffic counters of one simulated SSD."""
 
     bytes_written: float = 0.0
     bytes_read: float = 0.0
-    host_writes: int = 0
-    host_reads: int = 0
-    gc_invocations: int = 0
-    gc_pages_relocated: int = 0
-    busy_write_seconds: float = 0.0
-    busy_read_seconds: float = 0.0
 
 
 class SSDDevice:
-    """A flash SSD servicing tensor-granularity reads and writes.
+    """A flash SSD servicing tensor-granularity reads and writes."""
 
-    The device keeps a page-mapped FTL (at a coarsened mapping unit so the
-    structure stays small even for a 3.2 TB device), charges read/write latency
-    and bandwidth per request, runs greedy garbage collection when free blocks
-    run low, and feeds a :class:`WearTracker` for the §7.7 lifetime analysis.
-    """
-
-    def __init__(self, config: SSDConfig):
+    def __init__(self, config: SSDConfig) -> None:
         self._config = config
-        self._mapping_unit = self._choose_mapping_unit(config)
-        geometry_pages = max(config.capacity_bytes // self._mapping_unit, config.pages_per_block)
-        blocks = max(int(geometry_pages // config.pages_per_block), config.channels)
-        self._geometry = FlashGeometry(
-            channels=config.channels,
-            blocks_per_channel=max(blocks // config.channels, 1),
-            pages_per_block=config.pages_per_block,
-            page_size=self._mapping_unit,
-        )
-        gc_blocks = max(2, int(self._geometry.total_blocks * config.gc_threshold))
-        self._ftl = FlashTranslationLayer(self._geometry, gc_threshold_blocks=gc_blocks)
-        self._wear = WearTracker(config)
         self._stats = SSDStatistics()
-        #: logical unit run assigned to each stored object: tensor id ->
-        #: (first_unit, num_units). Objects are written in one contiguous run
-        #: (tensor transfers are sequential), so one extent record replaces a
-        #: per-unit id list.
-        self._objects: dict[int, tuple[int, int]] = {}
-        self._next_unit = 0
-        #: Units of live objects, maintained incrementally (O(1) stored_bytes).
-        self._stored_units = 0
-
-    @staticmethod
-    def _choose_mapping_unit(config: SSDConfig) -> int:
-        unit = config.flash_page_size
-        while config.capacity_bytes // unit > _MAX_MAPPED_UNITS:
-            unit *= 2
-        return unit
-
-    # -- properties -----------------------------------------------------------
-
-    @property
-    def config(self) -> SSDConfig:
-        return self._config
-
-    @property
-    def geometry(self) -> FlashGeometry:
-        return self._geometry
+        #: Size in bytes of each stored object, by object (tensor) id.
+        self._objects: dict[int, int] = {}
+        #: Sum of the stored objects' sizes, maintained incrementally.
+        self._stored_bytes = 0
 
     @property
     def statistics(self) -> SSDStatistics:
         return self._stats
 
     @property
-    def wear(self) -> WearTracker:
-        return self._wear
-
-    @property
-    def write_amplification(self) -> float:
-        return self._ftl.write_amplification
-
-    @property
     def stored_bytes(self) -> int:
         """Bytes of live objects currently resident on flash."""
-        return self._stored_units * self._mapping_unit
+        return self._stored_bytes
 
     def contains(self, object_id: int) -> bool:
         return object_id in self._objects
 
-    # -- service model -----------------------------------------------------------
-
     def write_object(self, object_id: int, size_bytes: int) -> float:
         """Store (or overwrite) an object; returns the device service time."""
-        if size_bytes <= 0:
-            raise SSDError("cannot write an empty object")
-        if self.stored_bytes + size_bytes > self._config.capacity_bytes:
-            raise SSDError("SSD capacity exceeded")
-        self._discard_units(object_id)
-        first_unit, num_units = self._claim_run(size_bytes)
-        result = self._ftl.write_run(first_unit, num_units)
-        gc_runs = result.blocks_erased
-        gc_pages = result.pages_relocated
-        self._objects[object_id] = (first_unit, num_units)
-        self._stored_units += num_units
-
-        service = self._transfer_time(size_bytes, write=True)
-        service += gc_pages * (self._config.write_latency + self._config.read_latency)
-        service += gc_runs * self._config.erase_latency
+        self._store(object_id, size_bytes)
         self._stats.bytes_written += size_bytes
-        self._stats.host_writes += 1
-        self._stats.gc_invocations += gc_runs
-        self._stats.gc_pages_relocated += gc_pages
-        self._stats.busy_write_seconds += service
-        self._wear.record_write(size_bytes)
-        return service
+        return self._config.write_latency + size_bytes / self._config.write_bandwidth
 
     def read_object(self, object_id: int, size_bytes: int) -> float:
         """Read an object back; returns the device service time."""
         if object_id not in self._objects:
             raise SSDError(f"object {object_id} is not stored on the SSD")
-        service = self._transfer_time(size_bytes, write=False)
         self._stats.bytes_read += size_bytes
-        self._stats.host_reads += 1
-        self._stats.busy_read_seconds += service
-        self._wear.record_read(size_bytes)
-        return service
+        return self._config.read_latency + size_bytes / self._config.read_bandwidth
 
     def preload_object(self, object_id: int, size_bytes: int) -> None:
-        """Map an object onto flash without charging service time or wear.
+        """Store an object without charging service time or traffic.
 
         Intended for initial residency setup (e.g. weights loaded from a
         checkpoint before the simulated iteration starts).
         """
-        if size_bytes <= 0:
-            raise SSDError("cannot preload an empty object")
-        self._discard_units(object_id)
-        first_unit, num_units = self._claim_run(size_bytes)
-        self._ftl.write_run(first_unit, num_units)
-        self._objects[object_id] = (first_unit, num_units)
-        self._stored_units += num_units
+        self._store(object_id, size_bytes)
 
     def discard_object(self, object_id: int) -> None:
         """TRIM an object (freed tensor or tensor migrated back for good)."""
-        self._discard_units(object_id)
-        self._objects.pop(object_id, None)
+        self._stored_bytes -= self._objects.pop(object_id, 0)
 
     def discard_objects(self, object_ids: Sequence[int]) -> None:
-        """TRIM a batch of objects in the given order.
-
-        One grouped FTL update for a kernel boundary's dead tensors: the trims
-        are issued in list order, so the FTL observes the exact operation
-        sequence the per-object calls would produce.
-        """
+        """TRIM a batch of objects, each as :meth:`discard_object` would."""
+        objects = self._objects
         for object_id in object_ids:
-            self._discard_units(object_id)
-            self._objects.pop(object_id, None)
+            self._stored_bytes -= objects.pop(object_id, 0)
 
-    def lifetime(self, elapsed_seconds: float) -> LifetimeEstimate:
-        """Project device lifetime from the traffic recorded so far (§7.7)."""
-        return self._wear.lifetime(elapsed_seconds, self.write_amplification)
+    def _store(self, object_id: int, size_bytes: int) -> None:
+        """Record an object, replacing any previous copy of it.
 
-    # -- internals ------------------------------------------------------------------
-
-    def _units_for(self, size_bytes: int) -> int:
-        return max(1, math.ceil(size_bytes / self._mapping_unit))
-
-    def _claim_run(self, size_bytes: int) -> tuple[int, int]:
-        """Assign a fresh contiguous logical-unit run for an object."""
-        num_units = self._units_for(size_bytes)
-        first_unit = self._next_unit
-        self._next_unit += num_units
-        return first_unit, num_units
-
-    def _discard_units(self, object_id: int) -> None:
-        run = self._objects.get(object_id)
-        if run is not None:
-            self._ftl.trim_run(run[0], run[1])
-            self._stored_units -= run[1]
-
-    def _transfer_time(self, size_bytes: int, write: bool) -> float:
-        bandwidth = self._config.write_bandwidth if write else self._config.read_bandwidth
-        latency = self._config.write_latency if write else self._config.read_latency
-        return latency + size_bytes / bandwidth
+        The capacity check charges an overwrite for the new size only, since
+        the new copy replaces the old one; a rejected store changes nothing.
+        """
+        if size_bytes <= 0:
+            raise SSDError(f"cannot store empty object {object_id}")
+        stored = self._stored_bytes - self._objects.get(object_id, 0) + size_bytes
+        if stored > self._config.capacity_bytes:
+            raise SSDError("SSD capacity exceeded")
+        self._objects[object_id] = size_bytes
+        self._stored_bytes = stored

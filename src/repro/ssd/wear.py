@@ -1,4 +1,9 @@
-"""SSD endurance accounting (§7.7 of the paper)."""
+"""SSD endurance accounting (§7.7 of the paper).
+
+:func:`repro.analysis.lifetime.estimate_ssd_lifetime` feeds a finished run's
+SSD traffic to a :class:`WearTracker`; the device model itself keeps no wear
+state.
+"""
 
 from __future__ import annotations
 
@@ -32,8 +37,8 @@ class WearTracker:
 
     The paper estimates lifetime as ``DWPD * warranty_days * capacity /
     sustained_write_bandwidth``; the tracker reproduces that calculation from
-    the measured migration traffic of a simulation and additionally folds in
-    the FTL's write amplification.
+    the measured migration traffic of a simulation, scaled by a write
+    amplification factor (1.0 for the simulated device, which has no FTL).
     """
 
     config: SSDConfig
@@ -63,7 +68,7 @@ class WearTracker:
         Args:
             elapsed_seconds: Simulated wall-clock time that produced the
                 recorded traffic (one or more training iterations).
-            write_amplification: FTL write amplification to fold in.
+            write_amplification: Flash writes per host write to fold in.
         """
         if elapsed_seconds <= 0:
             raise SSDError("elapsed time must be positive")

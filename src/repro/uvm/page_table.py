@@ -85,11 +85,14 @@ class UnifiedPageTable:
         """Move a tensor's pages to a new location, updating its PTEs.
 
         Returns the number of leaf PTEs the move covers (one per page), which
-        the simulator charges as page-table maintenance.
+        the simulator charges as page-table maintenance. :meth:`unmap` is the
+        one way to unmap a tensor.
         """
         previous = self._locations.get(tensor_id)
         if previous is None:
             raise TranslationError(f"tensor {tensor_id} is not registered")
+        if location is MemoryLocation.UNMAPPED:
+            raise TranslationError("place() cannot unmap a tensor; use unmap()")
         num_pages = self._pages[tensor_id]
         if previous is not MemoryLocation.UNMAPPED:
             self._location_pages[previous] -= num_pages
@@ -104,8 +107,11 @@ class UnifiedPageTable:
         Used by the executor's batched fault path: all of a kernel's faulting
         tensors land on the GPU together. The result equals the sequence of
         :meth:`place` calls, a repeated id included; the returned page total
-        is charged once. An unregistered id raises before any tensor moves.
+        is charged once. An unregistered id, or ``UNMAPPED`` as the target,
+        raises before any tensor moves.
         """
+        if location is MemoryLocation.UNMAPPED:
+            raise TranslationError("place_batch() cannot unmap tensors; use unmap()")
         locations = self._locations
         for tensor_id in tensor_ids:
             if tensor_id not in locations:

@@ -127,9 +127,7 @@ CHECKED_FIELDS = [
     (SSDConfig, "write_bandwidth"),
     (SSDConfig, "read_latency"),
     (SSDConfig, "write_latency"),
-    (SSDConfig, "erase_latency"),
     (SSDConfig, "capacity_bytes"),
-    (SSDConfig, "gc_threshold"),
     (SSDConfig, "endurance_dwpd"),
     (InterconnectConfig, "bandwidth"),
     (InterconnectConfig, "latency"),

@@ -221,3 +221,23 @@ def test_flash_objects_are_placed_on_flash():
         and table.location_of(tensor.tensor_id) is not MemoryLocation.FLASH
     ]
     assert misplaced == []
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("model", FIGURE11_MODELS)
+def test_flash_residents_are_stored_to_the_byte(model, policy):
+    # Every tensor the page table places on flash has its object on the SSD,
+    # and the device stores exactly its objects' tensor sizes. The converse,
+    # that every stored object is placed on flash, is the xfail above.
+    workload, simulator = _finished_run(model, policy)
+    table, ssd = simulator.page_table, simulator.engine.ssd
+    on_flash = [
+        tensor.tensor_id
+        for tensor in workload.graph.tensors
+        if tensor.tensor_id in table
+        and table.location_of(tensor.tensor_id) is MemoryLocation.FLASH
+    ]
+    assert all(ssd.contains(tensor_id) for tensor_id in on_flash)
+    assert ssd.stored_bytes == sum(
+        tensor.size_bytes for tensor in workload.graph.tensors if ssd.contains(tensor.tensor_id)
+    )

@@ -1,4 +1,4 @@
-"""Tests for the flash SSD substrate: geometry, FTL, GC, wear, device model."""
+"""Tests for the flash SSD substrate: wear projection and the device model."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,181 +6,11 @@ from hypothesis import strategies as st
 
 from repro.config import MB, SSDConfig
 from repro.errors import SSDError
-from repro.ssd import FlashGeometry, FlashTranslationLayer, SSDDevice, WearTracker
-from repro.ssd.flash import FlashBlock
+from repro.ssd import SSDDevice, WearTracker
 
 
-def small_ssd_config(**overrides) -> SSDConfig:
-    defaults = dict(
-        capacity_bytes=8 * MB,
-        flash_page_size=4096,
-        pages_per_block=16,
-        channels=2,
-        gc_threshold=0.1,
-    )
-    defaults.update(overrides)
-    return SSDConfig(**defaults)
-
-
-class TestFlashBlock:
-    def test_program_and_invalidate(self):
-        block = FlashBlock(block_id=0, pages_per_block=4)
-        offsets = [block.program() for _ in range(4)]
-        assert offsets == [0, 1, 2, 3]
-        assert block.is_full and block.valid_pages == 4
-        block.invalidate(1)
-        assert block.valid_pages == 3
-
-    def test_program_full_block_rejected(self):
-        block = FlashBlock(block_id=0, pages_per_block=1)
-        block.program()
-        with pytest.raises(SSDError):
-            block.program()
-
-    def test_invalidate_unprogrammed_rejected(self):
-        block = FlashBlock(block_id=0, pages_per_block=4)
-        with pytest.raises(SSDError):
-            block.invalidate(0)
-
-    def test_erase_resets_and_counts(self):
-        block = FlashBlock(block_id=0, pages_per_block=2)
-        block.program()
-        block.erase()
-        assert block.erase_count == 1
-        assert block.valid_pages == 0 and block.free_pages == 2
-
-
-class TestGeometry:
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(SSDError):
-            FlashGeometry(channels=0, blocks_per_channel=1, pages_per_block=1, page_size=1)
-
-    @pytest.mark.parametrize(
-        "config", [small_ssd_config(), SSDConfig()], ids=["small", "paper"]
-    )
-    def test_device_geometry_rounds_capacity_down_to_whole_blocks(self, config):
-        geometry = SSDDevice(config).geometry
-        assert geometry.channels == config.channels
-        assert geometry.pages_per_block == config.pages_per_block
-        assert geometry.page_size % config.flash_page_size == 0
-        assert geometry.total_blocks == geometry.channels * geometry.blocks_per_channel
-        # Every channel holds the same whole number of blocks, so the device
-        # loses less than one block per channel to rounding.
-        one_block_per_channel = geometry.channels * geometry.pages_per_block * geometry.page_size
-        assert config.capacity_bytes - one_block_per_channel < geometry.capacity_bytes
-        assert geometry.capacity_bytes <= config.capacity_bytes
-
-
-class TestFTL:
-    def _ftl(self, blocks: int = 8, pages: int = 8) -> FlashTranslationLayer:
-        geometry = FlashGeometry(
-            channels=1, blocks_per_channel=blocks, pages_per_block=pages, page_size=4096
-        )
-        return FlashTranslationLayer(geometry, gc_threshold_blocks=2)
-
-    def test_write_then_read_roundtrip(self):
-        ftl = self._ftl()
-        ftl.write(7)
-        assert ftl.is_mapped(7)
-        block, offset = ftl.read(7)
-        assert ftl.blocks[block].valid[offset]
-
-    def test_overwrite_invalidates_old_location(self):
-        ftl = self._ftl()
-        ftl.write(1)
-        old = ftl.read(1)
-        ftl.write(1)
-        new = ftl.read(1)
-        assert new != old
-        assert not ftl.blocks[old[0]].valid[old[1]]
-
-    def test_unmapped_read_rejected(self):
-        with pytest.raises(SSDError):
-            self._ftl().read(42)
-
-    def test_trim_unmaps(self):
-        ftl = self._ftl()
-        ftl.write(3)
-        ftl.trim(3)
-        assert not ftl.is_mapped(3)
-
-    def test_gc_reclaims_space_and_preserves_data(self):
-        ftl = self._ftl(blocks=4, pages=4)
-        live = list(range(6))
-        for page in live:
-            ftl.write(page)
-        # Overwrite repeatedly to create stale pages and force GC.
-        for _ in range(8):
-            for page in live:
-                ftl.write(page)
-        assert ftl.blocks_erased > 0
-        for page in live:
-            block, offset = ftl.read(page)
-            assert ftl.blocks[block].valid[offset]
-
-    @given(
-        ops=st.lists(
-            st.tuples(st.booleans(), st.integers(0, 15), st.integers(1, 6)), max_size=60
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_runs_keep_the_mapping_and_match_single_pages(self, ops):
-        # write_run/trim_run against a page-set model, and against single-page
-        # write()/trim() calls, on a device small enough for garbage
-        # collection to run. The run path checks GC only per chunk, so the two
-        # devices agree exactly only until either one has collected.
-        runs, pages = self._ftl(blocks=8, pages=4), self._ftl(blocks=8, pages=4)
-        mapped: set[int] = set()
-        written = 0
-        for write, start, count in ops:
-            span = range(start, min(start + count, 16))
-            if write:
-                runs.write_run(span.start, len(span))
-                for page in span:
-                    pages.write(page)
-                mapped.update(span)
-                written += len(span)
-            else:
-                runs.trim_run(span.start, len(span))
-                for page in span:
-                    pages.trim(page)
-                mapped.difference_update(span)
-            assert all(runs.is_mapped(p) == (p in mapped) for p in range(16))
-            assert runs.host_pages_written == written
-            # Exactly the mapped pages are valid, each where the mapping says.
-            assert sum(b.valid_pages for b in runs.blocks) == len(mapped)
-            assert all(runs.blocks[b].valid[o] for b, o in map(runs.read, mapped))
-            if runs.blocks_erased == pages.blocks_erased == 0:
-                assert [runs.read(p) for p in sorted(mapped)] == [
-                    pages.read(p) for p in sorted(mapped)
-                ]
-                assert [(b.valid, b.write_pointer) for b in runs.blocks] == [
-                    (b.valid, b.write_pointer) for b in pages.blocks
-                ]
-
-    def test_write_amplification_grows_with_gc(self):
-        ftl = self._ftl(blocks=4, pages=4)
-        for _ in range(10):
-            for page in range(6):
-                ftl.write(page)
-        assert ftl.write_amplification > 1.0
-
-    def test_out_of_space_detected(self):
-        ftl = self._ftl(blocks=2, pages=2)
-        with pytest.raises(SSDError):
-            for page in range(100):
-                ftl.write(page)
-
-    @given(st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=120))
-    @settings(max_examples=30, deadline=None)
-    def test_mapping_always_points_to_valid_pages(self, writes):
-        ftl = self._ftl(blocks=8, pages=8)
-        for logical in writes:
-            ftl.write(logical)
-        for logical in set(writes):
-            block, offset = ftl.read(logical)
-            assert ftl.blocks[block].valid[offset]
-        assert ftl.mapped_pages == len(set(writes))
+def small_ssd_config(capacity_bytes: int = 8 * MB) -> SSDConfig:
+    return SSDConfig(capacity_bytes=capacity_bytes)
 
 
 class TestWearTracker:
@@ -248,6 +78,24 @@ class TestSSDDevice:
         with pytest.raises(SSDError):
             device.write_object(1, 4 * MB)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    @pytest.mark.parametrize("method", ["write_object", "preload_object"])
+    def test_empty_object_rejected(self, method, size):
+        device = SSDDevice(small_ssd_config())
+        with pytest.raises(SSDError):
+            getattr(device, method)(1, size)
+        assert not device.contains(1) and device.stored_bytes == 0
+
+    @pytest.mark.parametrize("capacity", [1, 4097, 2 * MB + 1])
+    def test_capacity_is_exact_to_the_byte(self, capacity):
+        device = SSDDevice(small_ssd_config(capacity_bytes=capacity))
+        device.write_object(1, capacity)
+        assert device.stored_bytes == capacity
+        for store in (device.write_object, device.preload_object):
+            with pytest.raises(SSDError):
+                store(2, 1)
+        assert not device.contains(2) and device.stored_bytes == capacity
+
     def test_statistics_accumulate(self):
         device = SSDDevice(small_ssd_config())
         device.write_object(1, 1 * MB)
@@ -255,21 +103,78 @@ class TestSSDDevice:
         stats = device.statistics
         assert stats.bytes_written == 1 * MB
         assert stats.bytes_read == 1 * MB
-        assert stats.host_writes == 1 and stats.host_reads == 1
 
     def test_preload_skips_wear_accounting(self):
         device = SSDDevice(small_ssd_config())
         device.preload_object(5, 1 * MB)
         assert device.contains(5)
         assert device.statistics.bytes_written == 0
-        assert device.wear.bytes_written == 0
 
-    def test_lifetime_projection_uses_traffic(self):
-        device = SSDDevice(small_ssd_config())
-        device.write_object(1, 4 * MB)
-        estimate = device.lifetime(elapsed_seconds=1.0)
-        assert estimate.lifetime_years > 0
+    def test_overwrite_is_charged_for_the_new_copy_only(self):
+        device = SSDDevice(small_ssd_config(capacity_bytes=2 * MB))
+        device.write_object(1, 3 * MB // 2)
+        device.write_object(1, 3 * MB // 2)  # replaces the first copy
+        assert device.stored_bytes == 3 * MB // 2
+        # A rejected store, new object or overwrite, leaves the device as it was.
+        for object_id, size in ((2, 1 * MB), (1, 3 * MB)):
+            with pytest.raises(SSDError):
+                device.write_object(object_id, size)
+            assert device.stored_bytes == 3 * MB // 2
+            assert device.contains(1) and not device.contains(2)
+        assert device.statistics.bytes_written == 3 * MB
 
-    def test_mapping_unit_keeps_table_small(self):
-        device = SSDDevice(SSDConfig())  # 3.2 TB device
-        assert device.geometry.total_pages <= (1 << 17) * 2
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["write", "preload"]),
+                    st.integers(0, 3),
+                    st.integers(1, 3 * 4096 + 1).filter(lambda size: size % 4096),
+                ),
+                st.tuples(st.sampled_from(["read", "discard"]), st.integers(0, 3)),
+                st.tuples(st.just("discard_many"), st.lists(st.integers(0, 3), max_size=4)),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_device_matches_a_dict_model(self, ops):
+        # Sizes are never a multiple of 4 KiB, so a device that rounds stored
+        # bytes to any page or mapping unit disagrees with the model; the
+        # capacity is small enough for some stores to be rejected.
+        config = small_ssd_config(capacity_bytes=5 * 4096 + 100)
+        device = SSDDevice(config)
+        model: dict[int, int] = {}
+        written = read = 0
+        for kind, arg, *rest in ops:
+            if kind in ("write", "preload"):
+                (size,) = rest
+                store = device.write_object if kind == "write" else device.preload_object
+                if sum(model.values()) - model.get(arg, 0) + size > config.capacity_bytes:
+                    with pytest.raises(SSDError):
+                        store(arg, size)
+                else:
+                    service = store(arg, size)
+                    model[arg] = size
+                    if kind == "write":
+                        written += size
+                        assert service == config.write_latency + size / config.write_bandwidth
+            elif kind == "read":
+                if arg in model:
+                    service = device.read_object(arg, model[arg])
+                    read += model[arg]
+                    assert service == config.read_latency + model[arg] / config.read_bandwidth
+                else:
+                    with pytest.raises(SSDError):
+                        device.read_object(arg, 4096)
+            elif kind == "discard":
+                device.discard_object(arg)
+                model.pop(arg, None)
+            else:
+                device.discard_objects(arg)
+                for object_id in arg:
+                    model.pop(object_id, None)
+            assert device.stored_bytes == sum(model.values())
+            assert all(device.contains(i) == (i in model) for i in range(4))
+            assert device.statistics.bytes_written == written
+            assert device.statistics.bytes_read == read

@@ -98,6 +98,27 @@ class TestPageTable:
         assert table.pte_updates == 0
         assert table.resident_pages(MemoryLocation.GPU) == 0
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda table: table.place(1, MemoryLocation.UNMAPPED),
+            lambda table: table.place_batch([1], MemoryLocation.UNMAPPED),
+        ],
+        ids=["place", "place_batch"],
+    )
+    def test_placing_to_unmapped_is_rejected(self, call):
+        # unmap() is the one way to unmap: a placement there would add pages
+        # to an UNMAPPED total that no later move subtracts.
+        table = UnifiedPageTable()
+        table.register(1, 4096)
+        with pytest.raises(TranslationError):
+            call(table)
+        assert table.location_of(1) is MemoryLocation.UNMAPPED
+        assert table.pte_updates == 0
+        table.place(1, MemoryLocation.GPU)
+        assert table.resident_pages(MemoryLocation.UNMAPPED) == 0
+        assert table.resident_pages(MemoryLocation.GPU) == 1
+
     def test_unmap_releases_pages_and_keeps_the_registration(self):
         table = UnifiedPageTable()
         table.register(1, 3 * 4096)
