@@ -4,8 +4,8 @@ Every way of running a simulation — ``Scenario.run()``, the sweep runner's
 worker processes and the ``run_policy`` harness function — funnels into
 :func:`simulate`, which owns the one place an
 :class:`~repro.sim.executor.ExecutionSimulator` is constructed. The executor
-itself replays the kernel trace by draining a single :class:`EventQueue` of
-timestamped events (kernel boundaries, transfer completions), with a
+itself replays the kernel trace, draining a single :class:`EventQueue` that
+holds its timestamped eviction completions, with a
 :class:`~repro.sim.results.PerfCounters` instrumentation layer recording what
 the loop did.
 """

@@ -1,11 +1,12 @@
 """The execution simulator: replay one training iteration under a policy.
 
-The replay is a single event loop: transfer completions are events in one
+The replay is a single event loop: eviction completions are events in one
 :class:`~repro.sim.engine.EventQueue` (ordered by time, then tensor id, so
 same-timestamp drains are deterministic) and kernel boundaries advance the
-clock, draining due events before each kernel starts. A
-:class:`~repro.sim.results.PerfCounters` layer records what the loop did —
-events processed, pages moved, faults, eviction stalls.
+clock, draining due events before each kernel starts. ``_issue_eviction``,
+``_complete_eviction`` and ``_cancel_eviction`` are an eviction's only
+transitions. A :class:`~repro.sim.results.PerfCounters` layer records what
+the loop did — events processed, pages moved, faults, eviction stalls.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..uvm.fault import PageFaultModel
 from ..uvm.memory import MemoryPool
 from ..uvm.migration import MigrationEngine, MigrationKind, MigrationRequest
 from ..uvm.page_table import MemoryLocation, UnifiedPageTable
-from .engine import EventQueue
+from .engine import Event, EventQueue
 from .observer import SimObserver
 from .policy import MigrationPolicy, PolicyContext
 from .residency import ResidencyIndex
@@ -86,11 +87,11 @@ class ExecutionSimulator:
             per_request_overhead=policy.per_request_overhead(),
         )
 
-        #: tensor id -> completion time of an in-flight prefetch/fault (every
-        #: key is a GPU resident: evictions and deaths drop theirs).
+        #: tensor id -> completion time of the latest prefetch/fault. Every key
+        #: is a GPU resident: a completed eviction and a death drop theirs.
         self._arrival_time: dict[int, float] = {}
-        #: tensor id -> completion time of a pending eviction (GPU space is
-        #: released when its event drains).
+        #: tensor id -> completion time of a pending eviction. Every key is a
+        #: GPU resident: the GPU space is released when an event drains.
         self._evicting: dict[int, float] = {}
         #: The single event loop: in-flight eviction completions, ordered by
         #: (time, tensor id) so same-timestamp drains are deterministic.
@@ -185,26 +186,23 @@ class ExecutionSimulator:
         observers = self._observers
         now = 0.0
         on_gpu = self._gpu.contains
-        evicting = self._evicting
         deferred = self._deferred_prefetches
 
         for kernel in self._graph.kernels:
-            self._drain_evictions(now)
+            for event in self._events.pop_until(now):
+                self._complete_eviction(event)
 
             # A tensor already on the GPU needs no transfer: prefetching it
-            # only cancels its pending eviction, if any. The call sites decide
-            # this, so _issue_prefetch and _ensure_resident see only tensors
-            # that are off the GPU.
+            # only cancels its pending eviction, if any, so _issue_prefetch and
+            # _ensure_resident see only tensors off the GPU. A deferred one
+            # stays off it until its retry or a demand fault drops it.
             for tensor_id in list(deferred):
-                if on_gpu(tensor_id):
-                    evicting.pop(tensor_id, None)
-                    del deferred[tensor_id]
-                elif self._issue_prefetch(tensor_id, now):
+                if self._issue_prefetch(tensor_id, now):
                     del deferred[tensor_id]
             for decision in self._policy.prefetches_for(kernel, now):
                 tensor_id = decision.tensor_id
                 if on_gpu(tensor_id):
-                    evicting.pop(tensor_id, None)
+                    self._cancel_eviction(tensor_id)
                 elif not self._issue_prefetch(tensor_id, now):
                     deferred[tensor_id] = None
 
@@ -213,7 +211,7 @@ class ExecutionSimulator:
             ready = now
             for tensor_id in tensor_ids:
                 if on_gpu(tensor_id):
-                    if evicting.pop(tensor_id, None) is not None:
+                    if self._cancel_eviction(tensor_id):
                         # Needed again while being pre-evicted: it stays (the
                         # outbound copy becomes wasted bandwidth). The host
                         # copy's capacity releases now (victim evictions check
@@ -354,7 +352,6 @@ class ExecutionSimulator:
         # The kernel boundary drained every eviction due by ``now``, and
         # prefetches schedule none, so the headroom check needs no drain.
         if not self._gpu.can_fit(size):
-            # No headroom yet: keep the request queued and retry later.
             return False
         self._gpu.allocate(tensor_id, size)
         self._residency.allocated(tensor_id)
@@ -377,14 +374,14 @@ class ExecutionSimulator:
         destination: MemoryLocation,
         now: float,
         protected: tuple[int, ...] | set[int],
-    ) -> float | None:
-        """Start evicting a tensor out of GPU memory; returns its completion time."""
+    ) -> None:
+        """Start evicting a GPU resident, which keeps its space until the event drains."""
         if (
             not self._gpu.contains(tensor_id)
             or tensor_id in self._evicting
             or tensor_id in protected
         ):
-            return None
+            return
         size = self._sizes[tensor_id]
         if destination is MemoryLocation.HOST and not self._host.can_fit(size):
             destination = MemoryLocation.SSD
@@ -404,8 +401,22 @@ class ExecutionSimulator:
         self._page_table.place(tensor_id, target)
         self._evicting[tensor_id] = completion
         self._events.schedule(completion, "eviction-complete", tensor_id, priority=tensor_id)
-        self._arrival_time.pop(tensor_id, None)
-        return completion
+
+    def _complete_eviction(self, event: Event) -> None:
+        """Free a drained event's tensor's GPU space if it is pending eviction. A
+        cancel leaves its event queued, which then frees a later eviction early."""
+        self._perf.events_processed += 1
+        tensor_id = event.payload
+        if self._evicting.pop(tensor_id, None) is not None:
+            self._gpu.free(tensor_id)
+            self._residency.freed(tensor_id)
+            self._arrival_time.pop(tensor_id, None)
+
+    def _cancel_eviction(self, tensor_id: int) -> bool:
+        """Drop a pending eviction; returns whether one was pending. It undoes
+        nothing else: the page table keeps the eviction's target, a staged host
+        copy or flash object stays, and the queued event still fires."""
+        return self._evicting.pop(tensor_id, None) is not None
 
     def _submit(self, request: MigrationRequest, when: float) -> float:
         """Submit a migration to the engine, notifying observers."""
@@ -423,33 +434,26 @@ class ExecutionSimulator:
 
     # -- space management ------------------------------------------------------------------
 
-    def _drain_evictions(self, now: float) -> None:
-        """Release GPU space for evictions whose transfer has completed."""
-        for event in self._events.pop_until(now):
-            self._perf.events_processed += 1
-            pending = self._evicting.pop(event.payload, None)
-            if pending is not None:
-                self._gpu.free(event.payload)
-                self._residency.freed(event.payload)
-
     def _make_space(self, size_bytes: int, protected: set[int], now: float) -> float:
-        """Ensure ``size_bytes`` can be allocated; returns when the space exists."""
-        current = now
-        self._drain_evictions(current)
+        """Ensure ``size_bytes`` can be allocated; returns when the space exists.
+
+        No event due by ``now`` is queued: the kernel boundary drained them,
+        and every eviction issued since completes later."""
         if self._gpu.can_fit(size_bytes):
-            return current
+            return now
 
         # First ask the policy for victims to push out, offering the evictable
         # resident tensors in least-recently-used order.
         unavailable = protected | set(self._evicting)
         needed = size_bytes - self._gpu.free_bytes
         victims = self._policy.select_victims(
-            needed, unavailable, self._residency.victims(unavailable), current
+            needed, unavailable, self._residency.victims(unavailable), now
         )
         for decision in victims:
-            self._issue_eviction(decision.tensor_id, decision.destination, current, protected)
+            self._issue_eviction(decision.tensor_id, decision.destination, now, protected)
 
         # Then wait for enough in-flight evictions to drain.
+        current = now
         while not self._gpu.can_fit(size_bytes):
             if not len(self._events):
                 raise _WorkloadFailure(
@@ -457,12 +461,8 @@ class ExecutionSimulator:
                     "memory: the kernel working set exceeds usable capacity"
                 )
             event = self._events.pop()
-            self._perf.events_processed += 1
             current = max(current, event.time)
-            pending = self._evicting.pop(event.payload, None)
-            if pending is not None:
-                self._gpu.free(event.payload)
-                self._residency.freed(event.payload)
+            self._complete_eviction(event)
         if current > now:
             self._perf.eviction_stalls += 1
             self._perf.eviction_stall_seconds += current - now
@@ -473,9 +473,9 @@ class ExecutionSimulator:
     def _free_dead_tensors(self, slot: int) -> None:
         """Release intermediate tensors after their last use.
 
-        Flash-resident dead tensors are collected and TRIMmed with one
-        grouped device call; nothing else touches the SSD between the
-        per-tensor frees, so the grouped discard leaves the same stored set.
+        A dead tensor loses every copy, including a flash object that a
+        cancelled eviction left behind; the flash objects go in one grouped
+        TRIM. None is pending eviction: its last-use kernel cancelled that.
         """
         flash_dead: list[int] = []
         for tensor_id in self._deaths_by_slot.pop(slot, ()):
@@ -483,10 +483,9 @@ class ExecutionSimulator:
             self._residency.died(tensor_id)
             self._host.free(tensor_id)
             if tensor_id in self._page_table:
-                if self._page_table.location_of(tensor_id) is MemoryLocation.FLASH:
-                    flash_dead.append(tensor_id)
                 self._page_table.unmap(tensor_id)
+            if self._engine.ssd.contains(tensor_id):
+                flash_dead.append(tensor_id)
             self._arrival_time.pop(tensor_id, None)
-            self._evicting.pop(tensor_id, None)
         if flash_dead:
             self._engine.ssd.discard_objects(flash_dead)

@@ -1,4 +1,5 @@
-"""Shared graph builders used by tests (importable; never import from conftest).
+"""Shared graph builders and golden cells used by tests (importable; never
+import from conftest).
 
 Living in a regular module rather than ``conftest.py`` keeps test imports
 working no matter which conftest pytest happens to bind to the top-level
@@ -7,6 +8,7 @@ working no matter which conftest pytest happens to bind to the top-level
 
 from __future__ import annotations
 
+from repro.experiments.reporting import EXPERIMENTS
 from repro.graph import DataflowGraph
 from repro.graph.tensor import TensorKind
 from repro.models.builder import ModelBuilder
@@ -36,3 +38,28 @@ def build_branchy_graph(batch_size: int = 2) -> DataflowGraph:
     pooled = builder.global_pool(joined)
     builder.classifier(pooled, 5)
     return builder.build()
+
+
+def simulation_cells() -> list:
+    """Every distinct simulation cell of every registered experiment's CI spec:
+    the cells behind ``tests/golden/*.json``, noisy ones included."""
+    seen = {}
+    for experiment in EXPERIMENTS:
+        if experiment.spec is None:
+            continue
+        for cell in experiment.spec("ci", None).cells:
+            if cell.policy is None:
+                continue  # characterization cells simulate nothing
+            resolved = cell.resolved()
+            seen.setdefault(resolved, resolved)
+    return sorted(
+        seen,
+        key=lambda c: (c.model, str(c.policy), c.batch_size or 0, c.profiling_error, c.seed),
+    )
+
+
+def cell_id(cell) -> str:
+    parts = [cell.model, str(cell.policy), f"b{cell.batch_size}"]
+    if cell.profiling_error:
+        parts.append(f"e{cell.profiling_error:g}s{cell.seed}")
+    return "/".join(parts)

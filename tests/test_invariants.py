@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 import struct
+from functools import cache
 
 import pytest
 
@@ -176,14 +177,15 @@ def test_a_failed_run_round_trips_with_empty_columns(tiny_training, tiny_report)
 
 # -- end-of-run residency ---------------------------------------------------------
 #
-# Two executor paths drop a pending eviction without undoing it: a prefetch of
-# a tensor whose eviction is still draining forgets the eviction but leaves the
-# tensor placed at the eviction's target and its staged host copy allocated,
-# and a kernel reusing such a tensor releases a staged host copy but never a
-# staged flash copy. Both paths fire on the golden grid, so fixing them moves
-# goldens; until then these invariants are pinned as known failures.
+# tests/test_runtime_invariants.py checks the executor while it runs, on every
+# golden cell, and pins the three known eviction-lifecycle defects as strict
+# xfails, including the end-of-run disagreements between the pools and the
+# page table. The checks below read only a finished run, over every CI model
+# and policy: what the page table places on flash is stored to the byte, and
+# no dead tensor keeps a flash object.
 
 
+@cache
 def _finished_run(model: str, policy: str):
     workload = build_workload(model, scale="ci")
     simulator = ExecutionSimulator(
@@ -193,42 +195,12 @@ def _finished_run(model: str, policy: str):
     return workload, simulator
 
 
-@pytest.mark.xfail(
-    strict=True, reason="a prefetch that cancels an eviction keeps its staged host copy"
-)
-def test_host_pool_residents_are_placed_on_host():
-    _, simulator = _finished_run("resnet152", "g10")
-    table = simulator.page_table
-    misplaced = [
-        tid
-        for tid in simulator.host_pool.resident_tensors()
-        if table.location_of(tid) is not MemoryLocation.HOST
-    ]
-    assert misplaced == []
-
-
-@pytest.mark.xfail(
-    strict=True, reason="a reused tensor whose eviction is cancelled keeps its flash copy"
-)
-def test_flash_objects_are_placed_on_flash():
-    workload, simulator = _finished_run("senet154", "deepum")
-    table = simulator.page_table
-    ssd = simulator.engine.ssd
-    misplaced = [
-        tensor.tensor_id
-        for tensor in workload.graph.tensors
-        if ssd.contains(tensor.tensor_id)
-        and table.location_of(tensor.tensor_id) is not MemoryLocation.FLASH
-    ]
-    assert misplaced == []
-
-
 @pytest.mark.parametrize("policy", POLICY_NAMES)
 @pytest.mark.parametrize("model", FIGURE11_MODELS)
 def test_flash_residents_are_stored_to_the_byte(model, policy):
     # Every tensor the page table places on flash has its object on the SSD,
     # and the device stores exactly its objects' tensor sizes. The converse,
-    # that every stored object is placed on flash, is the xfail above.
+    # that every stored object is placed on flash, is a known defect.
     workload, simulator = _finished_run(model, policy)
     table, ssd = simulator.page_table, simulator.engine.ssd
     on_flash = [
@@ -241,3 +213,14 @@ def test_flash_residents_are_stored_to_the_byte(model, policy):
     assert ssd.stored_bytes == sum(
         tensor.size_bytes for tensor in workload.graph.tensors if ssd.contains(tensor.tensor_id)
     )
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("model", FIGURE11_MODELS)
+def test_dead_tensors_keep_no_flash_object(model, policy):
+    # A tensor whose flash eviction an operand cancelled is back on the GPU,
+    # but its flash object stays stored until the tensor dies.
+    workload, simulator = _finished_run(model, policy)
+    ssd = simulator.engine.ssd
+    dead = [usage.tensor_id for usage in workload.report.usages.values() if not usage.is_global]
+    assert [tensor_id for tensor_id in dead if ssd.contains(tensor_id)] == []

@@ -17,41 +17,20 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.reporting import EXPERIMENTS
+from repro.baselines.factory import POLICY_NAMES
 from repro.experiments.tenancy import ArrivalProcess, MultiTenantScenario, Tenant
 
-
-def simulation_cells():
-    """Every distinct simulation cell across all registered experiment specs."""
-    seen = {}
-    for experiment in EXPERIMENTS:
-        if experiment.spec is None:
-            continue
-        for cell in experiment.spec("ci", None).cells:
-            if cell.policy is None:
-                continue  # characterization cells simulate nothing to colocate
-            resolved = cell.resolved()
-            seen.setdefault(resolved, resolved)
-    return sorted(
-        seen,
-        key=lambda c: (c.model, str(c.policy), c.batch_size or 0, c.profiling_error, c.seed),
-    )
-
+from helpers import cell_id, simulation_cells
 
 CELLS = simulation_cells()
-
-
-def cell_id(cell) -> str:
-    parts = [cell.model, str(cell.policy), f"b{cell.batch_size}"]
-    if cell.profiling_error:
-        parts.append(f"e{cell.profiling_error:g}s{cell.seed}")
-    return "/".join(parts)
 
 
 def test_the_grid_is_nontrivial():
     """The sweep below must actually cover the golden experiments' cells."""
     assert len(CELLS) >= 30
     assert {cell.model for cell in CELLS} >= {"bert", "vit", "resnet152"}
+    assert {cell.policy for cell in CELLS} == set(POLICY_NAMES)
+    assert any(cell.profiling_error for cell in CELLS)
 
 
 @pytest.mark.parametrize("cell", CELLS, ids=cell_id)
